@@ -256,6 +256,3 @@ class MixtureObservationFactor:
         j_pose, j_lm = observation_jacobians(pose.rotation, h)
         w = self.sqrt_info
         return w @ r, {("x", self.pose_key): w @ j_pose, ("l", key): w @ j_lm}
-
-    def constant_offset(self, values) -> float:
-        return float(self.neg_log_weights[self.active_component(values)])

@@ -2,17 +2,32 @@
 
 Batch Levenberg-Marquardt on the manifold (right-perturbation retract),
 warm-started from the current estimates. Linearization is vectorized per
-factor type; the normal equations are solved with a sparse LU (MMD ordering,
-the pose chain plus landmark arrow stays near-banded).
+factor type and scatters each factor's J^T J and J^T r blocks straight into
+the Gauss-Newton system, ordered poses first:
+
+    [[A,   B],   [dx_pose,      = -grad
+     [B^T, C]] .  dx_landmark]
+
+A (6N x 6N) couples poses only through between factors, so it is banded
+with 6(w + 1) stored rows, where w is the largest pose-slot gap of any
+between: 12 rows for an odometry chain. B (6N x 3M) is the dense border to
+the few landmarks and C (3M x 3M) their block. The system is solved with a
+banded Cholesky of A and a dense Cholesky of the landmark Schur complement
+S = C - B^T A^-1 B (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 2000); joint marginals are columns of the inverse from the same
+factor. A loop closure between poses w slots apart is exact but widens the
+band: storage grows as (6w + 6) * 6N and the factorization as (6w + 6)^2 * 6N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import NumericalError
 from .factors import (
@@ -28,9 +43,6 @@ from .factors import (
     relative_pose,
 )
 from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp, se3_jr_inv
-
-_SPLU_OPTS = {"permc_spec": "MMD_AT_PLUS_A"}
-
 
 @dataclass
 class Values:
@@ -66,7 +78,7 @@ class FactorGraph:
         self.factors: list = []
         self.weights_version = 0
         self._batch_cache = None
-        self._marginal_lu = None  # (lu, batch) reusable after an accepted LM step
+        self._marginal_factor = None  # (factor, batch) reusable after an accepted LM step
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
         self._num_priors = 0
@@ -77,13 +89,13 @@ class FactorGraph:
         if key in self.poses:
             raise ValueError(f"pose {key} already exists")
         self.poses[key] = pose
-        self._marginal_lu = None
+        self._marginal_factor = None
 
     def add_landmark(self, key: int, point: np.ndarray) -> None:
         if key in self.landmarks:
             raise ValueError(f"landmark {key} already exists")
         self.landmarks[key] = np.asarray(point, dtype=float).reshape(3).copy()
-        self._marginal_lu = None
+        self._marginal_factor = None
 
     def add_factor(self, factor) -> None:
         keys = factor.keys()
@@ -144,21 +156,18 @@ class FactorGraph:
         self._validate_gauge()
         batch = self._batched()
         state = batch.gather(self)
-        err, r, jac = batch.linearize(state)
-        grad = jac.T @ r
-        gnorm = float(np.linalg.norm(grad))
+        err, system = batch.linearize(state)
+        gnorm = float(np.linalg.norm(system.grad))
         initial = err
         lam = config.init_lambda
         iterations = 0
         converged = gnorm < config.gradient_tol
 
         while not converged and iterations < config.max_iterations:
-            jtj = (jac.T @ jac).tocsc()
-            diag = np.maximum(jtj.diagonal(), 1e-12)
             stepped = False
             while lam <= config.max_lambda:
-                lu = self._factorize(jtj + sp.diags(lam * diag))
-                delta = lu.solve(-grad)
+                factor = self._factorize(system, lam)
+                delta = factor.solve(-system.grad)
                 candidate = batch.retract(state, delta)
                 cand_err = batch.error_only(candidate)
                 if cand_err <= err and np.isfinite(cand_err):
@@ -167,11 +176,10 @@ class FactorGraph:
                     err = cand_err
                     iterations += 1
                     stepped = True
-                    self._marginal_lu = (lu, batch)
+                    self._marginal_factor = (factor, batch)
                     lam = max(lam * 0.1, 1e-12)
-                    _, r, jac = batch.linearize(state)
-                    grad = jac.T @ r
-                    gnorm = float(np.linalg.norm(grad))
+                    _, system = batch.linearize(state)
+                    gnorm = float(np.linalg.norm(system.grad))
                     if gnorm < config.gradient_tol or rel < config.rel_decrease_tol:
                         converged = True
                     break
@@ -183,11 +191,21 @@ class FactorGraph:
         return OptimizeReport(initial, err, iterations, converged, gnorm)
 
     @staticmethod
-    def _factorize(matrix):
+    def _factorize(system: "NormalEquations", lam: float = 0.0) -> "SchurFactor":
+        """Factor the system, adding lam * max(diag, 1e-12) to the diagonals of A and C."""
+        band, landmark = system.band.copy(), system.landmark
+        if lam:
+            band[0] += lam * np.maximum(band[0], 1e-12)
+            landmark = landmark + np.diag(lam * np.maximum(np.diag(landmark), 1e-12))
         try:
-            return spla.splu(matrix.tocsc(), **_SPLU_OPTS)
-        except RuntimeError as exc:
-            raise NumericalError(f"sparse factorization failed: {exc}") from exc
+            band = sla.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                       check_finite=False)
+            border = _band_solve(band, system.border, "N")
+            schur = sla.cholesky(landmark - border.T @ border, lower=True,
+                                 overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
+        return SchurFactor(band, border, schur)
 
     def _validate_gauge(self) -> None:
         """Require a prior and full connectivity to an anchored component."""
@@ -211,9 +229,8 @@ class FactorGraph:
 
     def _information_factorization(self):
         batch = self._batched()
-        state = batch.gather(self)
-        _, _, jac = batch.linearize(state)
-        return self._factorize((jac.T @ jac).tocsc()), batch
+        _, system = batch.linearize(batch.gather(self))
+        return self._factorize(system), batch
 
     def joint_marginal(self, pose_key: int, landmark_key: int) -> np.ndarray:
         """Exact 9x9 joint (pose, landmark) covariance from the GN information."""
@@ -226,17 +243,17 @@ class FactorGraph:
         for k in landmark_keys:
             if k not in self.landmarks:
                 raise ValueError(f"landmark {k} not in graph")
-        lu, batch = self._information_factorization()
-        return _joint_blocks(lu, batch, pose_key, landmark_keys)
+        factor, batch = self._information_factorization()
+        return _joint_blocks(factor, batch, pose_key, landmark_keys)
 
     def pose_marginal(self, pose_key: int) -> np.ndarray:
         if pose_key not in self.poses:
             raise ValueError(f"pose {pose_key} not in graph")
-        lu, batch = self._information_factorization()
+        factor, batch = self._information_factorization()
         cols = batch.pose_columns(pose_key)
         rhs = np.zeros((batch.num_cols, 6))
         rhs[cols, np.arange(6)] = 1.0
-        sol = lu.solve(rhs)
+        sol = factor.solve(rhs)
         block = sol[cols, :]
         return 0.5 * (block + block.T)
 
@@ -247,25 +264,87 @@ class FactorGraph:
         linearization behind the final state: adequate for association gating,
         not for reporting. Falls back to the exact path when unavailable.
         """
-        if self._marginal_lu is None:
+        if self._marginal_factor is None:
             return self.joint_marginals(pose_key, landmark_keys)
-        lu, batch = self._marginal_lu
-        return _joint_blocks(lu, batch, pose_key, landmark_keys)
+        factor, batch = self._marginal_factor
+        return _joint_blocks(factor, batch, pose_key, landmark_keys)
 
 
-def _joint_blocks(lu, batch, pose_key, landmark_keys) -> dict[int, np.ndarray]:
+def _joint_blocks(factor, batch, pose_key, landmark_keys) -> dict[int, np.ndarray]:
     pose_cols = batch.pose_columns(pose_key)
     lm_cols = [batch.landmark_columns(k) for k in landmark_keys]
     cols = np.concatenate([pose_cols] + lm_cols) if lm_cols else pose_cols
     rhs = np.zeros((batch.num_cols, len(cols)))
     rhs[cols, np.arange(len(cols))] = 1.0
-    sol = lu.solve(rhs)
+    sol = factor.solve(rhs)
     out = {}
     for i, key in enumerate(landmark_keys):
         idx = np.concatenate([pose_cols, lm_cols[i]])
         sel = np.concatenate([np.arange(6), 6 + 3 * i + np.arange(3)])
         block = sol[np.ix_(idx, sel)]
         out[key] = 0.5 * (block + block.T)
+    return out
+
+
+@dataclass
+class NormalEquations:
+    """Gauss-Newton system [[A, B], [B^T, C]] dx = -grad, poses first.
+
+    ``band`` holds the lower band of A in LAPACK storage,
+    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band).
+    """
+
+    band: np.ndarray      # (6(w + 1), 6N)
+    border: np.ndarray    # B, (6N, 3M)
+    landmark: np.ndarray  # C, (3M, 3M)
+    grad: np.ndarray      # J^T r, (6N + 3M,)
+
+
+class SchurFactor:
+    """Cholesky factor of a NormalEquations system,
+
+        [[A, B], [B^T, C]] = L L^T,  L = [[L_A, 0], [W^T, L_S]],
+
+    with A = L_A L_A^T, W = L_A^-1 B and S = C - W^T W = L_S L_S^T.
+    """
+
+    def __init__(self, band: np.ndarray, border: np.ndarray, schur: np.ndarray):
+        self.band = band      # L_A in the lower band storage of NormalEquations
+        self.border = border  # W, dense
+        self.schur = schur    # L_S, dense lower
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        n_pose = self.band.shape[1]
+        y = _band_solve(self.band, rhs[:n_pose], "N")
+        rhs_lm = rhs[n_pose:]
+        if not len(rhs_lm):
+            return _band_solve(self.band, y, "T")
+        lm = sla.cho_solve((self.schur, True), rhs_lm - self.border.T @ y,
+                           check_finite=False)
+        return np.concatenate([_band_solve(self.band, y - self.border @ lm, "T"), lm])
+
+    @cached_property
+    def L(self) -> sp.spmatrix:
+        """L as one sparse matrix, built on first use; for fill-in counts."""
+        n_pose, width = self.band.shape[1], len(self.band)
+        l_pose = sp.dia_matrix((self.band, -np.arange(width)), shape=(n_pose, n_pose))
+        if not len(self.schur):
+            return l_pose
+        return sp.bmat([[l_pose, None],
+                        [sp.csr_matrix(self.border.T), sp.csr_matrix(self.schur)]])
+
+    @property
+    def U(self) -> sp.spmatrix:
+        return self.L.T
+
+
+def _band_solve(band: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """L_A^-1 rhs (trans "N") or L_A^-T rhs (trans "T") for a lower band factor."""
+    if not rhs.size:  # the dtbtrs wrapper corrupts the heap when nrhs is 0
+        return rhs.copy()
+    out, info = dtbtrs(band, rhs, uplo="L", trans=trans)
+    if info:
+        raise NumericalError(f"banded triangular solve failed (info {info})")
     return out
 
 
@@ -331,8 +410,52 @@ class _BatchedFactors:
         self.mx_offsets = np.concatenate([[0], np.cumsum(self.mx_sizes)])[:-1].astype(int)
         self.num_mixtures = len(sizes)
 
-        self.num_rows = (6 * len(self.pr_slot) + 6 * len(self.bt_i)
-                         + 3 * len(self.ob_p) + 3 * self.num_mixtures)
+        # J^T J and J^T r of every factor land in one flat buffer:
+        # [lower band of A | B | C | grad], see NormalEquations
+        n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
+        gap = int(np.abs(self.bt_i - self.bt_j).max()) if len(self.bt_i) else 0
+        self.band_rows = 6 * (gap + 1)
+        self._border_at = self.band_rows * n_pose
+        self._landmark_at = self._border_at + n_pose * n_lm
+        self._grad_at = self._landmark_at + n_lm * n_lm
+        self._size = self._grad_at + self.num_cols
+
+        pose_cols = 6 * np.arange(self.num_poses)[:, None] + np.arange(6)
+        lm_cols = n_pose + 3 * np.arange(self.num_lms)[:, None] + np.arange(3)
+        self.pr_scatter = self._scatter_index(pose_cols[self.pr_slot], 6)
+        self.bt_scatter = self._scatter_index(
+            np.concatenate([pose_cols[self.bt_i], pose_cols[self.bt_j]], axis=1), 12)
+        self.ob_scatter = self._scatter_index(
+            np.concatenate([pose_cols[self.ob_p], lm_cols[self.ob_l]], axis=1), 6)
+        self.mx_scatter = self._scatter_index(
+            np.concatenate([pose_cols[self.mx_p], lm_cols[self.mx_l]], axis=1), 6)
+
+    def _scatter_index(self, cols: np.ndarray, pose_width: int):
+        """Where each factor's J^T J entries and J^T r go in the flat buffer.
+
+        ``cols`` (n, d) are the system columns of each factor's variables, its
+        ``pose_width`` pose columns first. Of the factor's d x d block of
+        J^T J, the upper triangle is kept (it holds every A and B entry once)
+        plus the lower landmark-landmark part, since C is stored whole.
+        Returns the kept positions in the flattened (d + 1) x (d + 1) product
+        [J r]^T [J r], whose last column is J^T r, and their (n, kept)
+        buffer indices.
+        """
+        d = cols.shape[1]
+        local = np.arange(d)
+        is_lm = local >= pose_width
+        rows, cs = np.nonzero((local[:, None] <= local) | (is_lm[:, None] & is_lm))
+        a, b = cols[:, rows], cols[:, cs]
+        n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
+        index = np.empty_like(a)
+        band, lm = ~is_lm[cs], is_lm[rows]
+        border = ~(band | lm)
+        lo, hi = np.minimum(a[:, band], b[:, band]), np.maximum(a[:, band], b[:, band])
+        index[:, band] = (hi - lo) * n_pose + lo
+        index[:, border] = self._border_at + a[:, border] * n_lm + (b[:, border] - n_pose)
+        index[:, lm] = self._landmark_at + (a[:, lm] - n_pose) * n_lm + (b[:, lm] - n_pose)
+        kept = np.concatenate([rows * (d + 1) + cs, local * (d + 1) + d])
+        return kept, np.concatenate([index, self._grad_at + cols], axis=1)
 
     def pose_columns(self, pose_key) -> np.ndarray:
         return 6 * self.pose_slot[pose_key] + np.arange(6)
@@ -420,77 +543,56 @@ class _BatchedFactors:
         return total
 
     def linearize(self, state):
-        """Total error, stacked whitened residual, and the sparse Jacobian."""
-        rows_parts, cols_parts, data_parts, res_parts = [], [], [], []
+        """Total error and the Gauss-Newton system, assembled from per-factor blocks."""
+        values, indices = [], []
         total = 0.0
-        row_base = 0
-        q, t, lms = state
+        q, _, _ = state
 
         if len(self.pr_slot):
             rw, r = self._prior_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-            jac = self.pr_w @ se3_jr_inv(r)
-            row_base = self._append_blocks(
-                rows_parts, cols_parts, data_parts, row_base,
-                [(jac, 6 * self.pr_slot, 6)])
-            res_parts.append(rw.ravel())
+            _add_blocks(values, indices, self.pr_w @ se3_jr_inv(r), rw, self.pr_scatter)
 
         if len(self.bt_i):
             rw, r, q_ij, t_ij = self._between_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
             j_i, j_j = between_jacobians(r, q_ij, t_ij)
-            row_base = self._append_blocks(
-                rows_parts, cols_parts, data_parts, row_base,
-                [(self.bt_w @ j_i, 6 * self.bt_i, 6), (self.bt_w @ j_j, 6 * self.bt_j, 6)])
-            res_parts.append(rw.ravel())
+            jac = np.concatenate([self.bt_w @ j_i, self.bt_w @ j_j], axis=2)
+            _add_blocks(values, indices, jac, rw, self.bt_scatter)
 
         if len(self.ob_p):
             rw, h = self._observation_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
             j_pose, j_lm = observation_jacobians(q[self.ob_p], h)
-            scale = self.ob_s[:, None, None]
-            row_base = self._append_blocks(
-                rows_parts, cols_parts, data_parts, row_base,
-                [(scale * (self.ob_w @ j_pose), 6 * self.ob_p, 6),
-                 (scale * (self.ob_w @ j_lm), 6 * self.num_poses + 3 * self.ob_l, 3)])
-            res_parts.append(rw.ravel())
+            jac = self.ob_s[:, None, None] * (
+                self.ob_w @ np.concatenate([j_pose, j_lm], axis=2))
+            _add_blocks(values, indices, jac, rw, self.ob_scatter)
 
         if self.num_mixtures:
             rw, h, costs = self._mixture_components(state)
             active, mix_total = self._mixture_active(costs)
             total += mix_total
-            qa = q[self.mx_p[active]]
-            j_pose, j_lm = observation_jacobians(qa, h[active])
-            w = self.mx_w[active]
-            row_base = self._append_blocks(
-                rows_parts, cols_parts, data_parts, row_base,
-                [(w @ j_pose, 6 * self.mx_p[active], 6),
-                 (w @ j_lm, 6 * self.num_poses + 3 * self.mx_l[active], 3)])
-            res_parts.append(rw[active].ravel())
+            j_pose, j_lm = observation_jacobians(q[self.mx_p[active]], h[active])
+            jac = self.mx_w[active] @ np.concatenate([j_pose, j_lm], axis=2)
+            kept, index = self.mx_scatter
+            _add_blocks(values, indices, jac, rw[active], (kept, index[active]))
 
-        residual = np.concatenate(res_parts) if res_parts else np.zeros(0)
-        jac = sp.coo_matrix(
-            (np.concatenate(data_parts) if data_parts else np.zeros(0),
-             (np.concatenate(rows_parts) if rows_parts else np.zeros(0, dtype=int),
-              np.concatenate(cols_parts) if cols_parts else np.zeros(0, dtype=int))),
-            shape=(row_base, self.num_cols)).tocsr()
-        return total, residual, jac
+        flat = (np.bincount(np.concatenate(indices), np.concatenate(values),
+                            minlength=self._size) if values else np.zeros(self._size))
+        n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
+        return total, NormalEquations(
+            band=flat[:self._border_at].reshape(self.band_rows, n_pose),
+            border=flat[self._border_at:self._landmark_at].reshape(n_pose, n_lm),
+            landmark=flat[self._landmark_at:self._grad_at].reshape(n_lm, n_lm),
+            grad=flat[self._grad_at:])
 
-    @staticmethod
-    def _append_blocks(rows_parts, cols_parts, data_parts, row_base, blocks):
-        """Append (n, d, w) Jacobian blocks; all blocks in one call share rows."""
-        height = blocks[0][0].shape[1]
-        n = blocks[0][0].shape[0]
-        rows = row_base + (np.arange(n)[:, None, None] * height
-                           + np.arange(height)[None, :, None])
-        for jac, col_base, width in blocks:
-            cols = col_base[:, None, None] + np.arange(width)[None, None, :]
-            rows_b = np.broadcast_to(rows, jac.shape)
-            cols_b = np.broadcast_to(cols, jac.shape)
-            rows_parts.append(rows_b.ravel())
-            cols_parts.append(cols_b.ravel())
-            data_parts.append(jac.ravel())
-        return row_base + n * height
+
+def _add_blocks(values, indices, jac, rw, scatter) -> None:
+    """Append the kept J^T J entries and J^T r of stacked (n, h, d) Jacobians."""
+    kept, index = scatter
+    aug = np.concatenate([jac, rw[..., None]], axis=2)
+    values.append((np.swapaxes(aug, 1, 2) @ aug).reshape(len(aug), -1)[:, kept].ravel())
+    indices.append(index.ravel())
 
 
 def em_reweight(graph: FactorGraph, iterations: int = 1,
@@ -515,7 +617,10 @@ def em_reweight(graph: FactorGraph, iterations: int = 1,
     z = np.array([f.point for f in weighted])
     covs = np.array([f.innovation_cov if f.innovation_cov is not None else f.gamma
                      for f in weighted])
-    chol = np.linalg.cholesky(covs)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance must be SPD") from exc
     log_norm = -np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
     pose_keys = [f.pose_key for f in weighted]
     lm_keys = [f.landmark_key for f in weighted]

@@ -45,9 +45,6 @@ class SlamConfig:
     prior_sigma: np.ndarray = field(default_factory=lambda: np.full(6, 1e-4))
     optimize_every: int = 1
     intermediate_lm_iterations: int = 2
-    # Intermediate optimizes may freeze poses older than this many keyframes
-    # (fixed-lag smoothing); the final optimize is always full-graph MAP.
-    fixed_lag_window: int | None = None
     em_iterations: int = 1
     marginal_mode: str = "exact"   # "exact" | "fast" (reuse the last LM factorization)
     log_decisions: bool = False

@@ -167,12 +167,137 @@ def test_gauge_full_rank_with_single_prior():
     poses = chain_poses(rng, 6)
     g = build_chain_graph(poses, perturb=0.02, rng=rng)
     g.optimize()
-    lu, batch = g._information_factorization()
+    _, batch = g._information_factorization()
     # Cholesky of the dense information succeeds -> full rank at convergence
-    state = batch.gather(g)
-    _, _, jac = batch.linearize(state)
-    info = (jac.T @ jac).toarray()
+    info, _ = dense_normal_equations(g, batch)
     np.linalg.cholesky(info)
+
+
+# -- assembly and solver oracles ---------------------------------------------
+
+def dense_normal_equations(g, batch):
+    """Dense J^T J and J^T r stacked from each factor's scalar linearize()."""
+    info = np.zeros((batch.num_cols, batch.num_cols))
+    grad = np.zeros(batch.num_cols)
+    values = g.values()
+    for f in g.factors:
+        r, jacobians = f.linearize(values)
+        jac = np.zeros((len(r), batch.num_cols))
+        for (kind, key), block in jacobians.items():
+            cols = batch.pose_columns(key) if kind == "x" else batch.landmark_columns(key)
+            jac[:, cols] += block
+        info += jac.T @ jac
+        grad += jac.T @ r
+    return info, grad
+
+
+def band_to_dense(band):
+    """Symmetric matrix from its lower band, band[r - c, c] = A[r, c]."""
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for k, diagonal in enumerate(band):
+        idx = np.arange(n - k)
+        out[idx + k, idx] = diagonal[:n - k]
+        out[idx, idx + k] = diagonal[:n - k]
+    return out
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def structured_graph(rng, with_landmarks=True):
+    """Poses at non-contiguous keys: two priors on one pose, chain betweens (one
+    with key_i > key_j), a loop closure five slots long, and plain, weighted and
+    mixture observations; every estimate is off its measurement."""
+    keys = [0, 2, 5, 7, 8, 11]
+    poses = {k: random_pose(rng) for k in keys}
+    g = gr.FactorGraph()
+    for k, p in poses.items():
+        g.add_pose(k, retract(p, rng.normal(scale=0.05, size=6)))
+    sigma = np.eye(6) * 1e-2
+    g.add_factor(fx.PriorFactor(2, poses[2], sigma))
+    g.add_factor(fx.PriorFactor(2, retract(poses[2], rng.normal(scale=0.1, size=6)), sigma * 4))
+    for a, b in [(0, 2), (2, 5), (5, 7), (8, 7), (8, 11), (0, 11)]:
+        rel = compose(inverse(poses[a]), poses[b])
+        g.add_factor(fx.BetweenFactor(a, b, retract(rel, rng.normal(scale=0.02, size=6)),
+                                      np.diag(rng.uniform(1e-3, 1e-2, 6))))
+    if not with_landmarks:
+        return g
+    points = {3: rng.normal(size=3), 10: rng.normal(size=3), 4: rng.normal(size=3)}
+    for j, p in points.items():
+        g.add_landmark(j, p + rng.normal(scale=0.05, size=3))
+
+    def gamma():  # anisotropic, so C has off-diagonal entries
+        return np.diag(rng.uniform(1e-2, 4e-2, 3))
+
+    for k in keys:
+        z = inverse(poses[k]).apply(points[3]) + rng.normal(scale=0.05, size=3)
+        g.add_factor(fx.ObservationFactor(k, 3, z, gamma()))
+    for k in (0, 5, 11):
+        for j, w in ((10, 0.7), (4, 0.3)):
+            z = inverse(poses[k]).apply(points[j]) + rng.normal(scale=0.05, size=3)
+            g.add_factor(fx.WeightedObservationFactor(k, j, z, gamma(), w, group_id=k))
+    for k in (2, 7, 8):
+        z = inverse(poses[k]).apply(points[10]) + rng.normal(scale=0.05, size=3)
+        g.add_factor(fx.MixtureObservationFactor(k, [10, 4], z, gamma(), [0.6, 0.4]))
+    return g
+
+
+def test_assembly_matches_scalar_factor_oracle():
+    g = structured_graph(np.random.default_rng(9))
+    batch = g._batched()
+    assert batch.band_rows == 36  # the (0, 11) loop closure spans five pose slots
+    err, system = batch.linearize(batch.gather(g))
+    info, grad = dense_normal_equations(g, batch)
+    n_pose = 6 * len(g.poses)
+    assert err == pytest.approx(g.error(), rel=1e-12)
+    assert rel_err(band_to_dense(system.band), info[:n_pose, :n_pose]) < 1e-12
+    assert rel_err(system.border, info[:n_pose, n_pose:]) < 1e-12
+    assert rel_err(system.landmark, info[n_pose:, n_pose:]) < 1e-12
+    assert rel_err(system.grad, grad) < 1e-12
+
+
+@pytest.mark.parametrize("with_landmarks", [True, False])
+def test_solve_and_marginals_match_dense_oracle(with_landmarks):
+    g = structured_graph(np.random.default_rng(10), with_landmarks)
+    batch = g._batched()
+    _, system = batch.linearize(batch.gather(g))
+    info, grad = dense_normal_equations(g, batch)
+
+    lam = 1e-3
+    damped = info + lam * np.diag(np.maximum(np.diag(info), 1e-12))
+    step = gr.FactorGraph._factorize(system, lam).solve(-grad)
+    assert rel_err(step, np.linalg.solve(damped, -grad)) < 1e-9
+
+    cov = np.linalg.inv(info)
+    for key in g.poses:
+        cols = batch.pose_columns(key)
+        assert rel_err(g.pose_marginal(key), cov[np.ix_(cols, cols)]) < 1e-9
+    lm_keys = sorted(g.landmarks)
+    for key, block in g.joint_marginals(7, lm_keys).items():
+        cols = np.concatenate([batch.pose_columns(7), batch.landmark_columns(key)])
+        assert rel_err(block, cov[np.ix_(cols, cols)]) < 1e-9
+
+
+# -- numerical breakdown -----------------------------------------------------
+
+def test_singular_pose_block_raises_numerical_error():
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_pose(1, Pose3.identity())  # no factor: zero information
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    with pytest.raises(NumericalError):
+        g.pose_marginal(0)
+
+
+def test_singular_schur_complement_raises_numerical_error():
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    g.add_landmark(0, np.ones(3))  # never observed: zero information
+    with pytest.raises(NumericalError):
+        g.joint_marginals(0, [0])
 
 
 def observed_graph(rng, weights, innovation_covs=None):
@@ -225,6 +350,13 @@ def test_em_reweight_error_non_increasing_convex_case():
     before = g.error()
     report = gr.em_reweight(g, iterations=1)
     assert report.final_error <= before + 1e-12
+
+
+def test_em_reweight_non_spd_innovation_raises_numerical_error():
+    g = observed_graph(np.random.default_rng(11), [0.5, 0.5],
+                       innovation_covs=[np.eye(3) * 0.01, -np.eye(3) * 0.01])
+    with pytest.raises(NumericalError):
+        gr.em_reweight(g, iterations=1)
 
 
 def test_summary_counts():
