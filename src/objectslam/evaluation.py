@@ -15,7 +15,7 @@ import numpy as np
 
 from .association import Landmark, cosine_similarity
 from .errors import DataFormatError
-from .geometry import Pose3, compose, quat_from_rotation_matrix
+from .geometry import Pose3, quat_from_rotation_matrix
 from .simworld import World
 
 
@@ -132,8 +132,3 @@ def map_report(landmarks: list[Landmark], world: World, match_radius: float = 0.
     precision = matched / estimated if precision_defined else 0.0
     recall = matched / true_count if true_count > 0 else 0.0
     return MapReport(estimated, true_count, matched, precision, recall, precision_defined)
-
-
-def transform_trajectory(transform: Pose3,
-                         trajectory: list[tuple[float, Pose3]]) -> list[tuple[float, Pose3]]:
-    return [(t, compose(transform, pose)) for t, pose in trajectory]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataFormatError, NumericalError
 from .geometry import (
     Pose3,
     quat_conj,
@@ -34,13 +34,21 @@ from .geometry import (
 _SQRT_INFO_CACHE: dict[bytes, np.ndarray] = {}
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; DataFormatError if any entry is NaN or Inf."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise DataFormatError(f"{name} must be finite")
+    return value
+
+
 def sqrt_information(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular W with W^T W = Sigma^-1 (whitening matrix).
 
     Cached by value: measurement and odometry covariances repeat across
     thousands of factors in a run.
     """
-    sigma = np.ascontiguousarray(sigma, dtype=float)
+    sigma = np.ascontiguousarray(_finite("covariance", sigma))
     key = sigma.tobytes()
     cached = _SQRT_INFO_CACHE.get(key)
     if cached is not None:
@@ -159,7 +167,7 @@ class ObservationFactor:
     def __init__(self, pose_key: int, landmark_key: int, point: np.ndarray, gamma: np.ndarray):
         self.pose_key = pose_key
         self.landmark_key = landmark_key
-        self.point = np.asarray(point, dtype=float).reshape(3)
+        self.point = _finite("observation point", point).reshape(3)
         self.gamma = np.asarray(gamma, dtype=float).reshape(3, 3)
         self.sqrt_info = sqrt_information(self.gamma)
 
@@ -191,11 +199,12 @@ class WeightedObservationFactor(ObservationFactor):
     def __init__(self, pose_key, landmark_key, point, gamma, weight: float,
                  group_id: int | None = None, innovation_cov: np.ndarray | None = None):
         super().__init__(pose_key, landmark_key, point, gamma)
-        if not 0.0 < weight <= 1.0:
+        if not 0.0 < _finite("weight", weight) <= 1.0:
             raise ValueError("weight must be in (0, 1]")
         self.weight = float(weight)
         self.group_id = group_id
-        self.innovation_cov = None if innovation_cov is None else np.asarray(innovation_cov, float)
+        self.innovation_cov = (None if innovation_cov is None
+                               else _finite("innovation_cov", innovation_cov))
 
     def error(self, values) -> float:
         return self.weight * super().error(values)
@@ -212,10 +221,10 @@ class MixtureObservationFactor:
     def __init__(self, pose_key: int, landmark_keys, point, gamma, weights):
         self.pose_key = pose_key
         self.landmark_keys = list(landmark_keys)
-        self.point = np.asarray(point, dtype=float).reshape(3)
+        self.point = _finite("observation point", point).reshape(3)
         self.gamma = np.asarray(gamma, dtype=float).reshape(3, 3)
         self.sqrt_info = sqrt_information(self.gamma)
-        weights = np.asarray(weights, dtype=float)
+        weights = _finite("component weights", weights)
         if len(weights) != len(self.landmark_keys) or len(weights) == 0:
             raise ValueError("one weight per component required")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:

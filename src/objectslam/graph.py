@@ -14,9 +14,11 @@ between: 12 rows for an odometry chain. B (6N x 3M) is the dense border to
 the few landmarks and C (3M x 3M) their block. The system is solved with a
 banded Cholesky of A and a dense Cholesky of the landmark Schur complement
 S = C - B^T A^-1 B (Triggs et al., "Bundle Adjustment - A Modern
-Synthesis", 2000); joint marginals are columns of the inverse from the same
-factor. A loop closure between poses w slots apart is exact but widens the
-band: storage grows as (6w + 6) * 6N and the factorization as (6w + 6)^2 * 6N.
+Synthesis", 2000). Marginals are columns of the inverse, solved from the
+undamped factor of the system ``optimize`` built at its final estimate while
+that estimate is unchanged (Kaess & Dellaert, RAS 2009). A loop closure
+between poses w slots apart is exact but widens the band: storage grows as
+(6w + 6) * 6N and the factorization as (6w + 6)^2 * 6N.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class FactorGraph:
         self.factors: list = []
         self.weights_version = 0
         self._batch_cache = None
-        self._marginal_factor = None  # (factor, batch) reusable after an accepted LM step
+        self._final_system = None  # (batch, state, system) at optimize's returned estimate
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
         self._num_priors = 0
@@ -89,13 +91,11 @@ class FactorGraph:
         if key in self.poses:
             raise ValueError(f"pose {key} already exists")
         self.poses[key] = pose
-        self._marginal_factor = None
 
     def add_landmark(self, key: int, point: np.ndarray) -> None:
         if key in self.landmarks:
             raise ValueError(f"landmark {key} already exists")
         self.landmarks[key] = np.asarray(point, dtype=float).reshape(3).copy()
-        self._marginal_factor = None
 
     def add_factor(self, factor) -> None:
         keys = factor.keys()
@@ -176,7 +176,6 @@ class FactorGraph:
                     err = cand_err
                     iterations += 1
                     stepped = True
-                    self._marginal_factor = (factor, batch)
                     lam = max(lam * 0.1, 1e-12)
                     _, system = batch.linearize(state)
                     gnorm = float(np.linalg.norm(system.grad))
@@ -188,6 +187,7 @@ class FactorGraph:
                 break
 
         batch.scatter(self, state)
+        self._final_system = (batch, state, system)  # system is linearized at state
         return OptimizeReport(initial, err, iterations, converged, gnorm)
 
     @staticmethod
@@ -220,7 +220,8 @@ class FactorGraph:
                 raise NumericalError(f"landmark {key} is not connected to a prior")
 
     def _batched(self) -> "_BatchedFactors":
-        signature = (len(self.factors), self.weights_version)
+        signature = (len(self.factors), len(self.poses), len(self.landmarks),
+                     self.weights_version)
         if self._batch_cache is None or self._batch_cache.signature != signature:
             self._batch_cache = _BatchedFactors(self, signature)
         return self._batch_cache
@@ -228,8 +229,16 @@ class FactorGraph:
     # -- covariance recovery -------------------------------------------------
 
     def _information_factorization(self):
+        """Undamped factor at the current estimate, and its batch; reuses
+        ``optimize``'s final system while its batch and estimates are current."""
         batch = self._batched()
-        _, system = batch.linearize(batch.gather(self))
+        state = batch.gather(self)
+        final = self._final_system
+        if (final is not None and final[0] is batch
+                and all(map(np.array_equal, final[1], state))):
+            system = final[2]
+        else:
+            _, system = batch.linearize(state)
         return self._factorize(system), batch
 
     def joint_marginal(self, pose_key: int, landmark_key: int) -> np.ndarray:
@@ -237,53 +246,37 @@ class FactorGraph:
         return self.joint_marginals(pose_key, [landmark_key])[landmark_key]
 
     def joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
-        """Joint 9x9 covariances of (pose, landmark) for several landmarks at once."""
+        """Joint 9x9 (pose, landmark) covariances, from ``optimize``'s final
+        linearization while the estimate is unchanged."""
         if pose_key not in self.poses:
             raise ValueError(f"pose {pose_key} not in graph")
         for k in landmark_keys:
             if k not in self.landmarks:
                 raise ValueError(f"landmark {k} not in graph")
         factor, batch = self._information_factorization()
-        return _joint_blocks(factor, batch, pose_key, landmark_keys)
+        cov = _covariance(factor, batch, np.concatenate(
+            [batch.pose_columns(pose_key)] + [batch.landmark_columns(k) for k in landmark_keys]))
+        out = {}
+        for i, key in enumerate(landmark_keys):
+            sel = np.concatenate([np.arange(6), 6 + 3 * i + np.arange(3)])
+            out[key] = cov[np.ix_(sel, sel)]
+        return out
 
     def pose_marginal(self, pose_key: int) -> np.ndarray:
+        """6x6 pose covariance, from ``optimize``'s final linearization while
+        the estimate is unchanged."""
         if pose_key not in self.poses:
             raise ValueError(f"pose {pose_key} not in graph")
         factor, batch = self._information_factorization()
-        cols = batch.pose_columns(pose_key)
-        rhs = np.zeros((batch.num_cols, 6))
-        rhs[cols, np.arange(6)] = 1.0
-        sol = factor.solve(rhs)
-        block = sol[cols, :]
-        return 0.5 * (block + block.T)
-
-    def fast_joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
-        """Like joint_marginals but reusing the last accepted LM factorization.
-
-        The reused system is damped by the final trust-region lambda and is one
-        linearization behind the final state: adequate for association gating,
-        not for reporting. Falls back to the exact path when unavailable.
-        """
-        if self._marginal_factor is None:
-            return self.joint_marginals(pose_key, landmark_keys)
-        factor, batch = self._marginal_factor
-        return _joint_blocks(factor, batch, pose_key, landmark_keys)
+        return _covariance(factor, batch, batch.pose_columns(pose_key))
 
 
-def _joint_blocks(factor, batch, pose_key, landmark_keys) -> dict[int, np.ndarray]:
-    pose_cols = batch.pose_columns(pose_key)
-    lm_cols = [batch.landmark_columns(k) for k in landmark_keys]
-    cols = np.concatenate([pose_cols] + lm_cols) if lm_cols else pose_cols
+def _covariance(factor: "SchurFactor", batch: "_BatchedFactors", cols) -> np.ndarray:
+    """Covariance among the given system columns: those columns of the inverse."""
     rhs = np.zeros((batch.num_cols, len(cols)))
     rhs[cols, np.arange(len(cols))] = 1.0
-    sol = factor.solve(rhs)
-    out = {}
-    for i, key in enumerate(landmark_keys):
-        idx = np.concatenate([pose_cols, lm_cols[i]])
-        sel = np.concatenate([np.arange(6), 6 + 3 * i + np.arange(3)])
-        block = sol[np.ix_(idx, sel)]
-        out[key] = 0.5 * (block + block.T)
-    return out
+    block = factor.solve(rhs)[cols]
+    return 0.5 * (block + block.T)
 
 
 @dataclass
@@ -474,6 +467,8 @@ class _BatchedFactors:
 
     def scatter(self, graph: FactorGraph, state) -> None:
         q, t, lms = state
+        q.setflags(write=False)  # the poses below are views; keep them immutable
+        t.setflags(write=False)
         for i, k in enumerate(self.pose_ids):
             graph.poses[k] = Pose3._trusted(q[i], t[i])  # retract normalized q
         for i, k in enumerate(self.lm_ids):

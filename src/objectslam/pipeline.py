@@ -46,13 +46,10 @@ class SlamConfig:
     optimize_every: int = 1
     intermediate_lm_iterations: int = 2
     em_iterations: int = 1
-    marginal_mode: str = "exact"   # "exact" | "fast" (reuse the last LM factorization)
     log_decisions: bool = False
 
     def __post_init__(self):
         self.prior_sigma = np.asarray(self.prior_sigma, dtype=float).reshape(6)
-        if self.marginal_mode not in ("exact", "fast"):
-            raise ValueError("marginal_mode must be 'exact' or 'fast'")
         if self.optimize_every < 1:
             raise ValueError("optimize_every must be >= 1")
 
@@ -203,10 +200,7 @@ class SlamSystem:
         if not self.registry:
             return
         ids = sorted(self.registry)
-        if self.config.marginal_mode == "fast":
-            joints = self.graph.fast_joint_marginals(latest, ids)
-        else:
-            joints = self.graph.joint_marginals(latest, ids)
+        joints = self.graph.joint_marginals(latest, ids)
         self._pose_cov = joints[ids[0]][:6, :6]
         for j in ids:
             self._lm_cov[j] = joints[j][6:, 6:]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objectslam import factors as fx
-from objectslam.errors import NumericalError
+from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3, retract
 from objectslam.graph import Values
 
@@ -158,3 +158,35 @@ def test_sqrt_information_whitens():
         sigma = random_spd(rng, 3, 0.5)
         w = fx.sqrt_information(sigma)
         assert np.allclose(w.T @ w, np.linalg.inv(sigma), atol=1e-8)
+
+
+NAN_3 = np.array([0.0, np.nan, 0.0])
+NAN_COV = np.where(np.eye(3) > 0, 0.01, np.nan)
+INF_COV = np.diag(np.full(6, np.inf))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fx.PriorFactor(0, Pose3.identity(), INF_COV),
+    lambda: fx.PriorFactor(0, Pose3.identity(), np.diag([np.nan] + [0.01] * 5)),
+    lambda: fx.BetweenFactor(0, 1, Pose3.identity(), INF_COV),
+    lambda: fx.ObservationFactor(0, 0, NAN_3, np.eye(3)),
+    lambda: fx.ObservationFactor(0, 0, np.ones(3), NAN_COV),
+    lambda: fx.WeightedObservationFactor(0, 0, NAN_3, np.eye(3), 0.5),
+    lambda: fx.WeightedObservationFactor(0, 0, np.ones(3), np.eye(3), np.nan),
+    lambda: fx.WeightedObservationFactor(0, 0, np.ones(3), np.eye(3), 0.5,
+                                         innovation_cov=np.diag([np.inf, 1.0, 1.0])),
+    lambda: fx.MixtureObservationFactor(0, [0, 1], NAN_3, np.eye(3), [0.5, 0.5]),
+    lambda: fx.MixtureObservationFactor(0, [0, 1], np.ones(3), np.eye(3), [np.nan, np.nan]),
+], ids=["prior-inf-cov", "prior-nan-cov", "between-inf-cov", "observation-nan-point",
+        "observation-nan-cov", "weighted-nan-point", "weighted-nan-weight",
+        "weighted-inf-innovation", "mixture-nan-point", "mixture-nan-weights"])
+def test_factor_rejects_non_finite_input(make):
+    with pytest.raises(DataFormatError):
+        make()
+
+
+def test_sqrt_information_rejects_non_finite_before_cache():
+    # np.linalg.cholesky returns NaN for a NaN input instead of raising
+    for _ in range(2):
+        with pytest.raises(DataFormatError):
+            fx.sqrt_information(NAN_COV)

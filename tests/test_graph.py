@@ -280,6 +280,113 @@ def test_solve_and_marginals_match_dense_oracle(with_landmarks):
         assert rel_err(block, cov[np.ix_(cols, cols)]) < 1e-9
 
 
+# -- marginals reuse the system optimize built -------------------------------
+
+def count_linearize(monkeypatch):
+    calls = []
+    original = gr._BatchedFactors.linearize
+
+    def counting(self, state):
+        calls.append(state)
+        return original(self, state)
+
+    monkeypatch.setattr(gr._BatchedFactors, "linearize", counting)
+    return calls
+
+
+def fresh_marginals(g, pose_key, landmark_keys):
+    """(joint, pose) marginals from a new linearization at the current estimate."""
+    batch = g._batched()
+    _, system = batch.linearize(batch.gather(g))
+    factor = gr.FactorGraph._factorize(system)
+
+    def covariance(cols):
+        block = factor.solve(np.eye(batch.num_cols)[:, cols])[cols]
+        return 0.5 * (block + block.T)
+
+    pose_cols = batch.pose_columns(pose_key)
+    cov = covariance(np.concatenate(
+        [pose_cols] + [batch.landmark_columns(k) for k in landmark_keys]))
+    joints = {}
+    for i, key in enumerate(landmark_keys):
+        sel = np.concatenate([np.arange(6), 6 + 3 * i + np.arange(3)])
+        joints[key] = cov[np.ix_(sel, sel)]
+    return joints, covariance(pose_cols)
+
+
+def checked_marginals(g, pose_key, calls):
+    """Check both marginals against fresh_marginals; return how many linearize
+    calls they made."""
+    lm_keys = sorted(g.landmarks)
+    before = len(calls)
+    joints, pose = g.joint_marginals(pose_key, lm_keys), g.pose_marginal(pose_key)
+    made = len(calls) - before
+    want_joints, want_pose = fresh_marginals(g, pose_key, lm_keys)
+    assert np.array_equal(pose, want_pose)
+    assert joints.keys() == want_joints.keys()
+    for key, block in joints.items():
+        assert np.array_equal(block, want_joints[key]), key
+    return made
+
+
+@pytest.mark.parametrize("max_iterations", [100, 0])
+def test_marginals_after_optimize_reuse_its_system(monkeypatch, max_iterations):
+    # max_iterations=0 returns without a step: the system is the initial one
+    g = structured_graph(np.random.default_rng(12))
+    g.optimize(gr.LMConfig(max_iterations=max_iterations))
+    calls = count_linearize(monkeypatch)
+    assert checked_marginals(g, 7, calls) == 0
+
+
+def test_marginals_never_served_from_a_stale_system(monkeypatch):
+    g = structured_graph(np.random.default_rng(13))
+    calls = count_linearize(monkeypatch)
+
+    g.optimize()
+    g.poses[5] = retract(g.poses[5], np.full(6, 1e-3))  # direct write to an estimate
+    assert checked_marginals(g, 7, calls) == 2
+
+    g.optimize()
+    g.landmarks[3][0] += 1e-3  # in-place write to a landmark estimate
+    assert checked_marginals(g, 7, calls) == 2
+
+    g.optimize()
+    z = inverse(g.poses[8]).apply(g.landmarks[4])
+    g.add_factor(fx.ObservationFactor(8, 4, z + 0.01, np.eye(3) * 1e-2))
+    assert checked_marginals(g, 7, calls) == 2
+
+    g.optimize()
+    for f in g.factors:
+        if isinstance(f, fx.WeightedObservationFactor):
+            f.weight = 1.0 - f.weight
+    g.bump_weights_version()
+    assert checked_marginals(g, 7, calls) == 2
+
+    gr.em_reweight(g, iterations=1)  # ends in optimize: its system is current
+    assert checked_marginals(g, 7, calls) == 0
+
+
+def test_pose_written_in_place_is_rejected_after_optimize():
+    # the optimized poses share storage with the kept state, so they stay read-only
+    g = structured_graph(np.random.default_rng(14))
+    g.optimize()
+    with pytest.raises(ValueError):
+        g.poses[5].translation[0] += 1.0
+
+
+def test_variable_added_after_optimize_joins_the_batch():
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    g.optimize()
+    g.add_pose(1, Pose3.identity())  # no factor yet: zero information
+    with pytest.raises(NumericalError):
+        g.pose_marginal(1)
+    g.add_landmark(0, np.ones(3))
+    with pytest.raises(NumericalError):
+        g.joint_marginals(0, [0])
+
+
 # -- numerical breakdown -----------------------------------------------------
 
 def test_singular_pose_block_raises_numerical_error():

@@ -104,7 +104,7 @@ def test_run_slam_odometry_only_composes():
 @pytest.mark.parametrize("strategy", ["ml", "em", "mm"])
 def test_run_slam_beats_odometry(strategy):
     world, traj, dataset = sim(seed=2, multiplier=3.0)
-    cfg = slam_config(strategy, optimize_every=20, marginal_mode="fast")
+    cfg = slam_config(strategy, optimize_every=20)
     result = pl.run_slam(dataset, cfg)
     odom = pl.run_slam(dataset, cfg, odometry_only=True)
     slam_ape = ape(result.trajectory, traj).mean
@@ -116,7 +116,7 @@ def test_run_slam_beats_odometry(strategy):
 
 def test_landmarks_near_true_objects():
     world, traj, dataset = sim(seed=3, multiplier=2.0)
-    cfg = slam_config("ml", optimize_every=20, marginal_mode="fast")
+    cfg = slam_config("ml", optimize_every=20)
     result = pl.run_slam(dataset, cfg)
     positions = world.positions()
     for lm in result.landmarks:
@@ -126,7 +126,7 @@ def test_landmarks_near_true_objects():
 
 def test_run_slam_deterministic():
     _, _, dataset = sim(seed=4, multiplier=2.0)
-    cfg = slam_config("ml", optimize_every=25, marginal_mode="fast")
+    cfg = slam_config("ml", optimize_every=25)
     r1 = pl.run_slam(dataset, cfg)
     r2 = pl.run_slam(dataset, cfg)
     assert r1.report == r2.report
@@ -135,19 +135,9 @@ def test_run_slam_deterministic():
         assert np.array_equal(p1.rotation, p2.rotation)
 
 
-def test_exact_and_fast_marginals_agree_on_small_problem():
-    _, traj, dataset = sim(seed=5, loops=1, keyframes_per_loop=40)
-    exact = pl.run_slam(dataset, slam_config("ml", optimize_every=10, marginal_mode="exact"))
-    fast = pl.run_slam(dataset, slam_config("ml", optimize_every=10, marginal_mode="fast"))
-    e = ape(exact.trajectory, traj).mean
-    f = ape(fast.trajectory, traj).mean
-    assert abs(e - f) < 0.02
-    assert len(exact.landmarks) == len(fast.landmarks)
-
-
 def test_decision_log_collected():
     _, _, dataset = sim(seed=6, loops=1, keyframes_per_loop=30)
-    cfg = slam_config("ml", optimize_every=10, marginal_mode="fast", log_decisions=True)
+    cfg = slam_config("ml", optimize_every=10, log_decisions=True)
     result = pl.run_slam(dataset, cfg)
     assert result.decision_log
     record = result.decision_log[0]
@@ -158,7 +148,7 @@ def test_decision_log_collected():
 
 def test_map_round_trip(tmp_path):
     _, _, dataset = sim(seed=7, loops=1, keyframes_per_loop=40)
-    result = pl.run_slam(dataset, slam_config("ml", optimize_every=10, marginal_mode="fast"))
+    result = pl.run_slam(dataset, slam_config("ml", optimize_every=10))
     path = tmp_path / "map.jsonl"
     pl.save_map(path, result.landmarks)
     back = pl.load_map(path)
