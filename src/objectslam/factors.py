@@ -1,8 +1,12 @@
 """Factor types for the pose/landmark graph.
 
-Each factor exposes error(values) and linearize(values); the optimizer runs
-the same residual/Jacobian kernels on stacked arrays, so the scalar methods
-here are thin wrappers around the batched code paths.
+The batched residual/Jacobian kernels below are what the optimizer runs: the
+graph stores each factor type as stacked arrays and calls them once per type
+(see graph._BatchedFactors). The factor classes hold one measurement each,
+validated at construction, and are what callers add to a graph. Their scalar
+error(values) and linearize(values) methods apply the same kernels to a
+single factor; the optimizer never calls them, and the tests use them as the
+per-factor reference for the batched assembly.
 
 Residual conventions (rotation-first right-perturbation tangents):
   prior        r = Log(mean^-1 x)

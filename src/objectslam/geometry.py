@@ -207,41 +207,70 @@ def se3_adjoint(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def se3_ad(xi: np.ndarray) -> np.ndarray:
-    """Adjoint representation of a tangent vector (Lie bracket matrix)."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    w = skew(xi[..., :3])
-    out[..., :3, :3] = w
-    out[..., 3:, 3:] = w
-    out[..., 3:, :3] = skew(xi[..., 3:])
+def _jr_inv_series() -> np.ndarray:
+    """(8, 4) Taylor coefficients in theta^2 of the four _jr_inv_coeffs."""
+    from fractions import Fraction
+    from math import factorial
+
+    bernoulli = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+                 Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510)]
+    return np.array([[float(abs(bernoulli[j]) / factorial(2 * j + 2)),
+                      (-1) ** j / factorial(2 * j + 3),
+                      (-1) ** j / factorial(2 * j + 4),
+                      (-1) ** j * (j + 1) / factorial(2 * j + 5)] for j in range(8)])
+
+
+_JR_INV_SERIES = _jr_inv_series()
+# Below this angle the coefficients come from their series, whose eight terms
+# are exact to rounding there; above it the closed forms lose at most about
+# 360 eps / theta^4 to cancellation.
+_JR_INV_SERIES_ANGLE = 0.5
+
+
+def _jr_inv_coeffs(theta: np.ndarray) -> np.ndarray:
+    """(..., 4) coefficients of se3_jr_inv at rotation angle theta:
+    (1 - (theta/2) cot(theta/2)) / theta^2, (theta - sin) / theta^3,
+    (theta^2 + 2 cos - 2) / (2 theta^4) and (2 theta - 3 sin + theta cos) / (2 theta^5)."""
+    powers = np.empty(theta.shape + (8,))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = (theta * theta)[..., None]
+    out = np.cumprod(powers, axis=-1) @ _JR_INV_SERIES
+    big = theta >= _JR_INV_SERIES_ANGLE
+    if np.any(big):
+        t = theta[big]
+        sh, ch = np.sin(0.5 * t), np.cos(0.5 * t)
+        sin, cos = 2.0 * sh * ch, 1.0 - 2.0 * sh * sh
+        t2 = t * t
+        out[big] = np.stack([(1.0 - 0.5 * t * ch / sh) / t2, (t - sin) / (t2 * t),
+                             (t2 + 2.0 * cos - 2.0) / (2.0 * t2 * t2),
+                             (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t2 * t2 * t)], axis=-1)
     return out
 
 
-def _jrinv_coeffs(terms: int = 20) -> tuple[float, ...]:
-    """Bernoulli B_2k / (2k)! coefficients of the inverse-Jacobian series."""
-    import math
-
-    from scipy.special import bernoulli
-
-    bern = bernoulli(2 * terms)
-    return tuple(float(bern[2 * k] / math.factorial(2 * k)) for k in range(1, terms + 1))
-
-
-# 20 even-order terms keep the series at machine precision up to ||rotation|| ~ pi
-_JRINV_COEFFS = _jrinv_coeffs()
-
-
 def se3_jr_inv(xi: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian: Log(Exp(xi) Exp(d)) ~= xi + jr_inv(xi) d."""
-    ad = se3_ad(xi)
-    out = np.broadcast_to(np.eye(6), ad.shape).copy()
-    out += 0.5 * ad
-    ad2 = ad @ ad
-    power = ad2
-    for coeff in _JRINV_COEFFS:
-        out += coeff * power
-        power = power @ ad2
+    """Inverse right Jacobian: Log(Exp(xi) Exp(d)) ~= xi + jr_inv(xi) d.
+
+    Closed form (Barfoot & Furgale, "Associating Uncertainty With
+    Three-Dimensional Poses", T-RO 2014, eqs. 100-102, for the right Jacobian
+    J_r(xi) = J_l(-xi)): in rotation-first order J_r = [[A, 0], [Q, A]], so
+    jr_inv = [[A^-1, 0], [-A^-1 Q A^-1, A^-1]] with W = skew(omega),
+    R = skew(rho), A^-1 = I + W / 2 + c W^2 and
+    Q = -R / 2 + a1 (WR + RW - WRW) - a2 (WWR + RWW - 3 WRW) + a3 (WRWW + WWRW).
+    """
+    xi = np.asarray(xi, dtype=float)
+    c, a1, a2, a3 = np.moveaxis(
+        _jr_inv_coeffs(np.linalg.norm(xi[..., :3], axis=-1))[..., None, None], -3, 0)
+    hats = skew(xi.reshape(xi.shape[:-1] + (2, 3)))
+    w, r = hats[..., 0, :, :], hats[..., 1, :, :]
+    ww, wr, rw = w @ w, w @ r, r @ w
+    wrw = wr @ w
+    q = (a1 * (wr + rw - wrw) - 0.5 * r - a2 * (w @ wr + rw @ w - 3.0 * wrw)
+         + a3 * (wrw @ w + w @ wrw))
+    a_inv = np.eye(3) + 0.5 * w + c * ww
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = a_inv
+    out[..., 3:, 3:] = a_inv
+    out[..., 3:, :3] = -a_inv @ q @ a_inv
     return out
 
 

@@ -1,9 +1,25 @@
-"""Factor-graph MAP estimation.
+"""Factor-graph MAP estimation on growable struct-of-arrays storage.
 
 Batch Levenberg-Marquardt on the manifold (right-perturbation retract),
-warm-started from the current estimates. Linearization is vectorized per
-factor type and scatters each factor's J^T J and J^T r blocks straight into
-the Gauss-Newton system, ordered poses first:
+warm-started from the current estimates.
+
+Storage. A FactorGraph keeps everything in one ``_BatchedFactors``: the pose
+estimates as (N, 7) rows (unit quaternion, translation), the landmark
+estimates as (M, 3), and one table per factor type -- priors, betweens,
+observations (plain and weighted) and max-mixture components, one row each --
+holding the measurement, the square-root information, the variables' slots
+and the factor's scatter index into the system below. Every array sits in a
+buffer whose capacity doubles, so appending never moves an existing row.
+Variables take slots in insertion order as they are added. ``add_factor``
+only queues a factor on ``factors``; the next optimize, error or marginal
+call appends the queued tail, vectorized over it. A weight bump rewrites the
+weight column of the weighted observations and rebuilds nothing. ``optimize``
+retracts the stored arrays directly; ``poses`` and ``landmarks`` are mapping
+views that build a Pose3 or a point only when one is read.
+
+System. Linearization is vectorized per factor type and scatters each
+factor's J^T J and J^T r blocks straight into the Gauss-Newton system,
+ordered poses first:
 
     [[A,   B],   [dx_pose,      = -grad
      [B^T, C]] .  dx_landmark]
@@ -19,12 +35,26 @@ undamped factor of the system ``optimize`` built at its final estimate while
 that estimate is unchanged (Kaess & Dellaert, RAS 2009). A loop closure
 between poses w slots apart is exact but widens the band: storage grows as
 (6w + 6) * 6N and the factorization as (6w + 6)^2 * 6N.
+
+Scatter layout. One ``np.bincount`` assembles the system into a flat buffer
+laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
+(3K), then one record per pose column c: band column c of A (6(w + 1)
+entries), row c of B (3K entries) and the gradient entry. A scatter index
+therefore depends on the band width and K only, never on N: it is
+recomputed, for every stored factor at once, only when K doubles or a
+between spans more pose slots than any before it.
+
+Gauge. A union-find over the variables counts the components that hold no
+prior as variables and factors arrive, so ``optimize`` checks the gauge in
+O(1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,8 +78,8 @@ from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp, se3
 
 @dataclass
 class Values:
-    poses: dict
-    landmarks: dict
+    poses: Mapping
+    landmarks: Mapping
 
 
 @dataclass
@@ -71,44 +101,63 @@ class OptimizeReport:
     gradient_norm: float
 
 
+_FACTOR_TYPES = (PriorFactor, BetweenFactor, ObservationFactor, MixtureObservationFactor)
+
+
 class FactorGraph:
-    """Pose and landmark variables plus the factor list, with current estimates."""
+    """Pose and landmark variables with their current estimates, and the factors.
+
+    ``poses[k]`` reads the estimate as a read-only Pose3 copy;
+    ``landmarks[j]`` is a writable (3,) view of the estimate, valid until the
+    next landmark is added. Assigning to an existing key of either overwrites
+    the estimate. ``factors`` is append-only: add to it through ``add_factor``.
+    """
 
     def __init__(self):
-        self.poses: dict[int, Pose3] = {}
-        self.landmarks: dict[int, np.ndarray] = {}
         self.factors: list = []
         self.weights_version = 0
-        self._batch_cache = None
-        self._final_system = None  # (batch, state, system) at optimize's returned estimate
+        self._batch = batch = _BatchedFactors()
+        self.poses = _Estimates(batch.pose_ids, batch.pose_slot, batch.poses,
+                                _pose_from_row, _row_from_pose)
+        self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks,
+                                    lambda row: row, lambda p: np.asarray(p, dtype=float))
+        self._final_system = None  # (stamp, state, system) at optimize's returned estimate
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
         self._num_priors = 0
+        self._unanchored = 0  # union-find components that hold no prior
 
     # -- construction -------------------------------------------------------
 
     def add_pose(self, key: int, pose: Pose3) -> None:
         if key in self.poses:
             raise ValueError(f"pose {key} already exists")
-        self.poses[key] = pose
+        self._batch.add_pose(key, pose)
+        self._unanchored += 1
 
     def add_landmark(self, key: int, point: np.ndarray) -> None:
         if key in self.landmarks:
             raise ValueError(f"landmark {key} already exists")
-        self.landmarks[key] = np.asarray(point, dtype=float).reshape(3).copy()
+        self._batch.add_landmark(key, np.asarray(point, dtype=float).reshape(3))
+        self._unanchored += 1
 
     def add_factor(self, factor) -> None:
+        if not isinstance(factor, _FACTOR_TYPES):
+            raise TypeError(f"unsupported factor type {type(factor).__name__}")
         keys = factor.keys()
         for kind, key in keys:
-            store = self.poses if kind == "x" else self.landmarks
-            if key not in store:
+            slots = self._batch.pose_slot if kind == "x" else self._batch.lm_slot
+            if key not in slots:
                 raise ValueError(f"factor references missing variable {kind}{key}")
         self.factors.append(factor)
         for other in keys[1:]:
             self._uf_union(keys[0], other)
         if isinstance(factor, PriorFactor):
             self._num_priors += 1
-            self._uf_anchored.add(self._uf_find(keys[0]))
+            root = self._uf_find(keys[0])
+            if root not in self._uf_anchored:
+                self._uf_anchored.add(root)
+                self._unanchored -= 1
 
     def _uf_find(self, a):
         parent = self._uf_parent
@@ -126,14 +175,17 @@ class FactorGraph:
         self._uf_parent[ra] = rb
         if ra in self._uf_anchored:
             self._uf_anchored.discard(ra)
+            if rb in self._uf_anchored:
+                return  # two anchored components: the unanchored count stands
             self._uf_anchored.add(rb)
+        self._unanchored -= 1
 
     def values(self) -> Values:
         return Values(self.poses, self.landmarks)
 
     def error(self) -> float:
-        values = self.values()
-        return float(sum(f.error(values) for f in self.factors))
+        batch = self._batched()
+        return batch.error_only(batch.state())
 
     def bump_weights_version(self) -> None:
         self.weights_version += 1
@@ -155,7 +207,8 @@ class FactorGraph:
         config = config or LMConfig()
         self._validate_gauge()
         batch = self._batched()
-        state = batch.gather(self)
+        # a copy, so the state kept below cannot change with the stored estimates
+        state = tuple(a.copy() for a in batch.state())
         err, system = batch.linearize(state)
         gnorm = float(np.linalg.norm(system.grad))
         initial = err
@@ -186,14 +239,14 @@ class FactorGraph:
             if not stepped:
                 break
 
-        batch.scatter(self, state)
-        self._final_system = (batch, state, system)  # system is linearized at state
+        batch.store(state)
+        self._final_system = (self._stamp(), state, system)  # system is linearized at state
         return OptimizeReport(initial, err, iterations, converged, gnorm)
 
     @staticmethod
     def _factorize(system: "NormalEquations", lam: float = 0.0) -> "SchurFactor":
         """Factor the system, adding lam * max(diag, 1e-12) to the diagonals of A and C."""
-        band, landmark = system.band.copy(), system.landmark
+        band, landmark = system.band.copy(order="F"), system.landmark
         if lam:
             band[0] += lam * np.maximum(band[0], 1e-12)
             landmark = landmark + np.diag(lam * np.maximum(np.diag(landmark), 1e-12))
@@ -211,30 +264,27 @@ class FactorGraph:
         """Require a prior and full connectivity to an anchored component."""
         if self._num_priors == 0:
             raise NumericalError("graph has no prior: gauge freedom")
-        anchored = {self._uf_find(root) for root in self._uf_anchored}
-        for key in self.poses:
-            if self._uf_find(("x", key)) not in anchored:
-                raise NumericalError(f"pose {key} is not connected to a prior")
-        for key in self.landmarks:
-            if self._uf_find(("l", key)) not in anchored:
-                raise NumericalError(f"landmark {key} is not connected to a prior")
+        if self._unanchored:
+            raise NumericalError(
+                f"{self._unanchored} group(s) of variables are not connected to a prior")
 
     def _batched(self) -> "_BatchedFactors":
-        signature = (len(self.factors), len(self.poses), len(self.landmarks),
-                     self.weights_version)
-        if self._batch_cache is None or self._batch_cache.signature != signature:
-            self._batch_cache = _BatchedFactors(self, signature)
-        return self._batch_cache
+        """The graph's storage, with the factors queued since the last call appended."""
+        self._batch.sync(self.factors, self.weights_version)
+        return self._batch
+
+    def _stamp(self) -> tuple:
+        return len(self.factors), len(self.poses), len(self.landmarks), self.weights_version
 
     # -- covariance recovery -------------------------------------------------
 
     def _information_factorization(self):
-        """Undamped factor at the current estimate, and its batch; reuses
-        ``optimize``'s final system while its batch and estimates are current."""
+        """Undamped factor at the current estimate, and the storage; reuses
+        ``optimize``'s final system while its factors and estimates are current."""
         batch = self._batched()
-        state = batch.gather(self)
+        state = batch.state()
         final = self._final_system
-        if (final is not None and final[0] is batch
+        if (final is not None and final[0] == self._stamp()
                 and all(map(np.array_equal, final[1], state))):
             system = final[2]
         else:
@@ -269,6 +319,40 @@ class FactorGraph:
             raise ValueError(f"pose {pose_key} not in graph")
         factor, batch = self._information_factorization()
         return _covariance(factor, batch, batch.pose_columns(pose_key))
+
+
+class _Estimates(Mapping):
+    """Variable estimates by key, read from and written to the stored rows."""
+
+    def __init__(self, ids: list, slot: dict, table: "_Table", read, write):
+        self._ids, self._slot, self._table = ids, slot, table
+        self._read, self._write = read, write
+
+    def __getitem__(self, key):
+        return self._read(self._table["x"][self._slot[key]])
+
+    def __setitem__(self, key, value) -> None:
+        """Overwrite the estimate of an existing variable."""
+        self._table["x"][self._slot[key]] = self._write(value)
+
+    def __contains__(self, key) -> bool:
+        return key in self._slot
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+def _pose_from_row(row: np.ndarray) -> Pose3:
+    row = row.copy()
+    row.flags.writeable = False
+    return Pose3._trusted(row[:4], row[4:])
+
+
+def _row_from_pose(pose: Pose3) -> np.ndarray:
+    return np.concatenate([pose.rotation, pose.translation])
 
 
 def _covariance(factor: "SchurFactor", batch: "_BatchedFactors", cols) -> np.ndarray:
@@ -341,114 +425,145 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
     return out
 
 
+class _Table:
+    """Equal-length columns in buffers whose capacity doubles, so appended rows
+    never move. ``table[name]`` is a view of the column's first ``len`` rows."""
+
+    def __init__(self, **columns):
+        self._n = 0
+        self._cols = {name: np.empty((0,) + shape, dtype)
+                      for name, (shape, dtype) in columns.items()}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._cols[name][:self._n]
+
+    @property
+    def capacity(self) -> int:
+        return len(next(iter(self._cols.values())))
+
+    def extend(self, count: int, **rows) -> None:
+        """Append ``count`` rows; columns not given are left for the caller to fill."""
+        end = self._n + count
+        for name, buf in self._cols.items():
+            if end > len(buf):
+                grown = np.empty((max(end, 2 * len(buf)),) + buf.shape[1:], buf.dtype)
+                grown[:self._n] = buf[:self._n]
+                self._cols[name] = buf = grown
+            if name in rows:
+                buf[self._n:end] = rows[name]
+        self._n = end
+
+
+class _Block(NamedTuple):
+    """Which entries of one factor's J^T J block are scattered, and into which part.
+
+    The factor's d system columns hold its pose columns first. Of its d x d
+    block the upper triangle is kept (it holds every A and B entry once) plus
+    the lower landmark-landmark part, since C is stored whole.
+    """
+
+    kept: np.ndarray      # positions in the flattened (d + 1)^2 product [J r]^T [J r];
+                          # the last d are its J^T r column
+    rows: np.ndarray      # local row and column of each kept J^T J entry
+    cols: np.ndarray
+    band: np.ndarray      # masks over the kept J^T J entries: in A, in B, in C
+    border: np.ndarray
+    landmark: np.ndarray
+    lm_col: np.ndarray    # mask over the d local columns: a landmark column
+
+
+def _block(d: int, pose_width: int) -> _Block:
+    local = np.arange(d)
+    is_lm = local >= pose_width
+    rows, cols = np.nonzero((local[:, None] <= local) | (is_lm[:, None] & is_lm))
+    kept = np.concatenate([rows * (d + 1) + cols, local * (d + 1) + d])
+    return _Block(kept, rows, cols, ~is_lm[cols], ~is_lm[rows] & is_lm[cols], is_lm[rows], is_lm)
+
+
+_PRIOR_BLOCK, _BETWEEN_BLOCK, _OBSERVATION_BLOCK = _block(6, 6), _block(12, 12), _block(9, 6)
+
+
+def _pose_cols(slots: np.ndarray) -> np.ndarray:
+    return 6 * slots[:, None] + np.arange(6)
+
+
+def _observation_cols(pose_slots: np.ndarray, lm_slots: np.ndarray) -> np.ndarray:
+    """Pose system columns, then landmark columns counted from the first landmark one."""
+    return np.concatenate([_pose_cols(pose_slots), 3 * lm_slots[:, None] + np.arange(3)], axis=1)
+
+
+def _table(block: _Block, **columns) -> _Table:
+    d = len(block.lm_col)
+    return _Table(cols=((d,), np.intp), index=((len(block.kept),), np.intp), **columns)
+
+
 class _BatchedFactors:
-    """Struct-of-arrays view of the factor list for vectorized linearization."""
+    """Growable struct-of-arrays storage of a FactorGraph, and the vectorized
+    residual and linearization kernels that run over it.
 
-    def __init__(self, graph: FactorGraph, signature):
-        self.signature = signature
-        self.pose_ids = sorted(graph.poses)
-        self.lm_ids = sorted(graph.landmarks)
-        self.pose_slot = {k: i for i, k in enumerate(self.pose_ids)}
-        self.lm_slot = {k: i for i, k in enumerate(self.lm_ids)}
-        self.num_poses = len(self.pose_ids)
-        self.num_lms = len(self.lm_ids)
-        self.num_cols = 6 * self.num_poses + 3 * self.num_lms
+    Variables: ``pose_ids`` / ``lm_ids`` in insertion order, their slots, and
+    the estimates ``poses["x"]`` (N, 7) and ``landmarks["x"]`` (M, 3).
+    Factors: the tables ``prior``, ``between``, ``observation`` (weight
+    column ``s`` = sqrt(weight), 1 for a plain one) and ``mixture`` (one row
+    per component; ``mixture_start`` holds each mixture's first row). Each
+    factor row keeps its system columns ``cols`` and its scatter ``index``
+    into the flat buffer that ``linearize`` bins into (see the module
+    docstring). ``sync`` appends the factors queued since the last sync,
+    rewrites the weight column after a weight bump, and recomputes every
+    scatter index only when the layout changes: when the landmark capacity
+    doubles or a between widens the band.
+    """
 
-        priors, betweens, observations, mixtures = [], [], [], []
-        for f in graph.factors:
-            if isinstance(f, PriorFactor):
-                priors.append(f)
-            elif isinstance(f, BetweenFactor):
-                betweens.append(f)
-            elif isinstance(f, MixtureObservationFactor):
-                mixtures.append(f)
-            elif isinstance(f, ObservationFactor):  # includes weighted
-                observations.append(f)
-            else:
-                raise TypeError(f"unsupported factor type {type(f).__name__}")
+    def __init__(self):
+        self.pose_ids: list = []
+        self.lm_ids: list = []
+        self.pose_slot: dict = {}
+        self.lm_slot: dict = {}
+        self.poses = _Table(x=((7,), float))
+        self.landmarks = _Table(x=((3,), float))
+        self.prior = _table(_PRIOR_BLOCK, slot=((), np.intp), q=((4,), float),
+                            t=((3,), float), w=((6, 6), float))
+        self.between = _table(_BETWEEN_BLOCK, i=((), np.intp), j=((), np.intp),
+                              q=((4,), float), t=((3,), float), w=((6, 6), float))
+        self.observation = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
+                                  z=((3,), float), w=((3, 3), float), s=((), float))
+        self.mixture = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
+                              z=((3,), float), w=((3, 3), float), nlw=((), float),
+                              group=((), np.intp))
+        self.mixture_start = _Table(row=((), np.intp))
+        self._weighted: list = []       # weighted observation factors
+        self._weighted_rows: list = []  # and their rows in ``observation``
+        self._synced = 0                # factors appended so far
+        self._weights_version = 0
+        self._index_cache = None        # see _static_index
+        self._set_layout(band_rows=6, lm_capacity=0)
 
-        self.pr_slot = np.array([self.pose_slot[f.pose_key] for f in priors], dtype=int)
-        self.pr_q = np.array([f.mean.rotation for f in priors]).reshape(-1, 4)
-        self.pr_t = np.array([f.mean.translation for f in priors]).reshape(-1, 3)
-        self.pr_w = np.array([f.sqrt_info for f in priors]).reshape(-1, 6, 6)
+    # -- variables -----------------------------------------------------------
 
-        self.bt_i = np.array([self.pose_slot[f.key_i] for f in betweens], dtype=int)
-        self.bt_j = np.array([self.pose_slot[f.key_j] for f in betweens], dtype=int)
-        self.bt_q = np.array([f.relative.rotation for f in betweens]).reshape(-1, 4)
-        self.bt_t = np.array([f.relative.translation for f in betweens]).reshape(-1, 3)
-        self.bt_w = np.array([f.sqrt_info for f in betweens]).reshape(-1, 6, 6)
+    def add_pose(self, key, pose: Pose3) -> None:
+        self.pose_slot[key] = len(self.pose_ids)
+        self.pose_ids.append(key)
+        self.poses.extend(1, x=_row_from_pose(pose))
 
-        self.ob_p = np.array([self.pose_slot[f.pose_key] for f in observations], dtype=int)
-        self.ob_l = np.array([self.lm_slot[f.landmark_key] for f in observations], dtype=int)
-        self.ob_z = np.array([f.point for f in observations]).reshape(-1, 3)
-        self.ob_w = np.array([f.sqrt_info for f in observations]).reshape(-1, 3, 3)
-        self.ob_s = np.sqrt(np.array(
-            [getattr(f, "weight", 1.0) for f in observations], dtype=float))
+    def add_landmark(self, key, point: np.ndarray) -> None:
+        self.lm_slot[key] = len(self.lm_ids)
+        self.lm_ids.append(key)
+        self.landmarks.extend(1, x=point)
 
-        comp_p, comp_l, comp_z, comp_w, comp_nlw, sizes = [], [], [], [], [], []
-        for f in mixtures:
-            for idx, key in enumerate(f.landmark_keys):
-                comp_p.append(self.pose_slot[f.pose_key])
-                comp_l.append(self.lm_slot[key])
-                comp_z.append(f.point)
-                comp_w.append(f.sqrt_info)
-                comp_nlw.append(f.neg_log_weights[idx])
-            sizes.append(len(f.landmark_keys))
-        self.mx_p = np.array(comp_p, dtype=int)
-        self.mx_l = np.array(comp_l, dtype=int)
-        self.mx_z = np.array(comp_z, dtype=float).reshape(-1, 3)
-        self.mx_w = np.array(comp_w, dtype=float).reshape(-1, 3, 3)
-        self.mx_nlw = np.array(comp_nlw, dtype=float)
-        self.mx_sizes = np.array(sizes, dtype=int)
-        self.mx_offsets = np.concatenate([[0], np.cumsum(self.mx_sizes)])[:-1].astype(int)
-        self.num_mixtures = len(sizes)
+    @property
+    def num_poses(self) -> int:
+        return len(self.pose_ids)
 
-        # J^T J and J^T r of every factor land in one flat buffer:
-        # [lower band of A | B | C | grad], see NormalEquations
-        n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
-        gap = int(np.abs(self.bt_i - self.bt_j).max()) if len(self.bt_i) else 0
-        self.band_rows = 6 * (gap + 1)
-        self._border_at = self.band_rows * n_pose
-        self._landmark_at = self._border_at + n_pose * n_lm
-        self._grad_at = self._landmark_at + n_lm * n_lm
-        self._size = self._grad_at + self.num_cols
+    @property
+    def num_lms(self) -> int:
+        return len(self.lm_ids)
 
-        pose_cols = 6 * np.arange(self.num_poses)[:, None] + np.arange(6)
-        lm_cols = n_pose + 3 * np.arange(self.num_lms)[:, None] + np.arange(3)
-        self.pr_scatter = self._scatter_index(pose_cols[self.pr_slot], 6)
-        self.bt_scatter = self._scatter_index(
-            np.concatenate([pose_cols[self.bt_i], pose_cols[self.bt_j]], axis=1), 12)
-        self.ob_scatter = self._scatter_index(
-            np.concatenate([pose_cols[self.ob_p], lm_cols[self.ob_l]], axis=1), 6)
-        self.mx_scatter = self._scatter_index(
-            np.concatenate([pose_cols[self.mx_p], lm_cols[self.mx_l]], axis=1), 6)
-
-    def _scatter_index(self, cols: np.ndarray, pose_width: int):
-        """Where each factor's J^T J entries and J^T r go in the flat buffer.
-
-        ``cols`` (n, d) are the system columns of each factor's variables, its
-        ``pose_width`` pose columns first. Of the factor's d x d block of
-        J^T J, the upper triangle is kept (it holds every A and B entry once)
-        plus the lower landmark-landmark part, since C is stored whole.
-        Returns the kept positions in the flattened (d + 1) x (d + 1) product
-        [J r]^T [J r], whose last column is J^T r, and their (n, kept)
-        buffer indices.
-        """
-        d = cols.shape[1]
-        local = np.arange(d)
-        is_lm = local >= pose_width
-        rows, cs = np.nonzero((local[:, None] <= local) | (is_lm[:, None] & is_lm))
-        a, b = cols[:, rows], cols[:, cs]
-        n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
-        index = np.empty_like(a)
-        band, lm = ~is_lm[cs], is_lm[rows]
-        border = ~(band | lm)
-        lo, hi = np.minimum(a[:, band], b[:, band]), np.maximum(a[:, band], b[:, band])
-        index[:, band] = (hi - lo) * n_pose + lo
-        index[:, border] = self._border_at + a[:, border] * n_lm + (b[:, border] - n_pose)
-        index[:, lm] = self._landmark_at + (a[:, lm] - n_pose) * n_lm + (b[:, lm] - n_pose)
-        kept = np.concatenate([rows * (d + 1) + cs, local * (d + 1) + d])
-        return kept, np.concatenate([index, self._grad_at + cols], axis=1)
+    @property
+    def num_cols(self) -> int:
+        return 6 * self.num_poses + 3 * self.num_lms
 
     def pose_columns(self, pose_key) -> np.ndarray:
         return 6 * self.pose_slot[pose_key] + np.arange(6)
@@ -456,82 +571,188 @@ class _BatchedFactors:
     def landmark_columns(self, lm_key) -> np.ndarray:
         return 6 * self.num_poses + 3 * self.lm_slot[lm_key] + np.arange(3)
 
+    # -- factors -------------------------------------------------------------
+
+    def sync(self, factors: list, weights_version: int) -> None:
+        """Append ``factors[synced:]`` and apply a weight bump."""
+        priors, betweens, observations, mixtures = [], [], [], []
+        for f in factors[self._synced:]:
+            if isinstance(f, PriorFactor):
+                priors.append(f)
+            elif isinstance(f, BetweenFactor):
+                betweens.append(f)
+            elif isinstance(f, MixtureObservationFactor):
+                mixtures.append(f)
+            else:  # ObservationFactor, including weighted
+                observations.append(f)
+        if len(factors) != self._synced:
+            self._index_cache = None
+        self._synced = len(factors)
+
+        slot, lm_slot = self.pose_slot, self.lm_slot
+        bt_i = np.array([slot[f.key_i] for f in betweens], dtype=np.intp)
+        bt_j = np.array([slot[f.key_j] for f in betweens], dtype=np.intp)
+        gap = int(np.abs(bt_i - bt_j).max()) if betweens else 0
+        band_rows = max(self.band_rows, 6 * (gap + 1))
+        if (band_rows, self.landmarks.capacity) != (self.band_rows, self.lm_capacity):
+            self._set_layout(band_rows, self.landmarks.capacity)
+            self._index_cache = None
+            for table, block in self._factor_tables():
+                table["index"][:] = self._scatter_index(block, table["cols"])
+
+        if priors:
+            p = np.array([slot[f.pose_key] for f in priors], dtype=np.intp)
+            self._append(self.prior, _PRIOR_BLOCK, _pose_cols(p), slot=p,
+                         q=[f.mean.rotation for f in priors],
+                         t=[f.mean.translation for f in priors],
+                         w=[f.sqrt_info for f in priors])
+        if betweens:
+            self._append(self.between, _BETWEEN_BLOCK,
+                         np.concatenate([_pose_cols(bt_i), _pose_cols(bt_j)], axis=1),
+                         i=bt_i, j=bt_j, q=[f.relative.rotation for f in betweens],
+                         t=[f.relative.translation for f in betweens],
+                         w=[f.sqrt_info for f in betweens])
+        if observations:
+            p = np.array([slot[f.pose_key] for f in observations], dtype=np.intp)
+            l = np.array([lm_slot[f.landmark_key] for f in observations], dtype=np.intp)
+            first = len(self.observation)
+            self._append(self.observation, _OBSERVATION_BLOCK, _observation_cols(p, l),
+                         p=p, l=l, z=[f.point for f in observations],
+                         w=[f.sqrt_info for f in observations],
+                         s=np.sqrt([getattr(f, "weight", 1.0) for f in observations]))
+            for row, f in enumerate(observations, first):
+                if isinstance(f, WeightedObservationFactor):
+                    self._weighted.append(f)
+                    self._weighted_rows.append(row)
+        if mixtures:
+            sizes = [len(f.landmark_keys) for f in mixtures]
+            parts = [(f, key) for f in mixtures for key in f.landmark_keys]
+            p = np.array([slot[f.pose_key] for f, _ in parts], dtype=np.intp)
+            l = np.array([lm_slot[key] for _, key in parts], dtype=np.intp)
+            starts = len(self.mixture) + np.cumsum([0] + sizes[:-1])
+            groups = len(self.mixture_start) + np.repeat(np.arange(len(mixtures)), sizes)
+            self.mixture_start.extend(len(mixtures), row=starts)
+            self._append(self.mixture, _OBSERVATION_BLOCK, _observation_cols(p, l),
+                         p=p, l=l, z=[f.point for f, _ in parts],
+                         w=[f.sqrt_info for f, _ in parts],
+                         nlw=np.concatenate([f.neg_log_weights for f in mixtures]),
+                         group=groups)
+
+        if weights_version != self._weights_version:
+            self._weights_version = weights_version
+            if self._weighted:
+                self.observation["s"][self._weighted_rows] = np.sqrt(
+                    [f.weight for f in self._weighted])
+
+    def _factor_tables(self):
+        return ((self.prior, _PRIOR_BLOCK), (self.between, _BETWEEN_BLOCK),
+                (self.observation, _OBSERVATION_BLOCK), (self.mixture, _OBSERVATION_BLOCK))
+
+    def _append(self, table: _Table, block: _Block, cols: np.ndarray, **rows) -> None:
+        table.extend(len(cols), cols=cols, index=self._scatter_index(block, cols), **rows)
+
+    def _set_layout(self, band_rows: int, lm_capacity: int) -> None:
+        """Offsets of the flat buffer: C, the landmark gradient, then per pose
+        column a record of band_rows band entries, 3K border entries and the
+        gradient entry (K = lm_capacity)."""
+        self.band_rows = band_rows
+        self.lm_capacity = lm_capacity
+        lm_width = 3 * lm_capacity
+        self._lm_grad_at = lm_width * lm_width
+        self._records_at = self._lm_grad_at + lm_width
+        self._stride = band_rows + lm_width + 1
+
+    def _scatter_index(self, block: _Block, cols: np.ndarray) -> np.ndarray:
+        """Flat-buffer index (n, kept) of each kept J^T J entry and each J^T r
+        entry of factors with system columns ``cols`` (n, d)."""
+        a, b = cols[:, block.rows], cols[:, block.cols]
+        index = np.empty(a.shape, dtype=np.intp)
+        m = block.band
+        lo, hi = np.minimum(a[:, m], b[:, m]), np.maximum(a[:, m], b[:, m])
+        index[:, m] = self._records_at + lo * self._stride + (hi - lo)
+        m = block.border
+        index[:, m] = self._records_at + a[:, m] * self._stride + self.band_rows + b[:, m]
+        m = block.landmark
+        index[:, m] = a[:, m] * (3 * self.lm_capacity) + b[:, m]
+        grad = np.where(block.lm_col, self._lm_grad_at + cols,
+                        self._records_at + (cols + 1) * self._stride - 1)
+        return np.concatenate([index, grad], axis=1)
+
     # -- state handling ------------------------------------------------------
 
-    def gather(self, graph: FactorGraph):
-        q = np.array([graph.poses[k].rotation for k in self.pose_ids]).reshape(-1, 4)
-        t = np.array([graph.poses[k].translation for k in self.pose_ids]).reshape(-1, 3)
-        lms = (np.array([graph.landmarks[k] for k in self.lm_ids]).reshape(-1, 3)
-               if self.lm_ids else np.zeros((0, 3)))
-        return q, t, lms
+    def state(self):
+        """(poses (N, 7), landmarks (M, 3)): views of the stored estimates."""
+        return self.poses["x"], self.landmarks["x"]
 
-    def scatter(self, graph: FactorGraph, state) -> None:
-        q, t, lms = state
-        q.setflags(write=False)  # the poses below are views; keep them immutable
-        t.setflags(write=False)
-        for i, k in enumerate(self.pose_ids):
-            graph.poses[k] = Pose3._trusted(q[i], t[i])  # retract normalized q
-        for i, k in enumerate(self.lm_ids):
-            graph.landmarks[k] = lms[i].copy()
+    def store(self, state) -> None:
+        x, lms = state
+        self.poses["x"][:] = x
+        self.landmarks["x"][:] = lms
 
     def retract(self, state, delta: np.ndarray):
-        q, t, lms = state
-        pose_delta = delta[:6 * self.num_poses].reshape(-1, 6)
-        lm_delta = delta[6 * self.num_poses:].reshape(-1, 3)
-        dq, dt = se3_exp(pose_delta)
-        new_q = quat_normalize(quat_mul(q, dq))
-        new_t = t + quat_rotate(q, dt)
-        return new_q, new_t, lms + lm_delta
+        x, lms = state
+        n_pose = 6 * len(x)
+        dq, dt = se3_exp(delta[:n_pose].reshape(-1, 6))
+        q = x[:, :4]
+        out = np.empty_like(x)
+        out[:, :4] = quat_normalize(quat_mul(q, dq))
+        out[:, 4:] = x[:, 4:] + quat_rotate(q, dt)
+        return out, lms + delta[n_pose:].reshape(-1, 3)
 
     # -- residuals -----------------------------------------------------------
 
     def _prior_residuals(self, state):
-        q, t, _ = state
-        r = pose_residuals(self.pr_q, self.pr_t, q[self.pr_slot], t[self.pr_slot])
-        return np.einsum("nij,nj->ni", self.pr_w, r), r
+        x, _ = state
+        pr = self.prior
+        slot = pr["slot"]
+        r = pose_residuals(pr["q"], pr["t"], x[slot, :4], x[slot, 4:])
+        return np.einsum("nij,nj->ni", pr["w"], r), r
 
     def _between_residuals(self, state):
-        q, t, _ = state
-        q_ij, t_ij = relative_pose(q[self.bt_i], t[self.bt_i], q[self.bt_j], t[self.bt_j])
-        r = pose_residuals(self.bt_q, self.bt_t, q_ij, t_ij)
-        return np.einsum("nij,nj->ni", self.bt_w, r), r, q_ij, t_ij
+        x, _ = state
+        bt = self.between
+        i, j = bt["i"], bt["j"]
+        q_ij, t_ij = relative_pose(x[i, :4], x[i, 4:], x[j, :4], x[j, 4:])
+        r = pose_residuals(bt["q"], bt["t"], q_ij, t_ij)
+        return np.einsum("nij,nj->ni", bt["w"], r), r, q_ij, t_ij
 
     def _observation_residuals(self, state):
-        q, t, lms = state
-        r, h = observation_residuals(q[self.ob_p], t[self.ob_p], lms[self.ob_l], self.ob_z)
-        rw = np.einsum("nij,nj->ni", self.ob_w, r) * self.ob_s[:, None]
+        x, lms = state
+        ob = self.observation
+        p = ob["p"]
+        r, h = observation_residuals(x[p, :4], x[p, 4:], lms[ob["l"]], ob["z"])
+        rw = np.einsum("nij,nj->ni", ob["w"], r) * ob["s"][:, None]
         return rw, h
 
     def _mixture_components(self, state):
-        q, t, lms = state
-        r, h = observation_residuals(q[self.mx_p], t[self.mx_p], lms[self.mx_l], self.mx_z)
-        rw = np.einsum("nij,nj->ni", self.mx_w, r)
-        costs = 0.5 * np.sum(rw * rw, axis=1) + self.mx_nlw
+        x, lms = state
+        mx = self.mixture
+        p = mx["p"]
+        r, h = observation_residuals(x[p, :4], x[p, 4:], lms[mx["l"]], mx["z"])
+        rw = np.einsum("nij,nj->ni", mx["w"], r)
+        costs = 0.5 * np.sum(rw * rw, axis=1) + mx["nlw"]
         return rw, h, costs
 
     def _mixture_active(self, costs):
-        if self.num_mixtures == 0:
-            return np.zeros(0, dtype=int), 0.0
-        gmin = np.minimum.reduceat(costs, self.mx_offsets)
-        expanded = np.repeat(gmin, self.mx_sizes)
-        candidates = np.flatnonzero(costs == expanded)
-        group = np.repeat(np.arange(self.num_mixtures), self.mx_sizes)[candidates]
-        _, first = np.unique(group, return_index=True)
-        active = candidates[first]
-        return active, float(gmin.sum())
+        """The active (first cheapest) component of each mixture, and their total cost."""
+        gmin = np.minimum.reduceat(costs, self.mixture_start["row"])
+        group = self.mixture["group"]
+        candidates = np.flatnonzero(costs == gmin[group])
+        _, first = np.unique(group[candidates], return_index=True)
+        return candidates[first], float(gmin.sum())
 
     def error_only(self, state) -> float:
         total = 0.0
-        if len(self.pr_slot):
+        if len(self.prior):
             rw, _ = self._prior_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-        if len(self.bt_i):
+        if len(self.between):
             rw, _, _, _ = self._between_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-        if len(self.ob_p):
+        if len(self.observation):
             rw, _ = self._observation_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-        if self.num_mixtures:
+        if len(self.mixture):
             _, _, costs = self._mixture_components(state)
             _, mix_total = self._mixture_active(costs)
             total += mix_total
@@ -539,55 +760,69 @@ class _BatchedFactors:
 
     def linearize(self, state):
         """Total error and the Gauss-Newton system, assembled from per-factor blocks."""
-        values, indices = [], []
+        blocks = []  # (jac, rw, kept), in the order of _static_index, then the mixtures
         total = 0.0
-        q, _, _ = state
+        x, _ = state
 
-        if len(self.pr_slot):
+        if len(self.prior):
             rw, r = self._prior_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-            _add_blocks(values, indices, self.pr_w @ se3_jr_inv(r), rw, self.pr_scatter)
+            blocks.append((self.prior["w"] @ se3_jr_inv(r), rw, _PRIOR_BLOCK.kept))
 
-        if len(self.bt_i):
+        if len(self.between):
             rw, r, q_ij, t_ij = self._between_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
             j_i, j_j = between_jacobians(r, q_ij, t_ij)
-            jac = np.concatenate([self.bt_w @ j_i, self.bt_w @ j_j], axis=2)
-            _add_blocks(values, indices, jac, rw, self.bt_scatter)
+            w = self.between["w"]
+            blocks.append((np.concatenate([w @ j_i, w @ j_j], axis=2), rw, _BETWEEN_BLOCK.kept))
 
-        if len(self.ob_p):
+        if len(self.observation):
+            ob = self.observation
             rw, h = self._observation_residuals(state)
             total += 0.5 * float(np.sum(rw * rw))
-            j_pose, j_lm = observation_jacobians(q[self.ob_p], h)
-            jac = self.ob_s[:, None, None] * (
-                self.ob_w @ np.concatenate([j_pose, j_lm], axis=2))
-            _add_blocks(values, indices, jac, rw, self.ob_scatter)
+            j_pose, j_lm = observation_jacobians(x[ob["p"], :4], h)
+            jac = ob["s"][:, None, None] * (ob["w"] @ np.concatenate([j_pose, j_lm], axis=2))
+            blocks.append((jac, rw, _OBSERVATION_BLOCK.kept))
 
-        if self.num_mixtures:
+        index = self._static_index()
+        if len(self.mixture):
+            mx = self.mixture
             rw, h, costs = self._mixture_components(state)
             active, mix_total = self._mixture_active(costs)
             total += mix_total
-            j_pose, j_lm = observation_jacobians(q[self.mx_p[active]], h[active])
-            jac = self.mx_w[active] @ np.concatenate([j_pose, j_lm], axis=2)
-            kept, index = self.mx_scatter
-            _add_blocks(values, indices, jac, rw[active], (kept, index[active]))
+            j_pose, j_lm = observation_jacobians(x[mx["p"][active], :4], h[active])
+            jac = mx["w"][active] @ np.concatenate([j_pose, j_lm], axis=2)
+            blocks.append((jac, rw[active], _OBSERVATION_BLOCK.kept))
+            index = np.concatenate([index, mx["index"][active].ravel()])
 
-        flat = (np.bincount(np.concatenate(indices), np.concatenate(values),
-                            minlength=self._size) if values else np.zeros(self._size))
+        # the kept entries of each stacked [J r]^T [J r], in index order
+        values = np.empty(len(index))
+        at = 0
+        for jac, rw, kept in blocks:
+            out = values[at:at + len(jac) * len(kept)].reshape(len(jac), len(kept))
+            aug = np.concatenate([jac, rw[..., None]], axis=2)
+            np.take((np.swapaxes(aug, 1, 2) @ aug).reshape(len(aug), -1), kept, axis=1,
+                    out=out, mode="clip")
+            at += out.size
+
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
+        flat = np.bincount(index, values, minlength=self._records_at + n_pose * self._stride)
+        lm_width = 3 * self.lm_capacity
+        records = flat[self._records_at:].reshape(n_pose, self._stride)
         return total, NormalEquations(
-            band=flat[:self._border_at].reshape(self.band_rows, n_pose),
-            border=flat[self._border_at:self._landmark_at].reshape(n_pose, n_lm),
-            landmark=flat[self._landmark_at:self._grad_at].reshape(n_lm, n_lm),
-            grad=flat[self._grad_at:])
+            band=records[:, :self.band_rows].T,
+            border=records[:, self.band_rows:self.band_rows + n_lm],
+            landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
+            grad=np.concatenate([records[:, -1],
+                                 flat[self._lm_grad_at:self._lm_grad_at + n_lm]]))
 
-
-def _add_blocks(values, indices, jac, rw, scatter) -> None:
-    """Append the kept J^T J entries and J^T r of stacked (n, h, d) Jacobians."""
-    kept, index = scatter
-    aug = np.concatenate([jac, rw[..., None]], axis=2)
-    values.append((np.swapaxes(aug, 1, 2) @ aug).reshape(len(aug), -1)[:, kept].ravel())
-    indices.append(index.ravel())
+    def _static_index(self) -> np.ndarray:
+        """Scatter indices of every prior, between and observation row, in that
+        order; concatenated once per sync rather than at every linearization."""
+        if self._index_cache is None:
+            self._index_cache = np.concatenate(
+                [t["index"].ravel() for t in (self.prior, self.between, self.observation)])
+        return self._index_cache
 
 
 def em_reweight(graph: FactorGraph, iterations: int = 1,
@@ -617,15 +852,14 @@ def em_reweight(graph: FactorGraph, iterations: int = 1,
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance must be SPD") from exc
     log_norm = -np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
-    pose_keys = [f.pose_key for f in weighted]
-    lm_keys = [f.landmark_key for f in weighted]
+    batch = graph._batch
+    pose_slots = [batch.pose_slot[f.pose_key] for f in weighted]
+    lm_slots = [batch.lm_slot[f.landmark_key] for f in weighted]
 
     report = None
     for _ in range(iterations):
-        q = np.array([graph.poses[k].rotation for k in pose_keys])
-        t = np.array([graph.poses[k].translation for k in pose_keys])
-        lms = np.array([graph.landmarks[k] for k in lm_keys])
-        r, _ = observation_residuals(q, t, lms, z)
+        x, lms = batch.state()
+        r, _ = observation_residuals(x[pose_slots, :4], x[pose_slots, 4:], lms[lm_slots], z)
         y = np.linalg.solve(chol, r[..., None])[..., 0]
         logs = -0.5 * np.einsum("mk,mk->m", y, y) + log_norm
         for a, b in zip(offsets[:-1], offsets[1:]):

@@ -90,21 +90,36 @@ class SlamSystem:
 
     def add_keyframe(self, odometry: tuple[Pose3, np.ndarray] | None,
                      detections: list[ObjectDetection]) -> list[AssociationDecision]:
+        """Add keyframe ``frame``: its pose, odometry factor and detections.
+
+        Atomic under malformed input: the odometry factor is built (which
+        validates it) and every detection point is checked before the graph,
+        the registry or the gate covariance change, so a DataFormatError
+        leaves the system as it was and the keyframe can be retried.
+        """
         k = self.frame
         if k == 0:
             pose = Pose3.identity()
-            self.graph.add_pose(0, pose)
-            self.graph.add_factor(PriorFactor(0, pose, np.diag(self.config.prior_sigma ** 2)))
-            self._pose_cov = np.diag(self.config.prior_sigma ** 2)
+            pose_cov = np.diag(self.config.prior_sigma ** 2)
+            factor = PriorFactor(0, pose, pose_cov)
+            cross = self._cross
         else:
             if odometry is None:
                 raise DataFormatError(f"keyframe {k} is missing odometry")
             rel, sigmas = odometry
-            pose = compose(self.graph.poses[k - 1], rel)
-            self.graph.add_pose(k, pose)
             cov = _sigmas_to_tangent_cov(sigmas)
-            self.graph.add_factor(BetweenFactor(k - 1, k, rel, cov))
-            self._propagate_covariance(rel, cov)
+            factor = BetweenFactor(k - 1, k, rel, cov)
+            pose = compose(self.graph.poses[k - 1], rel)
+            adj = se3_adjoint(*_inverse_qt(rel))
+            pose_cov = adj @ self._pose_cov @ adj.T + cov
+            cross = adj @ self._cross
+        for det in detections:
+            if not np.all(np.isfinite(det.point)):
+                raise DataFormatError(f"keyframe {k}: detection point must be finite")
+
+        self.graph.add_pose(k, pose)
+        self.graph.add_factor(factor)
+        self._pose_cov, self._cross = pose_cov, cross
 
         decisions = []
         if detections:
@@ -122,11 +137,6 @@ class SlamSystem:
         if k > 0 and k % self.config.optimize_every == 0:
             self._optimize(intermediate=True)
         return decisions
-
-    def _propagate_covariance(self, rel: Pose3, odom_cov: np.ndarray) -> None:
-        adj = se3_adjoint(*_inverse_qt(rel))
-        self._pose_cov = adj @ self._pose_cov @ adj.T + odom_cov
-        self._cross = adj @ self._cross
 
     def _snapshot(self, pose: Pose3) -> StateSnapshot:
         joints = {}

@@ -9,6 +9,7 @@ that scales with range).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,8 @@ class ObjectDetection:
         self.point_covariance = np.asarray(self.point_covariance, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(self.embedding)) or np.linalg.norm(self.embedding) == 0.0:
             raise ValueError("embedding must be finite and non-zero")
+        if not all(map(math.isfinite, self.point.tolist())):  # a fifth of np.isfinite's cost
+            raise ValueError("point must be finite")
         cov = self.point_covariance
         if np.abs(cov - cov.T).max() > 1e-9:
             raise ValueError("point covariance must be symmetric")

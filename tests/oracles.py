@@ -80,3 +80,37 @@ def nearest_prototype_labels(points, prototypes):
                 best, best_d = i, d
         labels.append(best)
     return np.array(labels)
+
+
+def se3_ad(xi):
+    """Lie bracket matrix ad(xi) of a rotation-first tangent: [[w^, 0], [rho^, w^]]."""
+    xi = np.asarray(xi, dtype=float)
+
+    def hat(v):
+        x, y, z = v
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = hat(xi[:3])
+    out[3:, :3] = hat(xi[3:])
+    return out
+
+
+def se3_jr_inv_series(xi, terms=20):
+    """Inverse right Jacobian of SE(3) as its Bernoulli series,
+    sum_n B_n / n! (-ad xi)^n = I + ad / 2 + sum_k B_2k / (2k)! ad^2k;
+    20 even terms reach machine precision up to a rotation of about pi."""
+    from fractions import Fraction
+
+    # Bernoulli numbers from the recurrence sum_{j<=m} C(m+1, j) B_j = 0
+    bern = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    ad = se3_ad(xi)
+    ad2 = ad @ ad
+    out = np.eye(6) + 0.5 * ad
+    power = ad2
+    for k in range(1, terms + 1):
+        out += float(bern[2 * k] / math.factorial(2 * k)) * power
+        power = power @ ad2
+    return out

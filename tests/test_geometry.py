@@ -5,6 +5,8 @@ from scipy.linalg import expm, logm
 from objectslam import geometry as geo
 from objectslam.geometry import Pose3, compose, inverse, local, measurement_model_h, retract
 
+from oracles import se3_jr_inv_series
+
 
 def random_pose(rng, max_angle=np.pi * 0.9, max_trans=5.0):
     axis = rng.normal(size=3)
@@ -165,23 +167,47 @@ def test_quaternion_norm_preserved_under_many_compositions():
     assert abs(np.linalg.norm(p.rotation) - 1.0) < 1e-6
 
 
+def numeric_jr_inv(xi, h=1e-6):
+    """Central differences of d -> Log(Exp(xi) Exp(d)) at d = 0."""
+    base = Pose3.from_tangent(xi)
+    num = np.zeros((6, 6))
+    for k in range(6):
+        d = np.zeros(6)
+        d[k] = h
+        plus = compose(base, Pose3.from_tangent(d))
+        minus = compose(base, Pose3.from_tangent(-d))
+        num[:, k] = (geo.se3_log(plus.rotation, plus.translation)
+                     - geo.se3_log(minus.rotation, minus.translation)) / (2 * h)
+    return num
+
+
 def test_jr_inv_matches_numeric_bch():
     # Log(Exp(xi) Exp(d)) - Log(Exp(xi)) ~= jr_inv(xi) d for small d
     rng = np.random.default_rng(10)
     for _ in range(30):
         xi = rng.uniform(-1.0, 1.0, size=6)
         jr = geo.se3_jr_inv(xi)
-        num = np.zeros((6, 6))
-        h = 1e-6
-        base = Pose3.from_tangent(xi)
-        for k in range(6):
-            d = np.zeros(6)
-            d[k] = h
-            plus = compose(base, Pose3.from_tangent(d))
-            minus = compose(base, Pose3.from_tangent(-d))
-            num[:, k] = (geo.se3_log(plus.rotation, plus.translation)
-                         - geo.se3_log(minus.rotation, minus.translation)) / (2 * h)
+        num = numeric_jr_inv(xi)
         assert np.allclose(jr, num, atol=1e-5)
+
+
+def test_jr_inv_closed_form_matches_series_and_finite_differences():
+    # from zero rotation through the series/closed-form switch up to pi - 1e-3
+    switch = geo._JR_INV_SERIES_ANGLE
+    angles = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, switch - 1e-9, switch,
+                              switch + 1e-9, 1.0, 2.0, 3.0, np.pi - 1e-3],
+                             np.linspace(0.0, np.pi - 1e-3, 60)])
+    rng = np.random.default_rng(12)
+    xis = []
+    for theta in angles:
+        axis = rng.normal(size=3)
+        xis.append(np.concatenate([theta * axis / np.linalg.norm(axis),
+                                   rng.uniform(-3.0, 3.0, 3)]))
+    batched = geo.se3_jr_inv(np.array(xis))
+    for xi, jr in zip(xis, batched):
+        want = se3_jr_inv_series(xi)
+        assert np.linalg.norm(jr - want) / np.linalg.norm(want) < 1e-10, xi
+        assert np.allclose(jr, numeric_jr_inv(xi), atol=1e-5), xi
 
 
 def test_adjoint_identity():

@@ -248,7 +248,7 @@ def test_assembly_matches_scalar_factor_oracle():
     g = structured_graph(np.random.default_rng(9))
     batch = g._batched()
     assert batch.band_rows == 36  # the (0, 11) loop closure spans five pose slots
-    err, system = batch.linearize(batch.gather(g))
+    err, system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
     n_pose = 6 * len(g.poses)
     assert err == pytest.approx(g.error(), rel=1e-12)
@@ -258,11 +258,90 @@ def test_assembly_matches_scalar_factor_oracle():
     assert rel_err(system.grad, grad) < 1e-12
 
 
+def test_error_matches_scalar_factor_sum():
+    g = structured_graph(np.random.default_rng(16))
+    values = g.values()
+    want = sum(f.error(values) for f in g.factors)
+    assert g.error() == pytest.approx(want, rel=1e-12)
+    assert g.summary()["total_error"] == pytest.approx(want, rel=1e-12)
+
+
+def check_storage(g):
+    """The system assembled from the graph's maintained storage equals the
+    dense one stacked from each factor's scalar linearize()."""
+    batch = g._batched()
+    err, system = batch.linearize(batch.state())
+    info, grad = dense_normal_equations(g, batch)
+    dense = np.block([[band_to_dense(system.band), system.border],
+                      [system.border.T, system.landmark]])
+    assert err == pytest.approx(sum(f.error(g.values()) for f in g.factors), rel=1e-12)
+    assert rel_err(dense, info) < 1e-12
+    assert rel_err(system.grad, grad) < 1e-12
+
+
+def test_maintained_storage_matches_scratch_assembly():
+    # Appends interleaved with optimize: non-contiguous pose keys, a loop
+    # closure that widens the band, landmarks added mid-run across landmark
+    # capacity doublings, plain, weighted and mixture observations, and a
+    # weight bump. The storage is checked after every step.
+    rng = np.random.default_rng(17)
+    keys = [0, 3, 4, 7, 9, 10, 12, 15, 16, 20, 21, 25, 26, 30]
+    truth = dict(zip(keys, chain_poses(rng, len(keys))))
+    points = {}
+    g = gr.FactorGraph()
+    lm_config = gr.LMConfig(max_iterations=2)
+
+    def observe(k, j):
+        return inverse(truth[k]).apply(points[j]) + rng.normal(scale=0.02, size=3)
+
+    def gamma():
+        return np.diag(rng.uniform(1e-3, 4e-3, 3))
+
+    g.add_pose(0, retract(truth[0], rng.normal(scale=0.02, size=6)))
+    g.add_factor(fx.PriorFactor(0, truth[0], PRIOR_SIGMA))
+    check_storage(g)
+    for step, (prev, k) in enumerate(zip(keys, keys[1:])):
+        g.add_pose(k, retract(truth[k], rng.normal(scale=0.02, size=6)))
+        rel = compose(inverse(truth[prev]), truth[k])
+        g.add_factor(fx.BetweenFactor(prev, k, rel, np.eye(6) * 1e-4))
+        check_storage(g)
+        if step % 2 == 0:  # a new landmark, observed from here on
+            j = 100 + step
+            points[j] = truth[k].apply(rng.uniform(-1.0, 1.0, 3))
+            g.add_landmark(j, points[j] + rng.normal(scale=0.05, size=3))
+            check_storage(g)
+        old = sorted(points)[:-1]
+        g.add_factor(fx.ObservationFactor(k, max(points), observe(k, max(points)), gamma()))
+        if len(old) >= 2:
+            a, b = rng.choice(old, size=2, replace=False)
+            z = observe(k, a)  # one detection, two candidate landmarks
+            g.add_factor(fx.WeightedObservationFactor(k, a, z, gamma(), 0.7, group_id=step))
+            g.add_factor(fx.WeightedObservationFactor(k, b, z, gamma(), 0.3, group_id=step))
+            g.add_factor(fx.MixtureObservationFactor(k, [a, b], observe(k, b), gamma(),
+                                                     [0.4, 0.6]))
+        check_storage(g)
+        if step == 6:  # loop closure back to the first pose
+            rel = compose(inverse(truth[0]), truth[k])
+            g.add_factor(fx.BetweenFactor(0, k, rel, np.eye(6) * 1e-4))
+            check_storage(g)
+            assert g._batched().band_rows == 6 * (step + 2)
+        if step == 9:
+            for f in g.factors:
+                if isinstance(f, fx.WeightedObservationFactor):
+                    f.weight = 1.0 - f.weight
+            g.bump_weights_version()
+            check_storage(g)
+        if step % 3 == 2:
+            g.optimize(lm_config)
+            check_storage(g)
+    assert g._batched().lm_capacity == 8 > len(g.landmarks) > 4
+
+
 @pytest.mark.parametrize("with_landmarks", [True, False])
 def test_solve_and_marginals_match_dense_oracle(with_landmarks):
     g = structured_graph(np.random.default_rng(10), with_landmarks)
     batch = g._batched()
-    _, system = batch.linearize(batch.gather(g))
+    _, system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
 
     lam = 1e-3
@@ -297,7 +376,7 @@ def count_linearize(monkeypatch):
 def fresh_marginals(g, pose_key, landmark_keys):
     """(joint, pose) marginals from a new linearization at the current estimate."""
     batch = g._batched()
-    _, system = batch.linearize(batch.gather(g))
+    _, system = batch.linearize(batch.state())
     factor = gr.FactorGraph._factorize(system)
 
     def covariance(cols):

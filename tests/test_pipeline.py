@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from objectslam import factors as fx
 from objectslam import pipeline as pl
 from objectslam import simworld as sw
 from objectslam.association import DAConfig
+from objectslam.errors import DataFormatError
 from objectslam.evaluation import ape
 from objectslam.geometry import Pose3, compose, inverse, local
 from objectslam.segmentation import ObjectDetection
@@ -56,6 +60,44 @@ def test_revisit_associates_to_existing_landmark():
     assert decisions[0].kind == "single"
     assert decisions[0].best_landmark == 0
     assert system.registry[0].count == 2
+
+
+def graph_counts(system):
+    return system.frame, len(system.graph.poses), len(system.graph.landmarks), len(
+        system.graph.factors), len(system.registry)
+
+
+def test_add_keyframe_rejects_bad_odometry_without_mutation():
+    system = pl.SlamSystem(slam_config())
+    system.add_keyframe(None, [])
+    rel = Pose3(np.array([1, 0, 0, 0.0]), np.array([0.1, 0.0, 0.0]))
+    before = graph_counts(system)
+    pose_cov = system._pose_cov.copy()
+    with pytest.raises(DataFormatError):
+        system.add_keyframe((rel, np.array([1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3])), [])
+    assert graph_counts(system) == before
+    assert np.array_equal(system._pose_cov, pose_cov)
+    system.add_keyframe((rel, np.full(6, 1e-3)), [])  # the retry succeeds
+    assert graph_counts(system) == (2, 2, 0, 2, 0)
+
+
+def test_add_keyframe_rejects_non_finite_detection_without_mutation():
+    system = pl.SlamSystem(slam_config())
+    det = ObjectDetection(np.array([1.0, 0.0]), np.array([1.5, 0.3, 0.0]), np.eye(3) * 0.01)
+    det.point[1] = np.nan  # bypasses the constructor's check
+    with pytest.raises(DataFormatError):
+        system.add_keyframe(None, [det])
+    assert graph_counts(system) == (0, 0, 0, 0, 0)
+    assert system.next_landmark_id == 0
+    det.point[1] = 0.3
+    system.add_keyframe(None, [det])
+    assert graph_counts(system) == (1, 1, 1, 2, 1)
+
+
+def test_object_detection_rejects_non_finite_point():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ObjectDetection(np.array([1.0, 0.0]), np.array([1.0, bad, 0.0]), np.eye(3) * 0.01)
 
 
 def test_propagated_gate_covariance_matches_graph_marginals():
@@ -112,6 +154,43 @@ def test_run_slam_beats_odometry(strategy):
     assert slam_ape < odom_ape
     # sparse map: no runaway landmark creation
     assert len(result.landmarks) <= 1.5 * len(world.objects)
+
+
+def run_system(dataset, cfg):
+    system = pl.SlamSystem(cfg)
+    for k, kf in enumerate(dataset.keyframes):
+        system.add_keyframe(None if k == 0 else (kf.odom, kf.odom_sigmas), kf.detections)
+    system.finalize()
+    return system
+
+
+@pytest.mark.parametrize("strategy", ["mm", "em"])
+def test_close_same_class_objects_form_mixture_and_em_groups(strategy):
+    # two objects of one class 0.15 m apart: a detection of either lands in
+    # both chi-square gates whenever the other one is not claimed first
+    cfg = sw.WorldConfig(object_count=6, class_count=4, embedding_dim=16, loops=2,
+                         keyframes_per_loop=80, path_length=8.0)
+    world = sw.generate_world(cfg, 0)
+    a, b = world.objects[0], world.objects[1]
+    b.class_id = a.class_id
+    b.position = a.position + np.array([0.15, 0.0, 0.0])
+    traj = sw.generate_trajectory(cfg.loops, cfg.keyframes_per_loop, cfg.path_length,
+                                  cfg.rate_hz)
+    dataset = sw.generate_dataset(world, traj, sw.NoiseModel(multiplier=3.0), 100)
+
+    system = run_system(dataset, slam_config(strategy, optimize_every=20))
+    factors = system.graph.factors
+    if strategy == "mm":
+        groups = sum(len(f.landmark_keys) > 1 for f in factors
+                     if isinstance(f, fx.MixtureObservationFactor))
+    else:
+        sizes = Counter(f.group_id for f in factors
+                        if isinstance(f, fx.WeightedObservationFactor))
+        groups = sum(size > 1 for size in sizes.values())
+    assert groups > 0
+    slam_ape = ape(system.trajectory([kf.t for kf in dataset.keyframes]), traj).mean
+    odom = pl.run_slam(dataset, slam_config(strategy), odometry_only=True)
+    assert slam_ape < ape(odom.trajectory, traj).mean
 
 
 def test_landmarks_near_true_objects():

@@ -253,3 +253,12 @@ def test_synthesize_grid_nearer_object_wins():
     grid, masks = sw.synthesize_feature_grid(world, Pose3.identity(), sw.GridConfig(), seed=3)
     overlap_depths = grid.depth[masks[1]]
     assert np.all(np.abs(overlap_depths - np.linalg.norm([0.05, 0, 1.0])) < 1e-9)
+
+
+@pytest.mark.parametrize("point", ["[NaN, 0.0, 1.0]", "[0.0, Infinity, 1.0]"])
+def test_dataset_rejects_non_finite_detection_point(tmp_path, point):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 1.0, "odom": null, "detections": [{"point": ' + point
+                    + ', "cov": [0.01, 0, 0, 0, 0.01, 0, 0, 0, 0.01], "embedding": [1.0, 0.0]}]}\n')
+    with pytest.raises(DataFormatError):
+        sw.load_dataset(path)
