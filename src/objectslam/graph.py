@@ -30,11 +30,30 @@ between: 12 rows for an odometry chain. B (6N x 3M) is the dense border to
 the few landmarks and C (3M x 3M) their block. The system is solved with a
 banded Cholesky of A and a dense Cholesky of the landmark Schur complement
 S = C - B^T A^-1 B (Triggs et al., "Bundle Adjustment - A Modern
-Synthesis", 2000). Marginals are columns of the inverse, solved from the
-undamped factor of the system ``optimize`` built at its final estimate while
-that estimate is unchanged (Kaess & Dellaert, RAS 2009). A loop closure
-between poses w slots apart is exact but widens the band: storage grows as
-(6w + 6) * 6N and the factorization as (6w + 6)^2 * 6N.
+Synthesis", 2000). A loop closure between poses w slots apart is exact but
+widens the band: storage grows as (6w + 6) * 6N and the factorization as
+(6w + 6)^2 * 6N.
+
+``optimize`` keeps the system it ends with, linearized at its final
+estimate. The first linearization of the next ``optimize`` appends to that
+system instead of linearizing every factor again (the append step of iSAM;
+Kaess, Ranganathan & Dellaert, T-RO 2008): only the factor rows added since,
+including whole new mixtures, are linearized, their blocks binned on top of
+the kept buffer and their error added to the kept error. It linearizes everything when the kept system
+cannot be extended exactly: after a weight bump, after a change of the
+scatter layout (a wider band or a doubled landmark capacity), or when any
+variable the kept system covers no longer holds the estimate it was
+linearized at, say after a write to ``poses`` or ``landmarks``.
+
+Marginals come from the undamped factor of that kept system while the
+factors and estimates are unchanged (Kaess & Dellaert, RAS 2009), else from
+a fresh linearization. The pose in the last slot is the last band column
+block, next to the landmark border, so the trailing (6 + 3M) block of the
+Cholesky factor L factors the Schur complement that eliminates every other
+pose: its inverse is the joint (last pose, landmarks) covariance the gate
+needs, with no solve over the other 6(N - 1) pose rows. For any other pose
+the marginals are the corresponding columns of the inverse, solved through
+the whole factor.
 
 Scatter layout. One ``np.bincount`` assembles the system into a flat buffer
 laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
@@ -42,7 +61,9 @@ laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
 entries), row c of B (3K entries) and the gradient entry. A scatter index
 therefore depends on the band width and K only, never on N: it is
 recomputed, for every stored factor at once, only when K doubles or a
-between spans more pose slots than any before it.
+between spans more pose slots than any before it. Under one layout the
+buffer for N poses is a prefix of the buffer for more, which is what lets a
+kept system be appended to.
 
 Gauge. A union-find over the variables counts the components that hold no
 prior as variables and factors arrive, so ``optimize`` checks the gauge in
@@ -59,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dtbtrs, dtrtri
 
 from .errors import NumericalError
 from .factors import (
@@ -121,7 +142,9 @@ class FactorGraph:
                                 _pose_from_row, _row_from_pose)
         self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks,
                                     lambda row: row, lambda p: np.asarray(p, dtype=float))
-        self._final_system = None  # (stamp, state, system) at optimize's returned estimate
+        # (stamp, state, system) at optimize's returned estimate; the marginals
+        # reuse it and the next optimize appends to it
+        self._final_system = None
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
         self._num_priors = 0
@@ -209,7 +232,7 @@ class FactorGraph:
         batch = self._batched()
         # a copy, so the state kept below cannot change with the stored estimates
         state = tuple(a.copy() for a in batch.state())
-        err, system = batch.linearize(state)
+        err, system = batch.linearize(state, self._appendable(batch, state))
         gnorm = float(np.linalg.norm(system.grad))
         initial = err
         lam = config.init_lambda
@@ -260,6 +283,20 @@ class FactorGraph:
             raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
         return SchurFactor(band, border, schur)
 
+    def _appendable(self, batch: "_BatchedFactors", state) -> "NormalEquations | None":
+        """The last ``optimize``'s final system, if a linearization at ``state``
+        may append to it: the weights and the scatter layout are unchanged and
+        every variable it covers still holds the estimate it was linearized at."""
+        if self._final_system is None:
+            return None
+        stamp, (kept_x, kept_lms), system = self._final_system
+        x, lms = state
+        if (stamp[3] == self.weights_version and system.layout == batch.layout
+                and np.array_equal(x[:len(kept_x)], kept_x)
+                and np.array_equal(lms[:len(kept_lms)], kept_lms)):
+            return system
+        return None
+
     def _validate_gauge(self) -> None:
         """Require a prior and full connectivity to an anchored component."""
         if self._num_priors == 0:
@@ -298,27 +335,33 @@ class FactorGraph:
     def joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
         """Joint 9x9 (pose, landmark) covariances, from ``optimize``'s final
         linearization while the estimate is unchanged."""
+        cov = self._marginal_covariance(pose_key, landmark_keys)
+        lm = 6 + 3 * np.arange(len(landmark_keys))[:, None] + np.arange(3)
+        sel = np.concatenate([np.broadcast_to(np.arange(6), (len(lm), 6)), lm], axis=1)
+        return dict(zip(landmark_keys, cov[sel[:, :, None], sel[:, None, :]]))
+
+    def pose_marginal(self, pose_key: int) -> np.ndarray:
+        """6x6 pose covariance, from ``optimize``'s final linearization while
+        the estimate is unchanged."""
+        return self._marginal_covariance(pose_key, [])
+
+    def _marginal_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
+        """Joint covariance of the pose and the landmarks, in that order. For
+        the pose in the last slot it comes from the trailing block of the
+        factor; for any other pose, from solving for those columns of the
+        inverse."""
         if pose_key not in self.poses:
             raise ValueError(f"pose {pose_key} not in graph")
         for k in landmark_keys:
             if k not in self.landmarks:
                 raise ValueError(f"landmark {k} not in graph")
         factor, batch = self._information_factorization()
-        cov = _covariance(factor, batch, np.concatenate(
+        if batch.pose_slot[pose_key] == batch.num_poses - 1:
+            sel = np.concatenate([np.arange(6)] + [6 + 3 * batch.lm_slot[k] + np.arange(3)
+                                                  for k in landmark_keys])
+            return factor.trailing_covariance()[np.ix_(sel, sel)]
+        return _covariance(factor, batch, np.concatenate(
             [batch.pose_columns(pose_key)] + [batch.landmark_columns(k) for k in landmark_keys]))
-        out = {}
-        for i, key in enumerate(landmark_keys):
-            sel = np.concatenate([np.arange(6), 6 + 3 * i + np.arange(3)])
-            out[key] = cov[np.ix_(sel, sel)]
-        return out
-
-    def pose_marginal(self, pose_key: int) -> np.ndarray:
-        """6x6 pose covariance, from ``optimize``'s final linearization while
-        the estimate is unchanged."""
-        if pose_key not in self.poses:
-            raise ValueError(f"pose {pose_key} not in graph")
-        factor, batch = self._information_factorization()
-        return _covariance(factor, batch, batch.pose_columns(pose_key))
 
 
 class _Estimates(Mapping):
@@ -368,13 +411,20 @@ class NormalEquations:
     """Gauss-Newton system [[A, B], [B^T, C]] dx = -grad, poses first.
 
     ``band`` holds the lower band of A in LAPACK storage,
-    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band).
+    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band). ``band``,
+    ``border`` and ``landmark`` are views of ``flat``, the buffer that
+    ``_BatchedFactors.linearize`` binned into; the last four fields let a later
+    linearization append to it.
     """
 
     band: np.ndarray      # (6(w + 1), 6N)
     border: np.ndarray    # B, (6N, 3M)
     landmark: np.ndarray  # C, (3M, 3M)
     grad: np.ndarray      # J^T r, (6N + 3M,)
+    flat: np.ndarray      # the scatter buffer, laid out as in the module docstring
+    error: float          # total error at the linearization point
+    marks: tuple          # prior, between and observation rows and mixtures binned
+    layout: tuple         # (band_rows, lm_capacity) that flat is laid out for
 
 
 class SchurFactor:
@@ -400,6 +450,26 @@ class SchurFactor:
                            check_finite=False)
         return np.concatenate([_band_solve(self.band, y - self.border @ lm, "T"), lm])
 
+    def trailing_covariance(self) -> np.ndarray:
+        """Joint covariance of the last pose and every landmark, (6 + 3M) square.
+
+        The trailing block of L, L_tt = [[L_A[-6:, -6:], 0], [W[-6:]^T, L_S]],
+        is the Cholesky factor of the Schur complement that eliminates every
+        other pose, so the covariance is L_tt^-T L_tt^-1, with no solve over
+        the other pose rows (Kaess & Dellaert, RAS 2009).
+        """
+        n = 6 + len(self.schur)
+        l_tt = np.zeros((n, n))
+        r, c = _TRIL6
+        l_tt[r, c] = self.band[r - c, c - 6]
+        l_tt[6:, :6] = self.border[-6:].T
+        l_tt[6:, 6:] = self.schur
+        inv, info = dtrtri(l_tt, lower=1)
+        if info:
+            raise NumericalError(f"triangular inverse failed (info {info})")
+        cov = inv.T @ inv
+        return 0.5 * (cov + cov.T)
+
     @cached_property
     def L(self) -> sp.spmatrix:
         """L as one sparse matrix, built on first use; for fill-in counts."""
@@ -413,6 +483,9 @@ class SchurFactor:
     @property
     def U(self) -> sp.spmatrix:
         return self.L.T
+
+
+_TRIL6 = np.tril_indices(6)
 
 
 def _band_solve(band: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
@@ -439,6 +512,10 @@ class _Table:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._cols[name][:self._n]
+
+    def since(self, start: int) -> dict:
+        """Views of every column's rows from ``start`` on."""
+        return {name: buf[start:self._n] for name, buf in self._cols.items()}
 
     @property
     def capacity(self) -> int:
@@ -554,6 +631,11 @@ class _BatchedFactors:
         self.landmarks.extend(1, x=point)
 
     @property
+    def layout(self) -> tuple:
+        """(band_rows, lm_capacity): what every scatter index depends on."""
+        return self.band_rows, self.lm_capacity
+
+    @property
     def num_poses(self) -> int:
         return len(self.pose_ids)
 
@@ -594,7 +676,7 @@ class _BatchedFactors:
         bt_j = np.array([slot[f.key_j] for f in betweens], dtype=np.intp)
         gap = int(np.abs(bt_i - bt_j).max()) if betweens else 0
         band_rows = max(self.band_rows, 6 * (gap + 1))
-        if (band_rows, self.landmarks.capacity) != (self.band_rows, self.lm_capacity):
+        if (band_rows, self.landmarks.capacity) != self.layout:
             self._set_layout(band_rows, self.landmarks.capacity)
             self._index_cache = None
             for table, block in self._factor_tables():
@@ -701,42 +783,44 @@ class _BatchedFactors:
 
     # -- residuals -----------------------------------------------------------
 
-    def _prior_residuals(self, state):
+    def _prior_residuals(self, state, start=0):
         x, _ = state
-        pr = self.prior
+        pr = self.prior.since(start)
         slot = pr["slot"]
         r = pose_residuals(pr["q"], pr["t"], x[slot, :4], x[slot, 4:])
         return np.einsum("nij,nj->ni", pr["w"], r), r
 
-    def _between_residuals(self, state):
+    def _between_residuals(self, state, start=0):
         x, _ = state
-        bt = self.between
+        bt = self.between.since(start)
         i, j = bt["i"], bt["j"]
         q_ij, t_ij = relative_pose(x[i, :4], x[i, 4:], x[j, :4], x[j, 4:])
         r = pose_residuals(bt["q"], bt["t"], q_ij, t_ij)
         return np.einsum("nij,nj->ni", bt["w"], r), r, q_ij, t_ij
 
-    def _observation_residuals(self, state):
+    def _observation_residuals(self, state, start=0):
         x, lms = state
-        ob = self.observation
+        ob = self.observation.since(start)
         p = ob["p"]
         r, h = observation_residuals(x[p, :4], x[p, 4:], lms[ob["l"]], ob["z"])
         rw = np.einsum("nij,nj->ni", ob["w"], r) * ob["s"][:, None]
         return rw, h
 
-    def _mixture_components(self, state):
+    def _mixture_components(self, state, start=0):
         x, lms = state
-        mx = self.mixture
+        mx = self.mixture.since(start)
         p = mx["p"]
         r, h = observation_residuals(x[p, :4], x[p, 4:], lms[mx["l"]], mx["z"])
         rw = np.einsum("nij,nj->ni", mx["w"], r)
         costs = 0.5 * np.sum(rw * rw, axis=1) + mx["nlw"]
         return rw, h, costs
 
-    def _mixture_active(self, costs):
-        """The active (first cheapest) component of each mixture, and their total cost."""
-        gmin = np.minimum.reduceat(costs, self.mixture_start["row"])
-        group = self.mixture["group"]
+    def _mixture_active(self, costs, first_group=0):
+        """The active (first cheapest) component of each mixture from ``first_group``
+        on, as a row counted from that mixture's first row, and their total cost."""
+        starts = self.mixture_start["row"][first_group:]
+        gmin = np.minimum.reduceat(costs, starts - starts[0])
+        group = self.mixture["group"][starts[0]:] - first_group
         candidates = np.flatnonzero(costs == gmin[group])
         _, first = np.unique(group[candidates], return_index=True)
         return candidates[first], float(gmin.sum())
@@ -758,37 +842,48 @@ class _BatchedFactors:
             total += mix_total
         return total
 
-    def linearize(self, state):
-        """Total error and the Gauss-Newton system, assembled from per-factor blocks."""
+    def linearize(self, state, base: "NormalEquations | None" = None):
+        """Total error and the Gauss-Newton system, assembled from per-factor blocks.
+
+        ``base`` is a system this storage linearized earlier, under the current
+        layout and weights, at estimates that ``state`` still holds for every
+        variable ``base`` covers. Only the factor rows appended since are then
+        linearized: their blocks are binned on top of ``base.flat`` and their
+        error is added to ``base.error``.
+        """
+        marks = (len(self.prior), len(self.between), len(self.observation),
+                 len(self.mixture_start))
+        prior0, between0, observation0, group0 = (0, 0, 0, 0) if base is None else base.marks
         blocks = []  # (jac, rw, kept), in the order of _static_index, then the mixtures
-        total = 0.0
+        total = 0.0 if base is None else base.error
         x, _ = state
 
-        if len(self.prior):
-            rw, r = self._prior_residuals(state)
+        if marks[0] > prior0:
+            rw, r = self._prior_residuals(state, prior0)
             total += 0.5 * float(np.sum(rw * rw))
-            blocks.append((self.prior["w"] @ se3_jr_inv(r), rw, _PRIOR_BLOCK.kept))
+            blocks.append((self.prior["w"][prior0:] @ se3_jr_inv(r), rw, _PRIOR_BLOCK.kept))
 
-        if len(self.between):
-            rw, r, q_ij, t_ij = self._between_residuals(state)
+        if marks[1] > between0:
+            rw, r, q_ij, t_ij = self._between_residuals(state, between0)
             total += 0.5 * float(np.sum(rw * rw))
             j_i, j_j = between_jacobians(r, q_ij, t_ij)
-            w = self.between["w"]
+            w = self.between["w"][between0:]
             blocks.append((np.concatenate([w @ j_i, w @ j_j], axis=2), rw, _BETWEEN_BLOCK.kept))
 
-        if len(self.observation):
-            ob = self.observation
-            rw, h = self._observation_residuals(state)
+        if marks[2] > observation0:
+            ob = self.observation.since(observation0)
+            rw, h = self._observation_residuals(state, observation0)
             total += 0.5 * float(np.sum(rw * rw))
             j_pose, j_lm = observation_jacobians(x[ob["p"], :4], h)
             jac = ob["s"][:, None, None] * (ob["w"] @ np.concatenate([j_pose, j_lm], axis=2))
             blocks.append((jac, rw, _OBSERVATION_BLOCK.kept))
 
-        index = self._static_index()
-        if len(self.mixture):
-            mx = self.mixture
-            rw, h, costs = self._mixture_components(state)
-            active, mix_total = self._mixture_active(costs)
+        index = self._static_index((prior0, between0, observation0))
+        if marks[3] > group0:
+            mix0 = int(self.mixture_start["row"][group0])  # the first row of mixture group0
+            mx = self.mixture.since(mix0)
+            rw, h, costs = self._mixture_components(state, mix0)
+            active, mix_total = self._mixture_active(costs, group0)
             total += mix_total
             j_pose, j_lm = observation_jacobians(x[mx["p"][active], :4], h[active])
             jac = mx["w"][active] @ np.concatenate([j_pose, j_lm], axis=2)
@@ -807,6 +902,9 @@ class _BatchedFactors:
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
         flat = np.bincount(index, values, minlength=self._records_at + n_pose * self._stride)
+        flat = flat.astype(float, copy=False)  # bincount of nothing is an integer array
+        if base is not None:  # the layout is unchanged, so base.flat is a prefix
+            flat[:len(base.flat)] += base.flat
         lm_width = 3 * self.lm_capacity
         records = flat[self._records_at:].reshape(n_pose, self._stride)
         return total, NormalEquations(
@@ -814,14 +912,18 @@ class _BatchedFactors:
             border=records[:, self.band_rows:self.band_rows + n_lm],
             landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([records[:, -1],
-                                 flat[self._lm_grad_at:self._lm_grad_at + n_lm]]))
+                                 flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
+            flat=flat, error=total, marks=marks, layout=self.layout)
 
-    def _static_index(self) -> np.ndarray:
-        """Scatter indices of every prior, between and observation row, in that
-        order; concatenated once per sync rather than at every linearization."""
+    def _static_index(self, starts) -> np.ndarray:
+        """Scatter indices of the prior, between and observation rows from
+        ``starts`` on, in that order. The concatenation over all rows is kept
+        until the next sync rather than rebuilt at every linearization."""
+        tables = (self.prior, self.between, self.observation)
+        if any(starts):
+            return np.concatenate([t["index"][s:].ravel() for t, s in zip(tables, starts)])
         if self._index_cache is None:
-            self._index_cache = np.concatenate(
-                [t["index"].ravel() for t in (self.prior, self.between, self.observation)])
+            self._index_cache = np.concatenate([t["index"].ravel() for t in tables])
         return self._index_cache
 
 

@@ -453,6 +453,9 @@ def load_dataset(path) -> Dataset:
                     tx, ty, tz, x, y, z, w = rec["odom"]["rel"]
                     odom = Pose3(np.array([w, x, y, z]), np.array([tx, ty, tz]))
                     sigmas = np.asarray(rec["odom"]["sigma"], dtype=float).reshape(6)
+                    if not all(math.isfinite(s) and s > 0.0 for s in sigmas.tolist()):
+                        raise DataFormatError(f"{path}:{lineno}: odometry sigmas must be "
+                                              f"finite and positive, got {sigmas.tolist()}")
                 dets, ids = [], []
                 for d in rec.get("detections", []):
                     dets.append(ObjectDetection(

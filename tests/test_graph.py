@@ -202,6 +202,12 @@ def band_to_dense(band):
     return out
 
 
+def dense_system(system):
+    """[[A, B], [B^T, C]] of a NormalEquations, dense."""
+    return np.block([[band_to_dense(system.band), system.border],
+                     [system.border.T, system.landmark]])
+
+
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -272,24 +278,20 @@ def check_storage(g):
     batch = g._batched()
     err, system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
-    dense = np.block([[band_to_dense(system.band), system.border],
-                      [system.border.T, system.landmark]])
     assert err == pytest.approx(sum(f.error(g.values()) for f in g.factors), rel=1e-12)
-    assert rel_err(dense, info) < 1e-12
+    assert rel_err(dense_system(system), info) < 1e-12
     assert rel_err(system.grad, grad) < 1e-12
 
 
-def test_maintained_storage_matches_scratch_assembly():
-    # Appends interleaved with optimize: non-contiguous pose keys, a loop
-    # closure that widens the band, landmarks added mid-run across landmark
-    # capacity doublings, plain, weighted and mixture observations, and a
-    # weight bump. The storage is checked after every step.
+def scripted_run(g):
+    """Drive g through appends like an online run's: non-contiguous pose keys,
+    a loop closure that widens the band, landmarks added mid-run across
+    landmark capacity doublings, plain, weighted and mixture observations, and
+    a weight bump. Yields (step, event) after each change to the graph."""
     rng = np.random.default_rng(17)
     keys = [0, 3, 4, 7, 9, 10, 12, 15, 16, 20, 21, 25, 26, 30]
     truth = dict(zip(keys, chain_poses(rng, len(keys))))
     points = {}
-    g = gr.FactorGraph()
-    lm_config = gr.LMConfig(max_iterations=2)
 
     def observe(k, j):
         return inverse(truth[k]).apply(points[j]) + rng.normal(scale=0.02, size=3)
@@ -299,17 +301,17 @@ def test_maintained_storage_matches_scratch_assembly():
 
     g.add_pose(0, retract(truth[0], rng.normal(scale=0.02, size=6)))
     g.add_factor(fx.PriorFactor(0, truth[0], PRIOR_SIGMA))
-    check_storage(g)
+    yield -1, "prior"
     for step, (prev, k) in enumerate(zip(keys, keys[1:])):
         g.add_pose(k, retract(truth[k], rng.normal(scale=0.02, size=6)))
         rel = compose(inverse(truth[prev]), truth[k])
         g.add_factor(fx.BetweenFactor(prev, k, rel, np.eye(6) * 1e-4))
-        check_storage(g)
+        yield step, "pose"
         if step % 2 == 0:  # a new landmark, observed from here on
             j = 100 + step
             points[j] = truth[k].apply(rng.uniform(-1.0, 1.0, 3))
             g.add_landmark(j, points[j] + rng.normal(scale=0.05, size=3))
-            check_storage(g)
+            yield step, "landmark"
         old = sorted(points)[:-1]
         g.add_factor(fx.ObservationFactor(k, max(points), observe(k, max(points)), gamma()))
         if len(old) >= 2:
@@ -319,22 +321,97 @@ def test_maintained_storage_matches_scratch_assembly():
             g.add_factor(fx.WeightedObservationFactor(k, b, z, gamma(), 0.3, group_id=step))
             g.add_factor(fx.MixtureObservationFactor(k, [a, b], observe(k, b), gamma(),
                                                      [0.4, 0.6]))
-        check_storage(g)
+        yield step, "observations"
         if step == 6:  # loop closure back to the first pose
             rel = compose(inverse(truth[0]), truth[k])
             g.add_factor(fx.BetweenFactor(0, k, rel, np.eye(6) * 1e-4))
-            check_storage(g)
-            assert g._batched().band_rows == 6 * (step + 2)
+            yield step, "loop closure"
         if step == 9:
             for f in g.factors:
                 if isinstance(f, fx.WeightedObservationFactor):
                     f.weight = 1.0 - f.weight
             g.bump_weights_version()
-            check_storage(g)
-        if step % 3 == 2:
+            yield step, "weight bump"
+
+
+def test_maintained_storage_matches_scratch_assembly():
+    # The storage is checked after every step of the scripted run, with an
+    # optimize at the end of every third step.
+    g = gr.FactorGraph()
+    lm_config = gr.LMConfig(max_iterations=2)
+    for step, event in scripted_run(g):
+        check_storage(g)
+        if event == "loop closure":
+            assert g._batched().band_rows == 6 * (step + 2)
+        if event == "observations" and step % 3 == 2:  # no later event in these steps
             g.optimize(lm_config)
             check_storage(g)
     assert g._batched().lm_capacity == 8 > len(g.landmarks) > 4
+
+
+def count_linearize(monkeypatch):
+    """Record (state, whether a base system was given, error, system) of every
+    linearize call; return the records and the unpatched linearize."""
+    calls = []
+    original = gr._BatchedFactors.linearize
+
+    def counting(self, state, base=None):
+        err, system = original(self, state, base)
+        calls.append((state, base is not None, err, system))
+        return err, system
+
+    monkeypatch.setattr(gr._BatchedFactors, "linearize", counting)
+    return calls, original
+
+
+def test_optimize_appends_to_the_kept_system(monkeypatch):
+    # An optimize after every change of the scripted run, and after a pose
+    # write, an in-place landmark write and no change at all. Its first system
+    # equals a from-scratch one, and it is appended to the last optimize's
+    # system exactly when only variables and factors were added since, within
+    # the same scatter layout (band rows, landmark capacity).
+    calls, original = count_linearize(monkeypatch)
+    g = gr.FactorGraph()
+    lm_config = gr.LMConfig(max_iterations=2)
+    layout, runs = None, []
+
+    def optimize_and_check(step, event):
+        nonlocal layout
+        relaid, layout = g._batched().layout != layout, g._batched().layout
+        first = len(calls)
+        g.optimize(lm_config)
+        state, appended, err, system = calls[first]
+        runs.append((step, event, relaid, appended))
+        want_err, want = original(g._batch, state)
+        assert err == pytest.approx(want_err, rel=1e-12)
+        assert rel_err(dense_system(system), dense_system(want)) < 1e-12
+        assert rel_err(system.grad, want.grad) < 1e-12
+
+    for step, event in scripted_run(g):
+        if event == "landmark":  # a landmark with no factor yet leaves a gauge freedom
+            continue
+        optimize_and_check(step, event)
+        if event != "observations":
+            continue
+        if step == 3:
+            g.poses[3] = retract(g.poses[3], np.full(6, 1e-3))
+            optimize_and_check(step, "pose write")
+        elif step == 5:
+            optimize_and_check(step, "no change")
+        elif step == 8:
+            g.landmarks[100][0] += 1e-3
+            optimize_and_check(step, "landmark write")
+
+    full = [(step, event) for step, event, _, appended in runs if not appended]
+    relaid = [(step, event) for step, event, relaid, _ in runs if relaid]
+    assert full == [(-1, "prior"), (0, "pose"), (0, "observations"), (2, "observations"),
+                    (3, "pose write"), (4, "observations"), (6, "loop closure"),
+                    (8, "observations"), (8, "landmark write"), (9, "weight bump")]
+    # the first between widens the band to 12 rows and the loop closure to 48;
+    # landmarks 1, 2, 3 and 5 double the landmark capacity
+    assert relaid == [(-1, "prior"), (0, "pose"), (0, "observations"), (2, "observations"),
+                      (4, "observations"), (6, "loop closure"), (8, "observations")]
+    assert len(runs) == 32  # the other 22 appended
 
 
 @pytest.mark.parametrize("with_landmarks", [True, False])
@@ -350,38 +427,47 @@ def test_solve_and_marginals_match_dense_oracle(with_landmarks):
     assert rel_err(step, np.linalg.solve(damped, -grad)) < 1e-9
 
     cov = np.linalg.inv(info)
-    for key in g.poses:
+    for key in g.poses:  # pose 11 holds the last slot: the trailing-block path
         cols = batch.pose_columns(key)
         assert rel_err(g.pose_marginal(key), cov[np.ix_(cols, cols)]) < 1e-9
     lm_keys = sorted(g.landmarks)
-    for key, block in g.joint_marginals(7, lm_keys).items():
-        cols = np.concatenate([batch.pose_columns(7), batch.landmark_columns(key)])
-        assert rel_err(block, cov[np.ix_(cols, cols)]) < 1e-9
+    for pose_key in (7, 11):
+        blocks = g.joint_marginals(pose_key, lm_keys)
+        assert blocks.keys() == set(lm_keys)
+        for key, block in blocks.items():
+            cols = np.concatenate([batch.pose_columns(pose_key), batch.landmark_columns(key)])
+            assert rel_err(block, cov[np.ix_(cols, cols)]) < 1e-9
+
+
+def test_last_pose_without_information_raises_numerical_error():
+    g = structured_graph(np.random.default_rng(15))
+    g.optimize()
+    g.add_pose(12, Pose3.identity())  # the last slot, with no factor
+    with pytest.raises(NumericalError):
+        g.pose_marginal(12)
+    with pytest.raises(NumericalError):
+        g.joint_marginals(12, sorted(g.landmarks))
 
 
 # -- marginals reuse the system optimize built -------------------------------
 
-def count_linearize(monkeypatch):
-    calls = []
-    original = gr._BatchedFactors.linearize
-
-    def counting(self, state):
-        calls.append(state)
-        return original(self, state)
-
-    monkeypatch.setattr(gr._BatchedFactors, "linearize", counting)
-    return calls
-
-
 def fresh_marginals(g, pose_key, landmark_keys):
-    """(joint, pose) marginals from a new linearization at the current estimate."""
+    """(joint, pose) marginals from a new linearization at the current estimate:
+    from the trailing block of its factor for the pose in the last slot, else
+    from solving for columns of the inverse."""
     batch = g._batched()
     _, system = batch.linearize(batch.state())
     factor = gr.FactorGraph._factorize(system)
 
-    def covariance(cols):
-        block = factor.solve(np.eye(batch.num_cols)[:, cols])[cols]
-        return 0.5 * (block + block.T)
+    if batch.pose_slot[pose_key] == batch.num_poses - 1:
+        trailing, first = factor.trailing_covariance(), 6 * (batch.num_poses - 1)
+
+        def covariance(cols):  # the trailing block starts at system column ``first``
+            return trailing[np.ix_(cols - first, cols - first)]
+    else:
+        def covariance(cols):
+            block = factor.solve(np.eye(batch.num_cols)[:, cols])[cols]
+            return 0.5 * (block + block.T)
 
     pose_cols = batch.pose_columns(pose_key)
     cov = covariance(np.concatenate(
@@ -413,26 +499,30 @@ def test_marginals_after_optimize_reuse_its_system(monkeypatch, max_iterations):
     # max_iterations=0 returns without a step: the system is the initial one
     g = structured_graph(np.random.default_rng(12))
     g.optimize(gr.LMConfig(max_iterations=max_iterations))
-    calls = count_linearize(monkeypatch)
+    calls, _ = count_linearize(monkeypatch)
     assert checked_marginals(g, 7, calls) == 0
+    assert checked_marginals(g, 11, calls) == 0  # the last pose: the trailing block
 
 
 def test_marginals_never_served_from_a_stale_system(monkeypatch):
     g = structured_graph(np.random.default_rng(13))
-    calls = count_linearize(monkeypatch)
+    calls, _ = count_linearize(monkeypatch)
 
     g.optimize()
     g.poses[5] = retract(g.poses[5], np.full(6, 1e-3))  # direct write to an estimate
     assert checked_marginals(g, 7, calls) == 2
+    assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
 
     g.optimize()
     g.landmarks[3][0] += 1e-3  # in-place write to a landmark estimate
     assert checked_marginals(g, 7, calls) == 2
+    assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
 
     g.optimize()
     z = inverse(g.poses[8]).apply(g.landmarks[4])
     g.add_factor(fx.ObservationFactor(8, 4, z + 0.01, np.eye(3) * 1e-2))
     assert checked_marginals(g, 7, calls) == 2
+    assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
 
     g.optimize()
     for f in g.factors:
@@ -440,9 +530,11 @@ def test_marginals_never_served_from_a_stale_system(monkeypatch):
             f.weight = 1.0 - f.weight
     g.bump_weights_version()
     assert checked_marginals(g, 7, calls) == 2
+    assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
 
     gr.em_reweight(g, iterations=1)  # ends in optimize: its system is current
     assert checked_marginals(g, 7, calls) == 0
+    assert checked_marginals(g, 11, calls) == 0
 
 
 def test_pose_written_in_place_is_rejected_after_optimize():

@@ -262,3 +262,13 @@ def test_dataset_rejects_non_finite_detection_point(tmp_path, point):
                     + ', "cov": [0.01, 0, 0, 0, 0.01, 0, 0, 0, 0.01], "embedding": [1.0, 0.0]}]}\n')
     with pytest.raises(DataFormatError):
         sw.load_dataset(path)
+
+
+@pytest.mark.parametrize("sigma", ["NaN", "Infinity", "0.0", "-1.0"])
+def test_dataset_rejects_bad_odometry_sigma(tmp_path, sigma):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 0.0, "odom": null, "detections": []}\n'
+                    '{"t": 1.0, "odom": {"rel": [0.1, 0, 0, 0, 0, 0, 1.0], "sigma": [0.001, '
+                    + sigma + ', 0.001, 0.001, 0.001, 0.001]}, "detections": []}\n')
+    with pytest.raises(DataFormatError, match=f"{path.name}:2: odometry sigmas"):
+        sw.load_dataset(path)
