@@ -91,6 +91,10 @@ class AssociationDecision:
     kind: str  # "new" | "single" | "mixture" | "weighted"
     pairs: tuple = ()  # ((landmark_id, weight), ...) non-empty unless "new"
     hypotheses: tuple = ()  # the gated hypotheses backing the decision
+    # a "new" decision whose detection still lies within the looser
+    # new_landmark_beta gate of a class-compatible landmark: instantiating it
+    # would likely duplicate that landmark, so callers drop it instead
+    ambiguous: bool = False
 
     @staticmethod
     def new_landmark() -> "AssociationDecision":
@@ -274,11 +278,6 @@ def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     return out
 
 
-def _evaluate_candidates(detection: ObjectDetection, snapshot: StateSnapshot,
-                         config: DAConfig) -> list[tuple[int, float, float, np.ndarray]]:
-    return _evaluate_frame([detection], snapshot, config)[0]
-
-
 def generate_hypotheses(detection: ObjectDetection, snapshot: StateSnapshot,
                         config: DAConfig) -> list[Hypothesis]:
     """Gated, ranked association hypotheses for one detection.
@@ -290,24 +289,19 @@ def generate_hypotheses(detection: ObjectDetection, snapshot: StateSnapshot,
     threshold = config.chi2_threshold
     hypotheses = [
         Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
-        for lm_id, cos, d2, c, logdet in _evaluate_candidates(detection, snapshot, config)
+        for lm_id, cos, d2, c, logdet in _evaluate_frame([detection], snapshot, config)[0]
         if d2 < threshold
     ]
     hypotheses.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
     return hypotheses
 
 
-def blocks_new_landmark(detection: ObjectDetection, snapshot: StateSnapshot,
-                        config: DAConfig) -> bool:
-    """True when instantiating this detection would likely duplicate a landmark.
-
-    Checked only for detections the association gate rejected: if a same-class
-    landmark still lies within the looser new_landmark_beta gate, the
-    measurement is ambiguous and is discarded rather than mapped.
-    """
-    loose = chi_square_quantile(config.dof, config.new_landmark_beta)
-    return any(d2 < loose
-               for _, _, d2, _, _ in _evaluate_candidates(detection, snapshot, config))
+def blocks_new_landmark(decision: AssociationDecision) -> bool:
+    """True when instantiating the detection behind a new-landmark decision
+    would likely duplicate a landmark: ``associate_frame`` found a same-class
+    landmark within the looser new_landmark_beta gate, so the measurement is
+    ambiguous and is discarded rather than mapped."""
+    return decision.ambiguous
 
 
 def decide(hypotheses: list[Hypothesis], config: DAConfig) -> AssociationDecision:
@@ -334,15 +328,19 @@ def associate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
 
     Detections are processed in order of their best hypothesis likelihood; a
     landmark claimed by one detection (single match or max-weight component)
-    is removed from the later detections' hypothesis lists.
+    is removed from the later detections' hypothesis lists. A detection that
+    ends up new is marked ambiguous when any gated landmark, claimed or not,
+    lies within the new_landmark_beta gate; both cuts come from one pass.
     """
     threshold = config.chi2_threshold
-    all_hyps = []
+    loose = chi_square_quantile(config.dof, config.new_landmark_beta)
+    all_hyps, near = [], []
     for evaluated in _evaluate_frame(detections, snapshot, config):
         hyps = [Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
                 for lm_id, cos, d2, c, logdet in evaluated if d2 < threshold]
         hyps.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
         all_hyps.append(hyps)
+        near.append(any(d2 < loose for _, _, d2, _, _ in evaluated))
     order = sorted(
         range(len(detections)),
         key=lambda i: (-all_hyps[i][0].log_marginal if all_hyps[i] else math.inf, i),
@@ -352,6 +350,8 @@ def associate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     for i in order:
         remaining = [h for h in all_hyps[i] if h.landmark_id not in claimed]
         decision = decide(remaining, config)
+        if decision.is_new and near[i]:
+            decision = AssociationDecision("new", ambiguous=True)
         decisions[i] = decision
         if not decision.is_new:
             claimed.add(decision.best_landmark)

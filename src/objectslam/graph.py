@@ -34,36 +34,50 @@ Synthesis", 2000). A loop closure between poses w slots apart is exact but
 widens the band: storage grows as (6w + 6) * 6N and the factorization as
 (6w + 6)^2 * 6N.
 
-``optimize`` keeps the system it ends with, linearized at its final
-estimate. The first linearization of the next ``optimize`` appends to that
-system instead of linearizing every factor again (the append step of iSAM;
-Kaess, Ranganathan & Dellaert, T-RO 2008): only the factor rows added since,
-including whole new mixtures, are linearized, their blocks binned on top of
-the kept buffer and their error added to the kept error. It linearizes everything when the kept system
-cannot be extended exactly: after a weight bump, after a change of the
-scatter layout (a wider band or a doubled landmark capacity), or when any
-variable the kept system covers no longer holds the estimate it was
-linearized at, say after a write to ``poses`` or ``landmarks``.
+Fluid relinearization (iSAM2; Kaess et al., IJRR 2012). Every variable has
+a linearization point, and every prior, between and observation row stores
+its whitened Jacobian, taken at the points of its variables, and the kept
+entries of that Jacobian's J^T J. A linearization gives a row a new
+Jacobian only when the row is new, when one of its variables moved more
+than RELINEARIZE_THRESHOLD in any stored parameter from its point (the point
+then moves to the estimate first) or was written from outside ``optimize``,
+or, for a weighted row, after a weight bump. Mixture rows are linearized
+anew every time, at the estimate, since their active component may change.
+One ``np.bincount`` then bins every stored J^T J entry together with each
+row's J^T r, whose residual r is always taken at the estimate: the
+residuals the LM acceptance test just computed (``error_only``), so one
+residual pass serves both. The error is therefore exact, and the system is
+exact wherever the points sit at the estimate; a system whose every point
+does is "fresh". A wider band or a doubled landmark capacity only
+re-indexes the stored rows.
 
-Marginals come from the undamped factor of that kept system while the
-factors and estimates are unchanged (Kaess & Dellaert, RAS 2009), else from
-a fresh linearization. The pose in the last slot is the last band column
-block, next to the landmark border, so the trailing (6 + 3M) block of the
-Cholesky factor L factors the Schur complement that eliminates every other
-pose: its inverse is the joint (last pose, landmarks) covariance the gate
-needs, with no solve over the other 6(N - 1) pose rows. For any other pose
-the marginals are the corresponding columns of the inverse, solved through
-the whole factor.
+``optimize`` ends fresh whenever it converges: before a solve stops as
+converged it relinearizes every stale row and checks again, and a rejected
+step is retried on a fresh system. Only a solve cut off by
+``max_iterations`` (the online pipeline's 2-iteration solves) may end with
+stale rows, linearized at points within the threshold of its estimate.
 
-Scatter layout. One ``np.bincount`` assembles the system into a flat buffer
+Marginals come from the undamped factor of the system ``optimize`` ended
+with while the factors and estimates are unchanged (Kaess & Dellaert, RAS
+2009). After a converged solve that system is exact; after an
+iteration-capped one its stale rows are linearized at points up to
+RELINEARIZE_THRESHOLD from the returned estimate, and the gate covariance
+is the one at those points. Otherwise the marginals come from a fresh
+linearization at the current estimate. The pose in the last slot is the
+last band column block, next to the landmark border, so the trailing
+(6 + 3M) block of the Cholesky factor L factors the Schur complement that
+eliminates every other pose: its inverse is the joint (last pose,
+landmarks) covariance the gate needs, with no solve over the other
+6(N - 1) pose rows. For any other pose the marginals are the corresponding
+columns of the inverse, solved through the whole factor.
+
+Scatter layout. The ``np.bincount`` assembles the system into a flat buffer
 laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
 (3K), then one record per pose column c: band column c of A (6(w + 1)
 entries), row c of B (3K entries) and the gradient entry. A scatter index
 therefore depends on the band width and K only, never on N: it is
 recomputed, for every stored factor at once, only when K doubles or a
-between spans more pose slots than any before it. Under one layout the
-buffer for N poses is a prefix of the buffer for more, which is what lets a
-kept system be appended to.
+between spans more pose slots than any before it.
 
 Gauge. A union-find over the variables counts the components that hold no
 prior as variables and factors arrive, so ``optimize`` checks the gauge in
@@ -122,6 +136,11 @@ class OptimizeReport:
     gradient_norm: float
 
 
+# A variable's rows are relinearized once any parameter of its estimate (unit
+# quaternion and translation, or point) lies farther than this from the point
+# they were last linearized at.
+RELINEARIZE_THRESHOLD = 1e-3
+
 _FACTOR_TYPES = (PriorFactor, BetweenFactor, ObservationFactor, MixtureObservationFactor)
 
 
@@ -142,8 +161,7 @@ class FactorGraph:
                                 _pose_from_row, _row_from_pose)
         self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks,
                                     lambda row: row, lambda p: np.asarray(p, dtype=float))
-        # (stamp, state, system) at optimize's returned estimate; the marginals
-        # reuse it and the next optimize appends to it
+        # (stamp, state, system) at optimize's returned estimate; the marginals reuse it
         self._final_system = None
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
@@ -208,7 +226,7 @@ class FactorGraph:
 
     def error(self) -> float:
         batch = self._batched()
-        return batch.error_only(batch.state())
+        return batch.error_only(batch.state()).error
 
     def bump_weights_version(self) -> None:
         self.weights_version += 1
@@ -227,44 +245,63 @@ class FactorGraph:
     # -- optimization -------------------------------------------------------
 
     def optimize(self, config: LMConfig | None = None) -> OptimizeReport:
+        """Levenberg-Marquardt from the current estimates.
+
+        Each accepted step relinearizes only the rows whose variables moved
+        (see ``_BatchedFactors.linearize``), with its gradient taken at the
+        residuals the acceptance test just computed. A rejected step makes the
+        system fresh before the next factorization, and a solve that would
+        stop as converged first makes it fresh and checks again, so a
+        converged solve ends exact at its returned estimate.
+        """
         config = config or LMConfig()
         self._validate_gauge()
         batch = self._batched()
         # a copy, so the state kept below cannot change with the stored estimates
         state = tuple(a.copy() for a in batch.state())
-        err, system = batch.linearize(state, self._appendable(batch, state))
-        gnorm = float(np.linalg.norm(system.grad))
+        err, system = batch.linearize(state)
         initial = err
+        residuals = None  # error_only's result at state, once a step is accepted
+
+        def stops(rel: float) -> bool:
+            """Whether the solve has converged at ``state``; a system that says
+            so is made fresh and asked again."""
+            nonlocal system
+            small = rel < config.rel_decrease_tol
+            if float(np.linalg.norm(system.grad)) >= config.gradient_tol and not small:
+                return False
+            if not system.fresh:
+                _, system = batch.linearize(state, residuals, fresh=True)
+            return float(np.linalg.norm(system.grad)) < config.gradient_tol or small
+
         lam = config.init_lambda
         iterations = 0
-        converged = gnorm < config.gradient_tol
-
+        converged = stops(np.inf)
         while not converged and iterations < config.max_iterations:
             stepped = False
             while lam <= config.max_lambda:
                 factor = self._factorize(system, lam)
-                delta = factor.solve(-system.grad)
-                candidate = batch.retract(state, delta)
-                cand_err = batch.error_only(candidate)
-                if cand_err <= err and np.isfinite(cand_err):
-                    rel = (err - cand_err) / max(err, 1e-300)
-                    state = candidate
-                    err = cand_err
+                candidate = batch.retract(state, factor.solve(-system.grad))
+                cand = batch.error_only(candidate)
+                if cand.error <= err and np.isfinite(cand.error):
+                    rel = (err - cand.error) / max(err, 1e-300)
+                    state, residuals, err = candidate, cand, cand.error
                     iterations += 1
                     stepped = True
                     lam = max(lam * 0.1, 1e-12)
-                    _, system = batch.linearize(state)
-                    gnorm = float(np.linalg.norm(system.grad))
-                    if gnorm < config.gradient_tol or rel < config.rel_decrease_tol:
-                        converged = True
+                    _, system = batch.linearize(state, residuals)
+                    converged = stops(rel)
                     break
+                if not system.fresh:
+                    _, system = batch.linearize(state, residuals, fresh=True)
                 lam *= config.lambda_scale
             if not stepped:
                 break
 
         batch.store(state)
         self._final_system = (self._stamp(), state, system)  # system is linearized at state
-        return OptimizeReport(initial, err, iterations, converged, gnorm)
+        return OptimizeReport(initial, err, iterations, converged,
+                              float(np.linalg.norm(system.grad)))
 
     @staticmethod
     def _factorize(system: "NormalEquations", lam: float = 0.0) -> "SchurFactor":
@@ -282,20 +319,6 @@ class FactorGraph:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
         return SchurFactor(band, border, schur)
-
-    def _appendable(self, batch: "_BatchedFactors", state) -> "NormalEquations | None":
-        """The last ``optimize``'s final system, if a linearization at ``state``
-        may append to it: the weights and the scatter layout are unchanged and
-        every variable it covers still holds the estimate it was linearized at."""
-        if self._final_system is None:
-            return None
-        stamp, (kept_x, kept_lms), system = self._final_system
-        x, lms = state
-        if (stamp[3] == self.weights_version and system.layout == batch.layout
-                and np.array_equal(x[:len(kept_x)], kept_x)
-                and np.array_equal(lms[:len(kept_lms)], kept_lms)):
-            return system
-        return None
 
     def _validate_gauge(self) -> None:
         """Require a prior and full connectivity to an anchored component."""
@@ -325,7 +348,7 @@ class FactorGraph:
                 and all(map(np.array_equal, final[1], state))):
             system = final[2]
         else:
-            _, system = batch.linearize(state)
+            _, system = batch.linearize(state, fresh=True)
         return self._factorize(system), batch
 
     def joint_marginal(self, pose_key: int, landmark_key: int) -> np.ndarray:
@@ -411,20 +434,15 @@ class NormalEquations:
     """Gauss-Newton system [[A, B], [B^T, C]] dx = -grad, poses first.
 
     ``band`` holds the lower band of A in LAPACK storage,
-    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band). ``band``,
-    ``border`` and ``landmark`` are views of ``flat``, the buffer that
-    ``_BatchedFactors.linearize`` binned into; the last four fields let a later
-    linearization append to it.
+    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band).
     """
 
     band: np.ndarray      # (6(w + 1), 6N)
     border: np.ndarray    # B, (6N, 3M)
     landmark: np.ndarray  # C, (3M, 3M)
     grad: np.ndarray      # J^T r, (6N + 3M,)
-    flat: np.ndarray      # the scatter buffer, laid out as in the module docstring
-    error: float          # total error at the linearization point
-    marks: tuple          # prior, between and observation rows and mixtures binned
-    layout: tuple         # (band_rows, lm_capacity) that flat is laid out for
+    fresh: bool           # every row is linearized at the estimate grad is taken at
+    relinearized: int     # prior, between and observation rows linearized anew for it
 
 
 class SchurFactor:
@@ -472,13 +490,24 @@ class SchurFactor:
 
     @cached_property
     def L(self) -> sp.spmatrix:
-        """L as one sparse matrix, built on first use; for fill-in counts."""
+        """L as one sparse matrix, built on first use; for fill-in counts.
+
+        With landmarks it holds the non-zeros of L_A, W^T and L_S; without,
+        it is L_A in diagonal storage, whose ``nnz`` counts stored zeros too.
+        """
         n_pose, width = self.band.shape[1], len(self.band)
-        l_pose = sp.dia_matrix((self.band, -np.arange(width)), shape=(n_pose, n_pose))
         if not len(self.schur):
-            return l_pose
-        return sp.bmat([[l_pose, None],
-                        [sp.csr_matrix(self.border.T), sp.csr_matrix(self.schur)]])
+            return sp.dia_matrix((self.band, -np.arange(width)), shape=(n_pose, n_pose))
+        # the band's last columns run past the end of A
+        band, k, c = _nonzeros(np.where(np.arange(width)[:, None] + np.arange(n_pose) < n_pose,
+                                        self.band, 0.0))
+        border, b_row, b_col = _nonzeros(self.border)
+        schur, s_row, s_col = _nonzeros(self.schur)
+        data = np.concatenate([band, border, schur])
+        rows = np.concatenate([c + k, n_pose + b_col, n_pose + s_row])
+        cols = np.concatenate([c, b_row, n_pose + s_col])
+        n = n_pose + len(self.schur)
+        return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
 
     @property
     def U(self) -> sp.spmatrix:
@@ -486,6 +515,12 @@ class SchurFactor:
 
 
 _TRIL6 = np.tril_indices(6)
+
+
+def _nonzeros(a: np.ndarray):
+    """The non-zero entries of a 2-D array and their row and column indices."""
+    mask = a != 0
+    return (a[mask],) + np.nonzero(mask)
 
 
 def _band_solve(band: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
@@ -513,10 +548,6 @@ class _Table:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._cols[name][:self._n]
 
-    def since(self, start: int) -> dict:
-        """Views of every column's rows from ``start`` on."""
-        return {name: buf[start:self._n] for name, buf in self._cols.items()}
-
     @property
     def capacity(self) -> int:
         return len(next(iter(self._cols.values())))
@@ -542,11 +573,10 @@ class _Block(NamedTuple):
     the lower landmark-landmark part, since C is stored whole.
     """
 
-    kept: np.ndarray      # positions in the flattened (d + 1)^2 product [J r]^T [J r];
-                          # the last d are its J^T r column
-    rows: np.ndarray      # local row and column of each kept J^T J entry
+    kept: np.ndarray      # positions of the kept entries in the flattened d x d J^T J
+    rows: np.ndarray      # local row and column of each kept entry
     cols: np.ndarray
-    band: np.ndarray      # masks over the kept J^T J entries: in A, in B, in C
+    band: np.ndarray      # masks over the kept entries: in A, in B, in C
     border: np.ndarray
     landmark: np.ndarray
     lm_col: np.ndarray    # mask over the d local columns: a landmark column
@@ -556,8 +586,25 @@ def _block(d: int, pose_width: int) -> _Block:
     local = np.arange(d)
     is_lm = local >= pose_width
     rows, cols = np.nonzero((local[:, None] <= local) | (is_lm[:, None] & is_lm))
-    kept = np.concatenate([rows * (d + 1) + cols, local * (d + 1) + d])
-    return _Block(kept, rows, cols, ~is_lm[cols], ~is_lm[rows] & is_lm[cols], is_lm[rows], is_lm)
+    return _Block(rows * d + cols, rows, cols, ~is_lm[cols], ~is_lm[rows] & is_lm[cols],
+                  is_lm[rows], is_lm)
+
+
+def _kept_products(jac: np.ndarray, block: _Block) -> np.ndarray:
+    """The kept J^T J entries of each stacked whitened Jacobian, (n, len(kept))."""
+    product = np.swapaxes(jac, 1, 2) @ jac
+    return np.take(product.reshape(len(jac), -1), block.kept, axis=1)
+
+
+def _relinearize_points(table: "_Table", x: np.ndarray, threshold: float):
+    """Move to ``x`` the linearization point ``lin`` of every variable whose
+    estimate lies more than ``threshold`` from it in any parameter, or that has
+    none (NaN). Return the variables moved, and those whose point is now at ``x``."""
+    lin = table["lin"]
+    gap = np.abs(x - lin).max(axis=1, initial=0.0)
+    moved = ~(gap <= threshold)
+    lin[moved] = x[moved]
+    return moved, moved | (gap == 0.0)
 
 
 _PRIOR_BLOCK, _BETWEEN_BLOCK, _OBSERVATION_BLOCK = _block(6, 6), _block(12, 12), _block(9, 6)
@@ -574,24 +621,40 @@ def _observation_cols(pose_slots: np.ndarray, lm_slots: np.ndarray) -> np.ndarra
 
 def _table(block: _Block, **columns) -> _Table:
     d = len(block.lm_col)
-    return _Table(cols=((d,), np.intp), index=((len(block.kept),), np.intp), **columns)
+    return _Table(cols=((d,), np.intp), index=((len(block.kept) + d,), np.intp), **columns)
+
+
+class _Residuals(NamedTuple):
+    """Every factor row's whitened residual at one estimate, and the total error."""
+
+    error: float
+    whitened: tuple        # prior (n, 6), between (n, 6), observation (n, 3) scaled by s
+    terms: tuple           # per table the residual kernel's output, for its Jacobians
+    active: np.ndarray     # the active component's row of each mixture
+    mixture: np.ndarray    # their whitened residuals (n, 3)
+    predicted: np.ndarray  # and predicted points (n, 3)
 
 
 class _BatchedFactors:
-    """Growable struct-of-arrays storage of a FactorGraph, and the vectorized
-    residual and linearization kernels that run over it.
+    """Growable struct-of-arrays storage of a FactorGraph, its per-row
+    linearization store, and the vectorized kernels that run over them.
 
     Variables: ``pose_ids`` / ``lm_ids`` in insertion order, their slots, and
-    the estimates ``poses["x"]`` (N, 7) and ``landmarks["x"]`` (M, 3).
-    Factors: the tables ``prior``, ``between``, ``observation`` (weight
-    column ``s`` = sqrt(weight), 1 for a plain one) and ``mixture`` (one row
-    per component; ``mixture_start`` holds each mixture's first row). Each
-    factor row keeps its system columns ``cols`` and its scatter ``index``
-    into the flat buffer that ``linearize`` bins into (see the module
-    docstring). ``sync`` appends the factors queued since the last sync,
-    rewrites the weight column after a weight bump, and recomputes every
-    scatter index only when the layout changes: when the landmark capacity
-    doubles or a between widens the band.
+    per variable the estimate ``x`` ((N, 7) poses, (M, 3) landmarks), its
+    linearization point ``lin`` (NaN until the first linearization and after
+    a write from outside) and ``seen``, the estimate as last stored or
+    synced, which reveals such writes. Factors: the tables ``prior``,
+    ``between``, ``observation`` (weight column ``s`` = sqrt(weight), 1 for a
+    plain one) and ``mixture`` (one row per component; ``mixture_start``
+    holds each mixture's first row). Each factor row keeps its system columns
+    ``cols``, its scatter ``index`` into the flat system buffer (see the
+    module docstring) and, but for mixture rows, its whitened Jacobian
+    ``jac`` at the linearization points of its variables; the kept J^T J
+    entries of those Jacobians sit in the buffer that ``linearize`` bins
+    (``_binned``). ``sync`` appends the factors queued since the last
+    sync, rewrites the weight column after a weight bump, and recomputes
+    every scatter index only when the layout changes: when the landmark
+    capacity doubles or a between widens the band.
     """
 
     def __init__(self):
@@ -599,14 +662,16 @@ class _BatchedFactors:
         self.lm_ids: list = []
         self.pose_slot: dict = {}
         self.lm_slot: dict = {}
-        self.poses = _Table(x=((7,), float))
-        self.landmarks = _Table(x=((3,), float))
+        self.poses = _Table(x=((7,), float), lin=((7,), float), seen=((7,), float))
+        self.landmarks = _Table(x=((3,), float), lin=((3,), float), seen=((3,), float))
         self.prior = _table(_PRIOR_BLOCK, slot=((), np.intp), q=((4,), float),
-                            t=((3,), float), w=((6, 6), float))
+                            t=((3,), float), w=((6, 6), float), jac=((6, 6), float))
         self.between = _table(_BETWEEN_BLOCK, i=((), np.intp), j=((), np.intp),
-                              q=((4,), float), t=((3,), float), w=((6, 6), float))
+                              q=((4,), float), t=((3,), float), w=((6, 6), float),
+                              jac=((6, 12), float))
         self.observation = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
-                                  z=((3,), float), w=((3, 3), float), s=((), float))
+                                  z=((3,), float), w=((3, 3), float), s=((), float),
+                                  jac=((3, 9), float))
         self.mixture = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
                               z=((3,), float), w=((3, 3), float), nlw=((), float),
                               group=((), np.intp))
@@ -615,7 +680,11 @@ class _BatchedFactors:
         self._weighted_rows: list = []  # and their rows in ``observation``
         self._synced = 0                # factors appended so far
         self._weights_version = 0
-        self._index_cache = None        # see _static_index
+        self._reweighted = np.zeros(0, dtype=np.intp)  # observation rows to relinearize
+        self._linearized = (0, 0, 0)    # prior, between, observation rows with a Jacobian
+        self._bins = None               # see _binned
+        self._rebin = True
+        self._buffers = self._spare = (np.empty(0, dtype=np.intp), np.empty(0))
         self._set_layout(band_rows=6, lm_capacity=0)
 
     # -- variables -----------------------------------------------------------
@@ -623,12 +692,13 @@ class _BatchedFactors:
     def add_pose(self, key, pose: Pose3) -> None:
         self.pose_slot[key] = len(self.pose_ids)
         self.pose_ids.append(key)
-        self.poses.extend(1, x=_row_from_pose(pose))
+        row = _row_from_pose(pose)
+        self.poses.extend(1, x=row, lin=np.nan, seen=row)
 
     def add_landmark(self, key, point: np.ndarray) -> None:
         self.lm_slot[key] = len(self.lm_ids)
         self.lm_ids.append(key)
-        self.landmarks.extend(1, x=point)
+        self.landmarks.extend(1, x=point, lin=np.nan, seen=point)
 
     @property
     def layout(self) -> tuple:
@@ -656,7 +726,13 @@ class _BatchedFactors:
     # -- factors -------------------------------------------------------------
 
     def sync(self, factors: list, weights_version: int) -> None:
-        """Append ``factors[synced:]`` and apply a weight bump."""
+        """Append ``factors[synced:]``, apply a weight bump, and clear the
+        linearization point of every estimate written since the last sync."""
+        for table in (self.poses, self.landmarks):
+            written = np.any(table["x"] != table["seen"], axis=1)
+            table["lin"][written] = np.nan
+            table["seen"][written] = table["x"][written]
+
         priors, betweens, observations, mixtures = [], [], [], []
         for f in factors[self._synced:]:
             if isinstance(f, PriorFactor):
@@ -668,7 +744,7 @@ class _BatchedFactors:
             else:  # ObservationFactor, including weighted
                 observations.append(f)
         if len(factors) != self._synced:
-            self._index_cache = None
+            self._rebin = True
         self._synced = len(factors)
 
         slot, lm_slot = self.pose_slot, self.lm_slot
@@ -678,7 +754,7 @@ class _BatchedFactors:
         band_rows = max(self.band_rows, 6 * (gap + 1))
         if (band_rows, self.landmarks.capacity) != self.layout:
             self._set_layout(band_rows, self.landmarks.capacity)
-            self._index_cache = None
+            self._rebin = True
             for table, block in self._factor_tables():
                 table["index"][:] = self._scatter_index(block, table["cols"])
 
@@ -725,10 +801,15 @@ class _BatchedFactors:
             if self._weighted:
                 self.observation["s"][self._weighted_rows] = np.sqrt(
                     [f.weight for f in self._weighted])
+                self._reweighted = np.array(self._weighted_rows, dtype=np.intp)
 
     def _factor_tables(self):
+        return self._linear_tables() + ((self.mixture, _OBSERVATION_BLOCK),)
+
+    def _linear_tables(self):
+        """The tables whose rows keep a Jacobian, in the order they are binned."""
         return ((self.prior, _PRIOR_BLOCK), (self.between, _BETWEEN_BLOCK),
-                (self.observation, _OBSERVATION_BLOCK), (self.mixture, _OBSERVATION_BLOCK))
+                (self.observation, _OBSERVATION_BLOCK))
 
     def _append(self, table: _Table, block: _Block, cols: np.ndarray, **rows) -> None:
         table.extend(len(cols), cols=cols, index=self._scatter_index(block, cols), **rows)
@@ -745,7 +826,7 @@ class _BatchedFactors:
         self._stride = band_rows + lm_width + 1
 
     def _scatter_index(self, block: _Block, cols: np.ndarray) -> np.ndarray:
-        """Flat-buffer index (n, kept) of each kept J^T J entry and each J^T r
+        """Flat-buffer index (n, kept + d) of each kept J^T J entry and each J^T r
         entry of factors with system columns ``cols`` (n, d)."""
         a, b = cols[:, block.rows], cols[:, block.cols]
         index = np.empty(a.shape, dtype=np.intp)
@@ -768,8 +849,9 @@ class _BatchedFactors:
 
     def store(self, state) -> None:
         x, lms = state
-        self.poses["x"][:] = x
-        self.landmarks["x"][:] = lms
+        for table, value in ((self.poses, x), (self.landmarks, lms)):
+            table["x"][:] = value
+            table["seen"][:] = value
 
     def retract(self, state, delta: np.ndarray):
         x, lms = state
@@ -782,149 +864,199 @@ class _BatchedFactors:
         return out, lms + delta[n_pose:].reshape(-1, 3)
 
     # -- residuals -----------------------------------------------------------
+    # The residual kernels of the tables that keep a Jacobian run over the
+    # rows ``rows`` (a slice or an index array) at the pose estimates ``x``
+    # and landmark estimates ``lms``; what they return is what the matching
+    # Jacobian kernel takes.
 
-    def _prior_residuals(self, state, start=0):
-        x, _ = state
-        pr = self.prior.since(start)
-        slot = pr["slot"]
-        r = pose_residuals(pr["q"], pr["t"], x[slot, :4], x[slot, 4:])
-        return np.einsum("nij,nj->ni", pr["w"], r), r
+    def _prior_residuals(self, x, lms, rows):
+        pr = self.prior
+        slot = pr["slot"][rows]
+        return (pose_residuals(pr["q"][rows], pr["t"][rows], x[slot, :4], x[slot, 4:]),)
 
-    def _between_residuals(self, state, start=0):
-        x, _ = state
-        bt = self.between.since(start)
-        i, j = bt["i"], bt["j"]
+    def _between_residuals(self, x, lms, rows):
+        bt = self.between
+        i, j = bt["i"][rows], bt["j"][rows]
         q_ij, t_ij = relative_pose(x[i, :4], x[i, 4:], x[j, :4], x[j, 4:])
-        r = pose_residuals(bt["q"], bt["t"], q_ij, t_ij)
-        return np.einsum("nij,nj->ni", bt["w"], r), r, q_ij, t_ij
+        return pose_residuals(bt["q"][rows], bt["t"][rows], q_ij, t_ij), q_ij, t_ij
 
-    def _observation_residuals(self, state, start=0):
-        x, lms = state
-        ob = self.observation.since(start)
-        p = ob["p"]
-        r, h = observation_residuals(x[p, :4], x[p, 4:], lms[ob["l"]], ob["z"])
-        rw = np.einsum("nij,nj->ni", ob["w"], r) * ob["s"][:, None]
-        return rw, h
+    def _observation_residuals(self, x, lms, rows, table=None):
+        table = self.observation if table is None else table
+        p = table["p"][rows]
+        return observation_residuals(x[p, :4], x[p, 4:], lms[table["l"][rows]],
+                                     table["z"][rows])
 
-    def _mixture_components(self, state, start=0):
-        x, lms = state
-        mx = self.mixture.since(start)
-        p = mx["p"]
-        r, h = observation_residuals(x[p, :4], x[p, 4:], lms[mx["l"]], mx["z"])
-        rw = np.einsum("nij,nj->ni", mx["w"], r)
-        costs = 0.5 * np.sum(rw * rw, axis=1) + mx["nlw"]
-        return rw, h, costs
-
-    def _mixture_active(self, costs, first_group=0):
-        """The active (first cheapest) component of each mixture from ``first_group``
-        on, as a row counted from that mixture's first row, and their total cost."""
-        starts = self.mixture_start["row"][first_group:]
-        gmin = np.minimum.reduceat(costs, starts - starts[0])
-        group = self.mixture["group"][starts[0]:] - first_group
+    def _mixture_active(self, costs):
+        """The active (first cheapest) component row of each mixture, and their total cost."""
+        gmin = np.minimum.reduceat(costs, self.mixture_start["row"])
+        group = self.mixture["group"]
         candidates = np.flatnonzero(costs == gmin[group])
         _, first = np.unique(group[candidates], return_index=True)
         return candidates[first], float(gmin.sum())
 
-    def error_only(self, state) -> float:
-        total = 0.0
-        if len(self.prior):
-            rw, _ = self._prior_residuals(state)
-            total += 0.5 * float(np.sum(rw * rw))
-        if len(self.between):
-            rw, _, _, _ = self._between_residuals(state)
-            total += 0.5 * float(np.sum(rw * rw))
-        if len(self.observation):
-            rw, _ = self._observation_residuals(state)
-            total += 0.5 * float(np.sum(rw * rw))
+    def error_only(self, state) -> _Residuals:
+        """The whitened residuals and the total error at ``state``."""
+        return self._residuals(state)
+
+    def _residuals(self, state) -> _Residuals:
+        x, lms = state
+        rows = slice(None)
+        terms = (self._prior_residuals(x, lms, rows), self._between_residuals(x, lms, rows),
+                 self._observation_residuals(x, lms, rows))
+        whitened = [np.einsum("nij,nj->ni", table["w"], r[0])
+                    for (table, _), r in zip(self._linear_tables(), terms)]
+        whitened[2] *= self.observation["s"][:, None]
+        total = 0.5 * sum(float(np.sum(rw * rw)) for rw in whitened)
+        active = np.zeros(0, dtype=np.intp)
+        mixture = predicted = np.zeros((0, 3))
         if len(self.mixture):
-            _, _, costs = self._mixture_components(state)
-            _, mix_total = self._mixture_active(costs)
+            r, h = self._observation_residuals(x, lms, rows, self.mixture)
+            rw = np.einsum("nij,nj->ni", self.mixture["w"], r)
+            active, mix_total = self._mixture_active(
+                0.5 * np.sum(rw * rw, axis=1) + self.mixture["nlw"])
             total += mix_total
-        return total
+            mixture, predicted = rw[active], h[active]
+        return _Residuals(total, tuple(whitened), terms, active, mixture, predicted)
 
-    def linearize(self, state, base: "NormalEquations | None" = None):
-        """Total error and the Gauss-Newton system, assembled from per-factor blocks.
+    # -- linearization -------------------------------------------------------
+    # The Jacobian kernels give the whitened Jacobians of the rows ``rows``
+    # from their residual kernel's output at the rows' linearization points.
 
-        ``base`` is a system this storage linearized earlier, under the current
-        layout and weights, at estimates that ``state`` still holds for every
-        variable ``base`` covers. Only the factor rows appended since are then
-        linearized: their blocks are binned on top of ``base.flat`` and their
-        error is added to ``base.error``.
+    def _prior_jacobians(self, rows, r):
+        return self.prior["w"][rows] @ se3_jr_inv(r)
+
+    def _between_jacobians(self, rows, r, q_ij, t_ij):
+        j_i, j_j = between_jacobians(r, q_ij, t_ij)
+        w = self.between["w"][rows]
+        return np.concatenate([w @ j_i, w @ j_j], axis=2)
+
+    def _observation_jacobians(self, rows, r, h):
+        ob = self.observation
+        j_pose, j_lm = observation_jacobians(self.poses["lin"][ob["p"][rows], :4], h)
+        return ob["s"][rows, None, None] * (ob["w"][rows] @ np.concatenate([j_pose, j_lm],
+                                                                           axis=2))
+
+    def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False):
+        """Total error and the Gauss-Newton system at ``state``.
+
+        Only these rows get a new Jacobian: rows appended since the last
+        linearization, rows of a variable whose estimate moved more than
+        RELINEARIZE_THRESHOLD (0 when ``fresh``) from its linearization point
+        or was written from outside, and weighted rows after a weight bump.
+        Such a variable's point first moves to its estimate; every Jacobian is
+        taken at the points of its row's variables. Mixture rows are linearized
+        anew at ``state``. Every kept J^T J entry is then binned with the
+        gradient J^T r, whose whitened residuals r are taken at ``state``:
+        ``residuals`` when given (``error_only``'s result at ``state``), else
+        computed here.
         """
-        marks = (len(self.prior), len(self.between), len(self.observation),
-                 len(self.mixture_start))
-        prior0, between0, observation0, group0 = (0, 0, 0, 0) if base is None else base.marks
-        blocks = []  # (jac, rw, kept), in the order of _static_index, then the mixtures
-        total = 0.0 if base is None else base.error
-        x, _ = state
+        if residuals is None:
+            residuals = self._residuals(state)
+        x, lms = state
+        threshold = 0.0 if fresh else RELINEARIZE_THRESHOLD
+        # per kind of variable (poses, landmarks): moved now, and at the estimate
+        moved, at = zip(_relinearize_points(self.poses, x, threshold),
+                        _relinearize_points(self.landmarks, lms, threshold))
+        bins = self._binned()
+        kernels = ((self._prior_residuals, self._prior_jacobians),
+                   (self._between_residuals, self._between_jacobians),
+                   (self._observation_residuals, self._observation_jacobians))
+        relinearized = 0
+        for (table, block), (residual_kernel, jacobian_kernel), variables, done, terms, part, \
+                rw in zip(self._linear_tables(), kernels, self._row_variables(),
+                          self._linearized, residuals.terms, bins.parts, residuals.whitened):
+            redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
+            redo[done:] = True  # appended since the last linearization
+            if table is self.observation:
+                redo[self._reweighted] = True
+            rows = np.flatnonzero(redo)
+            k = len(block.kept)
+            if len(rows):
+                terms = [a[rows] for a in terms]
+                lagged = ~np.logical_and.reduce([at[kind][slots[rows]]
+                                                 for kind, slots in variables])
+                if lagged.any():  # rows with a point away from the estimate
+                    for a, b in zip(terms, residual_kernel(
+                            self.poses["lin"], self.landmarks["lin"], rows[lagged])):
+                        a[lagged] = b
+                if len(rows) == len(table):  # every row: views rather than copies
+                    rows = slice(None)
+                table["jac"][rows] = jac = jacobian_kernel(rows, *terms)
+                part[rows, :k] = _kept_products(jac, block)
+                relinearized += len(jac)
+            np.einsum("nij,ni->nj", table["jac"], rw, out=part[:, k:])
+        self._reweighted = np.zeros(0, dtype=np.intp)
+        self._linearized = tuple(len(table) for table, _ in self._linear_tables())
 
-        if marks[0] > prior0:
-            rw, r = self._prior_residuals(state, prior0)
-            total += 0.5 * float(np.sum(rw * rw))
-            blocks.append((self.prior["w"][prior0:] @ se3_jr_inv(r), rw, _PRIOR_BLOCK.kept))
-
-        if marks[1] > between0:
-            rw, r, q_ij, t_ij = self._between_residuals(state, between0)
-            total += 0.5 * float(np.sum(rw * rw))
-            j_i, j_j = between_jacobians(r, q_ij, t_ij)
-            w = self.between["w"][between0:]
-            blocks.append((np.concatenate([w @ j_i, w @ j_j], axis=2), rw, _BETWEEN_BLOCK.kept))
-
-        if marks[2] > observation0:
-            ob = self.observation.since(observation0)
-            rw, h = self._observation_residuals(state, observation0)
-            total += 0.5 * float(np.sum(rw * rw))
-            j_pose, j_lm = observation_jacobians(x[ob["p"], :4], h)
-            jac = ob["s"][:, None, None] * (ob["w"] @ np.concatenate([j_pose, j_lm], axis=2))
-            blocks.append((jac, rw, _OBSERVATION_BLOCK.kept))
-
-        index = self._static_index((prior0, between0, observation0))
-        if marks[3] > group0:
-            mix0 = int(self.mixture_start["row"][group0])  # the first row of mixture group0
-            mx = self.mixture.since(mix0)
-            rw, h, costs = self._mixture_components(state, mix0)
-            active, mix_total = self._mixture_active(costs, group0)
-            total += mix_total
-            j_pose, j_lm = observation_jacobians(x[mx["p"][active], :4], h[active])
+        if len(bins.mix_index):
+            mx, active = self.mixture, residuals.active
+            j_pose, j_lm = observation_jacobians(x[mx["p"][active], :4], residuals.predicted)
             jac = mx["w"][active] @ np.concatenate([j_pose, j_lm], axis=2)
-            blocks.append((jac, rw[active], _OBSERVATION_BLOCK.kept))
-            index = np.concatenate([index, mx["index"][active].ravel()])
-
-        # the kept entries of each stacked [J r]^T [J r], in index order
-        values = np.empty(len(index))
-        at = 0
-        for jac, rw, kept in blocks:
-            out = values[at:at + len(jac) * len(kept)].reshape(len(jac), len(kept))
-            aug = np.concatenate([jac, rw[..., None]], axis=2)
-            np.take((np.swapaxes(aug, 1, 2) @ aug).reshape(len(aug), -1), kept, axis=1,
-                    out=out, mode="clip")
-            at += out.size
+            k = len(_OBSERVATION_BLOCK.kept)
+            bins.mix_values[:, :k] = _kept_products(jac, _OBSERVATION_BLOCK)
+            np.einsum("nij,ni->nj", jac, residuals.mixture, out=bins.mix_values[:, k:])
+            bins.mix_index[:] = mx["index"][active]
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
-        flat = np.bincount(index, values, minlength=self._records_at + n_pose * self._stride)
+        flat = np.bincount(bins.index, bins.values,
+                           minlength=self._records_at + n_pose * self._stride)
         flat = flat.astype(float, copy=False)  # bincount of nothing is an integer array
-        if base is not None:  # the layout is unchanged, so base.flat is a prefix
-            flat[:len(base.flat)] += base.flat
         lm_width = 3 * self.lm_capacity
         records = flat[self._records_at:].reshape(n_pose, self._stride)
-        return total, NormalEquations(
+        return residuals.error, NormalEquations(
             band=records[:, :self.band_rows].T,
             border=records[:, self.band_rows:self.band_rows + n_lm],
             landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([records[:, -1],
                                  flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
-            flat=flat, error=total, marks=marks, layout=self.layout)
+            fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized)
 
-    def _static_index(self, starts) -> np.ndarray:
-        """Scatter indices of the prior, between and observation rows from
-        ``starts`` on, in that order. The concatenation over all rows is kept
-        until the next sync rather than rebuilt at every linearization."""
-        tables = (self.prior, self.between, self.observation)
-        if any(starts):
-            return np.concatenate([t["index"][s:].ravel() for t, s in zip(tables, starts)])
-        if self._index_cache is None:
-            self._index_cache = np.concatenate([t["index"].ravel() for t in tables])
-        return self._index_cache
+    def _row_variables(self):
+        """Per table of ``_linear_tables``, its rows' variables as (0 for a pose
+        or 1 for a landmark, slot column) pairs."""
+        return (((0, self.prior["slot"]),),
+                ((0, self.between["i"]), (0, self.between["j"])),
+                ((0, self.observation["p"]), (1, self.observation["l"])))
+
+    def _binned(self) -> "_Bins":
+        """The scatter index of every binned entry and the buffer of their
+        values; rebuilt after rows are appended or re-indexed, carrying over
+        the kept J^T J entries of the rows already linearized. Two pairs of
+        buffers take turns, so a rebuild writes into memory already mapped."""
+        if self._rebin:
+            self._rebin = False
+            old = self._bins.parts if self._bins else (None,) * 3
+            width = len(_OBSERVATION_BLOCK.kept) + 9
+            sizes = [table["index"].size for table, _ in self._linear_tables()]
+            total = sum(sizes) + len(self.mixture_start) * width
+            if len(self._spare[1]) < total:
+                self._spare = (np.empty(2 * total, dtype=np.intp), np.empty(2 * total))
+            index, values = self._spare[0][:total], self._spare[1][:total]
+            self._spare, self._buffers = self._buffers, self._spare
+            parts, at = [], 0
+            for (table, _), size, kept in zip(self._linear_tables(), sizes, old):
+                index[at:at + size] = table["index"].ravel()
+                part = values[at:at + size].reshape(table["index"].shape)
+                if kept is not None:
+                    part[:len(kept)] = kept
+                parts.append(part)
+                at += size
+            self._bins = _Bins(index, values, tuple(parts), index[at:].reshape(-1, width),
+                               values[at:].reshape(-1, width))
+        return self._bins
+
+
+class _Bins(NamedTuple):
+    """What ``_BatchedFactors.linearize`` bins, in one buffer: per table of
+    ``_linear_tables`` a (rows, kept + d) part holding each row's kept J^T J
+    entries, then its J^T r entries; then one such record per mixture, for
+    its active component."""
+
+    index: np.ndarray        # scatter index of every entry
+    values: np.ndarray
+    parts: tuple             # views of values
+    mix_index: np.ndarray    # (mixtures, kept + 9) views of index and values
+    mix_values: np.ndarray
 
 
 def em_reweight(graph: FactorGraph, iterations: int = 1,

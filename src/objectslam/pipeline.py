@@ -126,7 +126,7 @@ class SlamSystem:
             snapshot = self._snapshot(pose)
             decisions = associate_frame(detections, snapshot, self.config.da)
             for det, decision in zip(detections, decisions):
-                if decision.is_new and blocks_new_landmark(det, snapshot, self.config.da):
+                if decision.is_new and blocks_new_landmark(decision):
                     self.dropped_ambiguous += 1
                     continue
                 self._apply_decision(k, pose, det, decision)

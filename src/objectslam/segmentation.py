@@ -257,38 +257,25 @@ def refine_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     return ndimage.binary_dilation(eroded, structure=structure, border_value=0)
 
 
-_OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+_CONNECTIVITY = {4: ndimage.generate_binary_structure(2, 1),
+                 8: ndimage.generate_binary_structure(2, 2)}
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 8,
                          cluster_id: int = -1) -> list[InstanceComponent]:
-    """Maximal connected sets of true patches, discovered in row-major order."""
+    """Maximal connected sets of true patches, in raster order of each set's
+    first patch; each set's members are sorted."""
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-    seen = np.zeros_like(mask)
-    components = []
-    for i in range(h):
-        for j in range(w):
-            if not mask[i, j] or seen[i, j]:
-                continue
-            stack = [(i, j)]
-            seen[i, j] = True
-            members = []
-            while stack:
-                r, c = stack.pop()
-                members.append((r, c))
-                for dr, dc in offsets:
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not seen[nr, nc]:
-                        seen[nr, nc] = True
-                        stack.append((nr, nc))
-            members = np.array(sorted(members), dtype=int)
-            components.append(InstanceComponent(cluster_id, members))
-    return components
+    # label numbers components in raster order of their first patch
+    labels, count = ndimage.label(np.asarray(mask, dtype=bool), _CONNECTIVITY[connectivity])
+    if not count:
+        return []
+    rows, cols = np.nonzero(labels)  # raster order
+    label = labels[rows, cols]
+    members = np.stack([rows, cols], axis=1)[np.argsort(label, kind="stable")]
+    ends = np.cumsum(np.bincount(label)[1:])
+    return [InstanceComponent(cluster_id, m) for m in np.split(members, ends[:-1])]
 
 
 def filter_components(components: list[InstanceComponent], min_size: int,

@@ -270,6 +270,29 @@ def test_associate_frame_exclusivity():
     assert decisions[0].is_new
 
 
+@pytest.mark.parametrize("strategy", ["ml", "mm", "em", "new_only"])
+def test_associate_frame_marks_new_detections_inside_the_loose_gate(strategy):
+    # zero marginals and sigma 0.05: D^2 = |innovation|^2 / 0.0025
+    cfg = da.DAConfig(strategy=strategy)
+    emb = np.array([1.0, 0.0])
+    lm = da.Landmark(0, [1.0, 0.0, 2.0], emb)
+    snap = da.StateSnapshot(Pose3.identity(), [lm])
+    tight = chi2_quantile(3, cfg.beta)
+    loose = chi2_quantile(3, cfg.new_landmark_beta)
+    radius = [0.05 * np.sqrt(d2) for d2 in (0.25 * tight, 0.5 * (tight + loose), 2 * loose)]
+    dets = [make_detection([1.0 + r, 0.0, 2.0], emb) for r in radius]
+    dets.append(make_detection([1.0, 0.0, 2.0], -emb))  # fails the class gate
+    dets.append(make_detection([1.0, 0.1, 2.0], emb))  # passes, but loses landmark 0 to dets[0]
+    decisions = da.associate_frame(dets, snap, cfg)
+    if strategy == "new_only":  # every detection is new: the loose gate alone decides
+        assert [d.ambiguous for d in decisions] == [True, True, False, False, True]
+        return
+    assert not decisions[0].is_new and not decisions[0].ambiguous
+    assert [d.is_new for d in decisions[1:]] == [True] * 4
+    # inside the loose gate of a landmark, claimed or not: dropped as ambiguous
+    assert [d.ambiguous for d in decisions[1:]] == [True, False, False, True]
+
+
 def test_update_landmark_embedding_running_mean():
     lm = da.Landmark(0, np.zeros(3), np.array([1.0, 0.0]))
     da.update_landmark_embedding(lm, np.array([0.0, 1.0]))

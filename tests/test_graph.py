@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objectslam import factors as fx
 from objectslam import graph as gr
@@ -175,20 +178,33 @@ def test_gauge_full_rank_with_single_prior():
 
 # -- assembly and solver oracles ---------------------------------------------
 
-def dense_normal_equations(g, batch):
-    """Dense J^T J and J^T r stacked from each factor's scalar linearize()."""
+def dense_normal_equations(g, batch, at=None, lin=None, absolute=False):
+    """Dense J^T J and J^T r stacked from each factor's scalar linearize(): the
+    residuals at the estimates ``at`` and the Jacobians at ``lin`` (Values;
+    both default to the graph's estimates). A mixture is linearized at ``at``.
+    ``absolute`` stacks |J|^T |J| and |J|^T |r|, the scale of the rounding."""
+    at = at or g.values()
+    lin = lin or at
     info = np.zeros((batch.num_cols, batch.num_cols))
     grad = np.zeros(batch.num_cols)
-    values = g.values()
     for f in g.factors:
-        r, jacobians = f.linearize(values)
+        r, _ = f.linearize(at)
+        _, jacobians = f.linearize(at if isinstance(f, fx.MixtureObservationFactor) else lin)
         jac = np.zeros((len(r), batch.num_cols))
         for (kind, key), block in jacobians.items():
             cols = batch.pose_columns(key) if kind == "x" else batch.landmark_columns(key)
             jac[:, cols] += block
+        if absolute:
+            jac, r = np.abs(jac), np.abs(r)
         info += jac.T @ jac
         grad += jac.T @ r
     return info, grad
+
+
+def values_at(batch, x, lms):
+    """Values holding the rows ``x`` (N, 7) and ``lms`` (M, 3) by key."""
+    return gr.Values({k: gr._pose_from_row(x[s]) for k, s in batch.pose_slot.items()},
+                     {k: lms[s] for k, s in batch.lm_slot.items()})
 
 
 def band_to_dense(band):
@@ -276,7 +292,7 @@ def check_storage(g):
     """The system assembled from the graph's maintained storage equals the
     dense one stacked from each factor's scalar linearize()."""
     batch = g._batched()
-    err, system = batch.linearize(batch.state())
+    err, system = batch.linearize(batch.state(), fresh=True)
     info, grad = dense_normal_equations(g, batch)
     assert err == pytest.approx(sum(f.error(g.values()) for f in g.factors), rel=1e-12)
     assert rel_err(dense_system(system), info) < 1e-12
@@ -350,27 +366,42 @@ def test_maintained_storage_matches_scratch_assembly():
 
 
 def count_linearize(monkeypatch):
-    """Record (state, whether a base system was given, error, system) of every
-    linearize call; return the records and the unpatched linearize."""
+    """Record (state, whether every prior, between and observation row got a
+    new Jacobian, error, system, the linearization points after the call) of
+    every linearize call."""
     calls = []
     original = gr._BatchedFactors.linearize
 
-    def counting(self, state, base=None):
-        err, system = original(self, state, base)
-        calls.append((state, base is not None, err, system))
+    def counting(self, state, residuals=None, fresh=False):
+        err, system = original(self, state, residuals, fresh)
+        rows = len(self.prior) + len(self.between) + len(self.observation)
+        lin = (self.poses["lin"].copy(), self.landmarks["lin"].copy())
+        calls.append((state, system.relinearized == rows, err, system, lin))
         return err, system
 
     monkeypatch.setattr(gr._BatchedFactors, "linearize", counting)
-    return calls, original
+    return calls
+
+
+def lagged_oracle(g, state, lin):
+    """Error, dense system and gradient at the estimates ``state``, stacked from
+    each factor's scalar linearize() with the Jacobians at the linearization
+    points ``lin``."""
+    batch = g._batch
+    at = values_at(batch, *state)
+    info, grad = dense_normal_equations(g, batch, at, values_at(batch, *lin))
+    return sum(f.error(at) for f in g.factors), info, grad
 
 
 def test_optimize_appends_to_the_kept_system(monkeypatch):
     # An optimize after every change of the scripted run, and after a pose
     # write, an in-place landmark write and no change at all. Its first system
-    # equals a from-scratch one, and it is appended to the last optimize's
-    # system exactly when only variables and factors were added since, within
-    # the same scatter layout (band rows, landmark capacity).
-    calls, original = count_linearize(monkeypatch)
+    # equals the scalar oracle with each row's Jacobian at its variables'
+    # linearization points and its residual at the current estimate. Every row
+    # gets a new Jacobian only when no row linearized before is left: at the
+    # first optimize, and when every old row touches a variable that moved or
+    # was written. A wider band or a doubled landmark capacity only re-indexes.
+    calls = count_linearize(monkeypatch)
     g = gr.FactorGraph()
     lm_config = gr.LMConfig(max_iterations=2)
     layout, runs = None, []
@@ -380,12 +411,12 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
         relaid, layout = g._batched().layout != layout, g._batched().layout
         first = len(calls)
         g.optimize(lm_config)
-        state, appended, err, system = calls[first]
-        runs.append((step, event, relaid, appended))
-        want_err, want = original(g._batch, state)
+        state, full, err, system, lin = calls[first]
+        runs.append((step, event, relaid, full))
+        want_err, want_info, want_grad = lagged_oracle(g, state, lin)
         assert err == pytest.approx(want_err, rel=1e-12)
-        assert rel_err(dense_system(system), dense_system(want)) < 1e-12
-        assert rel_err(system.grad, want.grad) < 1e-12
+        assert rel_err(dense_system(system), want_info) < 1e-12
+        assert rel_err(system.grad, want_grad) < 1e-12
 
     for step, event in scripted_run(g):
         if event == "landmark":  # a landmark with no factor yet leaves a gauge freedom
@@ -402,16 +433,75 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
             g.landmarks[100][0] += 1e-3
             optimize_and_check(step, "landmark write")
 
-    full = [(step, event) for step, event, _, appended in runs if not appended]
+    full = [(step, event) for step, event, _, full in runs if full]
     relaid = [(step, event) for step, event, relaid, _ in runs if relaid]
-    assert full == [(-1, "prior"), (0, "pose"), (0, "observations"), (2, "observations"),
-                    (3, "pose write"), (4, "observations"), (6, "loop closure"),
-                    (8, "observations"), (8, "landmark write"), (9, "weight bump")]
+    assert full == [(-1, "prior")]
     # the first between widens the band to 12 rows and the loop closure to 48;
     # landmarks 1, 2, 3 and 5 double the landmark capacity
     assert relaid == [(-1, "prior"), (0, "pose"), (0, "observations"), (2, "observations"),
                       (4, "observations"), (6, "loop closure"), (8, "observations")]
     assert len(runs) == 32  # the other 22 appended
+
+
+def check_against_oracle(g, state, lin, err, system, from_scratch):
+    """One system against the lagged oracle; from scratch as well when asked.
+    The gradient of a nearly converged solve is far smaller than its terms, so
+    its error is measured against the norm of |J|^T |r|."""
+    batch = g._batch
+    _, grad_scale = dense_normal_equations(g, batch, values_at(batch, *state),
+                                           values_at(batch, *lin), absolute=True)
+    want_err, want_info, want_grad = lagged_oracle(g, state, lin)
+    assert err == pytest.approx(want_err, rel=1e-12)
+    assert rel_err(dense_system(system), want_info) < 1e-12
+    assert np.linalg.norm(system.grad - want_grad) < 1e-12 * np.linalg.norm(grad_scale)
+    if from_scratch:  # every row linearized at the estimate the system is for
+        _, scratch_info, scratch_grad = lagged_oracle(g, state, state)
+        assert system.fresh
+        assert rel_err(dense_system(system), scratch_info) < 1e-12
+        assert np.linalg.norm(system.grad - scratch_grad) < 1e-12 * np.linalg.norm(grad_scale)
+
+
+@pytest.mark.parametrize("threshold", [None, 0.0])
+def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
+    # A 2-iteration optimize after every change of the scripted run, then a
+    # write below the threshold and a solve to convergence. Each optimize's
+    # first and final system equal the scalar oracle with every row's Jacobian
+    # at its variables' linearization points and every residual at the
+    # estimate; a converged one, and with a zero threshold every one, equals
+    # a from-scratch linearization at its estimate.
+    if threshold is not None:
+        monkeypatch.setattr(gr, "RELINEARIZE_THRESHOLD", threshold)
+    calls = count_linearize(monkeypatch)
+    g = gr.FactorGraph()
+    stale, converged = 0, 0
+
+    def optimize_and_check(config, written=None):
+        nonlocal stale, converged
+        first = len(calls)
+        report = g.optimize(config)
+        state, _, err, system, lin = calls[first]
+        check_against_oracle(g, state, lin, err, system, threshold == 0.0)
+        if written is not None:  # relinearized, however small the write
+            kind, slot = written
+            assert np.array_equal(lin[kind][slot], state[kind][slot])
+        _, state, system = g._final_system
+        lin = (g._batch.poses["lin"], g._batch.landmarks["lin"])
+        check_against_oracle(g, state, lin, report.final_error, system,
+                             threshold == 0.0 or report.converged)
+        assert report.gradient_norm == float(np.linalg.norm(system.grad))
+        stale += not all(c[3].fresh for c in calls[first:])
+        converged += report.converged
+
+    for _, event in scripted_run(g):
+        if event != "landmark":  # a landmark with no factor yet leaves a gauge freedom
+            optimize_and_check(gr.LMConfig(max_iterations=2))
+    g.poses[12] = retract(g.poses[12], np.full(6, 1e-6))
+    g.landmarks[100][1] -= 1e-6
+    optimize_and_check(gr.LMConfig(), (0, g._batch.pose_slot[12]))
+    assert np.array_equal(calls[-1][4][1][g._batch.lm_slot[100]], g.landmarks[100])
+    assert converged >= 2
+    if threshold is None:  # the threshold leaves stale rows in most solves
+        assert stale > 20
 
 
 @pytest.mark.parametrize("with_landmarks", [True, False])
@@ -439,6 +529,76 @@ def test_solve_and_marginals_match_dense_oracle(with_landmarks):
             assert rel_err(block, cov[np.ix_(cols, cols)]) < 1e-9
 
 
+@pytest.mark.parametrize("with_landmarks", [True, False])
+def test_fill_counter_matches_block_assembly(with_landmarks):
+    # L once came from sp.bmat over the blocks; the direct build keeps its nnz
+    g = structured_graph(np.random.default_rng(10), with_landmarks)
+    batch = g._batched()
+    factor = gr.FactorGraph._factorize(batch.linearize(batch.state())[1])
+    n_pose, width = factor.band.shape[1], len(factor.band)
+    l_pose = sp.dia_matrix((factor.band, -np.arange(width)), shape=(n_pose, n_pose))
+    want = l_pose if not with_landmarks else sp.bmat(
+        [[l_pose, None], [sp.csr_matrix(factor.border.T), sp.csr_matrix(factor.schur)]])
+    assert (factor.L.nnz, factor.U.nnz) == (want.nnz, want.T.nnz)
+    assert np.array_equal(factor.L.toarray(), want.toarray())
+
+
+def random_graph(seed, n_poses, n_landmarks):
+    """A perturbed pose chain with a prior, maybe a loop closure, and plain,
+    weighted and mixture observations of a few landmarks."""
+    rng = np.random.default_rng(seed)
+    poses = chain_poses(rng, n_poses)
+    g = build_chain_graph(poses, perturb=rng.uniform(0.0, 0.3), rng=rng)
+    if n_poses > 2 and rng.random() < 0.5:
+        rel = compose(inverse(poses[0]), poses[-1])
+        g.add_factor(fx.BetweenFactor(0, n_poses - 1, retract(rel, rng.normal(scale=0.05, size=6)),
+                                      np.eye(6) * 1e-3))
+    points = rng.normal(size=(n_landmarks, 3))
+    for j, p in enumerate(points):
+        g.add_landmark(j, p + rng.normal(scale=0.1, size=3))
+        for k in rng.choice(n_poses, size=2, replace=False):
+            z = inverse(poses[k]).apply(p) + rng.normal(scale=0.05, size=3)
+            g.add_factor(fx.ObservationFactor(int(k), j, z, np.eye(3) * 1e-2))
+    if n_landmarks >= 2:
+        k = int(rng.integers(n_poses))
+        z = inverse(poses[k]).apply(points[0])
+        g.add_factor(fx.WeightedObservationFactor(k, 0, z, np.eye(3) * 1e-2, 0.6, group_id=0))
+        g.add_factor(fx.WeightedObservationFactor(k, 1, z, np.eye(3) * 1e-2, 0.4, group_id=0))
+        g.add_factor(fx.MixtureObservationFactor(k, [0, 1], z, np.eye(3) * 1e-2, [0.5, 0.5]))
+    return g
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(2, 7),
+       n_landmarks=st.integers(0, 3), max_iterations=st.sampled_from([2, 100]))
+def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
+        seed, n_poses, n_landmarks, max_iterations):
+    g = random_graph(seed, n_poses, n_landmarks)
+    accepted = []  # the true error at each linearization an accepted step makes
+    original = gr._BatchedFactors.linearize
+
+    def recording(self, state, residuals=None, fresh=False):
+        if residuals is not None and not fresh:
+            accepted.append(sum(f.error(values_at(self, *state)) for f in g.factors))
+        return original(self, state, residuals, fresh)
+
+    gr._BatchedFactors.linearize = recording
+    try:
+        before = g.error()
+        report = g.optimize(gr.LMConfig(max_iterations=max_iterations))
+    finally:
+        gr._BatchedFactors.linearize = original
+    errors = [before] + accepted
+    assert len(accepted) == report.iterations
+    for a, b in zip(errors, errors[1:]):
+        assert b <= a * (1 + 1e-12)
+    if report.converged:
+        batch = g._batched()
+        _, grad = dense_normal_equations(g, batch)
+        _, scale = dense_normal_equations(g, batch, absolute=True)
+        assert abs(report.gradient_norm - np.linalg.norm(grad)) <= 1e-12 * np.linalg.norm(scale)
+
+
 def test_last_pose_without_information_raises_numerical_error():
     g = structured_graph(np.random.default_rng(15))
     g.optimize()
@@ -456,7 +616,7 @@ def fresh_marginals(g, pose_key, landmark_keys):
     from the trailing block of its factor for the pose in the last slot, else
     from solving for columns of the inverse."""
     batch = g._batched()
-    _, system = batch.linearize(batch.state())
+    _, system = batch.linearize(batch.state(), fresh=True)
     factor = gr.FactorGraph._factorize(system)
 
     if batch.pose_slot[pose_key] == batch.num_poses - 1:
@@ -499,14 +659,14 @@ def test_marginals_after_optimize_reuse_its_system(monkeypatch, max_iterations):
     # max_iterations=0 returns without a step: the system is the initial one
     g = structured_graph(np.random.default_rng(12))
     g.optimize(gr.LMConfig(max_iterations=max_iterations))
-    calls, _ = count_linearize(monkeypatch)
+    calls = count_linearize(monkeypatch)
     assert checked_marginals(g, 7, calls) == 0
     assert checked_marginals(g, 11, calls) == 0  # the last pose: the trailing block
 
 
 def test_marginals_never_served_from_a_stale_system(monkeypatch):
     g = structured_graph(np.random.default_rng(13))
-    calls, _ = count_linearize(monkeypatch)
+    calls = count_linearize(monkeypatch)
 
     g.optimize()
     g.poses[5] = retract(g.poses[5], np.full(6, 1e-3))  # direct write to an estimate

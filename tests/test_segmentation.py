@@ -132,14 +132,38 @@ def test_connected_components_cases():
     assert seg.connected_components(np.zeros((4, 4), dtype=bool), 8) == []
 
 
+def random_walk_mask(rng, shape, walks, steps):
+    """Union of random walks with 4- or 8-neighbour steps: each walk is a
+    4- or 8-connected set, so the two connectivities disagree on the union."""
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    mask = np.zeros(shape, dtype=bool)
+    for _ in range(walks):
+        moves = offsets[:4] if rng.random() < 0.5 else offsets
+        r, c = rng.integers(shape[0]), rng.integers(shape[1])
+        for _ in range(rng.integers(1, steps)):
+            mask[r, c] = True
+            dr, dc = moves[rng.integers(len(moves))]
+            r, c = min(max(r + dr, 0), shape[0] - 1), min(max(c + dc, 0), shape[1] - 1)
+    return mask
+
+
+def check_against_flood_fill(mask):
+    # the oracle finds components in raster order of their first patch
+    for conn in (4, 8):
+        comps = seg.connected_components(mask, conn)
+        assert [frozenset(map(tuple, c.members)) for c in comps] == \
+            flood_fill_components(mask, conn)
+        for c in comps:
+            assert [tuple(m) for m in c.members] == sorted(map(tuple, c.members))
+
+
 def test_connected_components_match_flood_fill_oracle():
     rng = np.random.default_rng(5)
     for trial in range(200):
-        mask = rng.random((32, 32)) < rng.uniform(0.2, 0.8)
-        for conn in (4, 8):
-            got = {frozenset(map(tuple, c.members)) for c in seg.connected_components(mask, conn)}
-            want = set(flood_fill_components(mask, conn))
-            assert got == want
+        check_against_flood_fill(rng.random((32, 32)) < rng.uniform(0.2, 0.8))
+    for trial in range(100):
+        shape = tuple(rng.integers(1, 40, size=2))
+        check_against_flood_fill(random_walk_mask(rng, shape, rng.integers(1, 8), 60))
 
 
 def test_connected_components_partition():

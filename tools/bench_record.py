@@ -3,6 +3,8 @@
 
     python3 tools/bench_record.py --pr 7 --checkout parent=../parent --checkout change=. \\
         --workloads graph_online graph_batch --seeds 0 1 --pairs 5 --out BENCH_7.json
+    python3 tools/bench_record.py --pr 9 --checkout parent=../parent --checkout change=. \\
+        --run-slam --out BENCH_9.json
 
 For every workload and seed, each checkout runs ``python3 perfbench/run.py
 --trace 0`` ``--pairs`` times, in an order that alternates from one round to
@@ -14,19 +16,33 @@ quartiles) and the per-layer metrics of the traced runs (median). With two
 or more checkouts, ``comparison`` sets each later checkout against the first:
 pairs won on each end-to-end metric (ties count for neither) and the median
 change next to the first checkout's interquartile range.
+
+``--run-slam`` also records, per checkout, the end-to-end ``run_slam`` rows on
+the 1500-frame scenario: the default ``WorldConfig`` (3 loops of 500
+keyframes), odometry noise multiplier 3, seed 0, the ``ml`` strategy, with
+``optimize_every`` 1 and 10. Each row runs in its own process from the
+checkout's root and gives ms per frame overall and per third of 500 frames
+(``finalize`` counts in the last frame), APE RMSE, the landmark count and map
+precision/recall.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # lower is better for every gated metric (see BENCHMARK.json)
 END_TO_END = ("setup_s", "cost_per_op", "peak_rss_mb", "quality_loss")
+SLAM_OPTIMIZE_EVERY = (1, 10)
+SLAM_NOISE_MULTIPLIER = 3.0
+SLAM_SEED = 0
+SLAM_ROW = "--slam-row"  # internal: run one run_slam row in this process
 
 
 def parse_args(argv):
@@ -34,13 +50,17 @@ def parse_args(argv):
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
                         help="a checkout to measure; the first is the baseline")
-    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="*", default=[])
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--pairs", type=int, default=10,
                         help="untraced runs per checkout, workload and seed")
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--run-slam", action="store_true",
+                        help="also record the 1500-frame run_slam rows of each checkout")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if not args.workloads and not args.run_slam:
+        parser.error("give --workloads, --run-slam or both")
     args.checkout = [tuple(c.split("=", 1)) for c in args.checkout]
     if any(len(c) != 2 for c in args.checkout):
         parser.error("--checkout takes LABEL=PATH")
@@ -101,7 +121,59 @@ def compare(base: dict, other: dict) -> dict:
     return out
 
 
+def slam_row(optimize_every: int) -> dict:
+    """One run_slam row on the 1500-frame scenario, with the package from the
+    working directory's src/; frame times come from timing each keyframe."""
+    src = Path.cwd() / "src"
+    sys.path.insert(0, str(src))
+    from objectslam import evaluation, pipeline, simworld
+    from objectslam.association import DAConfig
+
+    if Path(pipeline.__file__).resolve().parent != (src / "objectslam").resolve():
+        raise SystemExit(f"error: objectslam imported from {pipeline.__file__}, not {src}")
+    world, trajectory, dataset = simworld.simulate(
+        simworld.WorldConfig(), simworld.NoiseModel(multiplier=SLAM_NOISE_MULTIPLIER), SLAM_SEED)
+    system = pipeline.SlamSystem(pipeline.SlamConfig(da=DAConfig(strategy="ml"),
+                                                     optimize_every=optimize_every))
+    keyframes = dataset.keyframes
+    frame_s = []
+    for k, kf in enumerate(keyframes):
+        t0 = time.perf_counter()
+        system.add_keyframe(None if k == 0 else (kf.odom, kf.odom_sigmas), kf.detections)
+        if k == len(keyframes) - 1:
+            system.finalize()
+        frame_s.append(time.perf_counter() - t0)
+    thirds = [frame_s[i * len(frame_s) // 3:(i + 1) * len(frame_s) // 3] for i in range(3)]
+    landmarks = system.landmarks()
+    report = evaluation.map_report(landmarks, world)
+    ape = evaluation.ape(system.trajectory([kf.t for kf in keyframes]), trajectory)
+    return {"frames": len(frame_s), "optimize_every": optimize_every, "strategy": "ml",
+            "noise_multiplier": SLAM_NOISE_MULTIPLIER, "seed": SLAM_SEED,
+            "wall_s": sum(frame_s), "ms_per_frame": 1e3 * sum(frame_s) / len(frame_s),
+            "ms_per_frame_thirds": [1e3 * sum(t) / len(t) for t in thirds],
+            "ape_rmse_m": ape.rmse, "landmarks": len(landmarks),
+            "map_precision": report.precision, "map_recall": report.recall}
+
+
+def run_slam_row(root: Path, optimize_every: int) -> dict:
+    """One run_slam row of a checkout, in its own process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW,
+                           str(optimize_every)], cwd=root, env=env, capture_output=True,
+                          text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise RuntimeError(f"{root}: run_slam optimize_every={optimize_every} failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    print(f"run_slam {root} optimize_every={optimize_every}: {lines[-1]}", flush=True)
+    return json.loads(lines[-1])
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == [SLAM_ROW]:
+        print(json.dumps(slam_row(int(argv[1]))))
+        return 0
     args = parse_args(argv)
     raw = {label: {} for label, _ in args.checkout}
     machine = None
@@ -120,19 +192,25 @@ def main(argv=None) -> int:
                 runs[label][1].append(run_once(Path(root), workload, seed, 1, args.seconds))
                 raw[label][key] = summarize(*runs[label])
             machine = machine or runs[args.checkout[0][0]][0][0]["environment"]
+    slam = {label: [] for label, _ in args.checkout} if args.run_slam else {}
+    for every in SLAM_OPTIMIZE_EVERY if args.run_slam else ():
+        for label, root in args.checkout:
+            slam[label].append(run_slam_row(Path(root), every))
     first = args.checkout[0][0]
     record = {
         "pr": args.pr,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
                    " --trace T",
         "pairs": args.pairs,
-        "machine": {key: machine[key]
-                    for key in ("nproc", "python", "numpy", "scipy", "blas", "blas_threads")},
+        "machine": machine and {key: machine[key] for key in
+                                ("nproc", "python", "numpy", "scipy", "blas", "blas_threads")},
         "checkouts": raw,
         "comparison": {label: {key: compare(raw[first][key], raw[label][key])
                                for key in raw[label]}
                        for label, _ in args.checkout[1:]},
     }
+    if slam:
+        record["run_slam"] = slam
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
