@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import chi2
 
-from .errors import NumericalError
 from .geometry import Pose3, skew
 from .segmentation import ObjectDetection
 
@@ -175,38 +174,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def innovation_covariance(h_pose: np.ndarray, h_landmark: np.ndarray,
-                          joint_cov: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """C = [H_x | H_l] Sigma [H_x | H_l]^T + Gamma over the joint 9x9 marginal."""
-    joint_cov = np.asarray(joint_cov, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    _require_symmetric_psd(joint_cov, "joint covariance", strict=False)
-    _require_symmetric_psd(gamma, "measurement covariance", strict=True)
-    h = np.hstack([np.asarray(h_pose, dtype=float), np.asarray(h_landmark, dtype=float)])
-    c = h @ joint_cov @ h.T + gamma
-    return 0.5 * (c + c.T)
-
-
-def _require_symmetric_psd(m: np.ndarray, name: str, strict: bool) -> None:
-    if m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-8):
-        raise NumericalError(f"{name} must be symmetric")
-    eigmin = float(np.linalg.eigvalsh(m)[0])
-    if eigmin < -1e-10 or (strict and eigmin <= 0.0):
-        raise NumericalError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
-
-
-def mahalanobis_d2(innovation: np.ndarray, cov: np.ndarray) -> float:
-    """r^T C^-1 r via Cholesky; raises on a singular covariance."""
-    innovation = np.asarray(innovation, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular innovation covariance") from exc
-    y = np.linalg.solve(chol, innovation)
-    return float(y @ y)
-
-
 @lru_cache(maxsize=128)
 def chi_square_quantile(dof: int, beta: float) -> float:
     """chi-square quantile: CDF(threshold; dof) = beta."""
@@ -217,22 +184,16 @@ def chi_square_quantile(dof: int, beta: float) -> float:
     return float(chi2.ppf(beta, df=dof))
 
 
-def log_marginal_likelihood(d_squared: float, cov: np.ndarray) -> float:
-    """Log of the approximated marginal measurement likelihood, incl. normalizer."""
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise NumericalError("innovation covariance has non-positive determinant")
-    return _log_marginal_from_logdet(d_squared, float(logdet), cov.shape[0])
-
-
 def _log_marginal_from_logdet(d_squared: float, logdet: float, dim: int = 3) -> float:
     return -0.5 * d_squared - 0.5 * (dim * _LOG_2PI + logdet)
 
 
 def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
-                    config: DAConfig) -> list[list[tuple[int, float, float, np.ndarray]]]:
-    """Per detection: (landmark id, cosine, D^2, C) for every landmark passing
-    the radius and class gates; the chi-square cut is applied by the callers.
+                    config: DAConfig) -> list[list[tuple[int, float, float, np.ndarray, float]]]:
+    """Per detection: (landmark id, cosine, D^2, C, log det C) for every
+    landmark passing the radius and class gates; the chi-square cut is applied
+    by the callers. A pair whose C is not positive definite (a broken
+    marginal) is gated out without touching the others.
 
     Evaluates the whole detection x landmark grid in one batch; the
     landmark-side covariance projection comes cached from the snapshot.
@@ -265,8 +226,14 @@ def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     c = 0.5 * (c + np.swapaxes(c, 1, 2))
     try:
         chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular innovation covariance") from exc
+    except np.linalg.LinAlgError:
+        # a pair whose innovation covariance is not positive definite is gated
+        # out; each matrix factors on its own, so the rest are unchanged
+        ok = np.array([_factors(m) for m in c], dtype=bool)
+        d_idx, l_idx, c = d_idx[ok], l_idx[ok], c[ok]
+        if d_idx.size == 0:
+            return out
+        chol = np.linalg.cholesky(c)
     y = np.linalg.solve(chol, innovations[d_idx, l_idx][..., None])[..., 0]
     d2 = np.einsum("mk,mk->m", y, y)
     logdet = 2.0 * np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
@@ -276,6 +243,14 @@ def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
         out[d].append((landmarks[l].id, float(cosines[d, l]), float(d2[m]), c[m],
                        float(logdet[m])))
     return out
+
+
+def _factors(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def generate_hypotheses(detection: ObjectDetection, snapshot: StateSnapshot,

@@ -144,24 +144,28 @@ def cluster_features(grid: FeatureGrid, k: int, max_iters: int = 50, seed: int =
     """Lloyd's algorithm over the flattened patch features, deterministic per seed.
 
     Runs until the assignment is a fixed point (or max_iters), so the returned
-    centroids are exactly the means of their member features.
+    centroids are exactly the means of their member features: each cluster's
+    members are summed in row order (one weighted ``np.bincount``), the same
+    sums ``points[labels == c].mean(axis=0)`` forms, so results are
+    bit-identical to that per-cluster loop. k above the number of distinct
+    feature vectors raises ``ValueError``; k-means++ seeding detects it when it
+    runs out of rows away from the chosen centroids, so valid grids never pay
+    for a distinct-row sort.
     """
     points = grid.features.reshape(-1, grid.dim)
     n = points.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"k={k} out of range for {n} patches")
-    distinct = np.unique(points, axis=0).shape[0]
-    if k > distinct:
-        raise ValueError(f"k={k} exceeds {distinct} distinct feature vectors")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
-    labels = _assign(points, centroids)
+    sq_norms = np.sum(points * points, axis=1)[:, None]
+    labels = _assign(points, sq_norms, centroids)
     wcss_history = [_wcss(points, centroids, labels)]
 
     for _ in range(max_iters):
         centroids = _update_centroids(points, labels, centroids, k)
-        new_labels = _assign(points, centroids)
+        new_labels = _assign(points, sq_norms, centroids)
         wcss_history.append(_wcss(points, centroids, new_labels))
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -175,42 +179,60 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    d2 = _squared_diff(points, centroids[0]).sum(axis=1)
     for i in range(1, k):
         total = d2.sum()
+        # D^2 sampling never picks a row at zero distance, so the i rows
+        # chosen so far are distinct and k > distinct rows first shows here;
+        # an overflowed total would otherwise fail in rng.choice on NaN odds
+        if total <= 0 or total == math.inf:
+            distinct = np.unique(points, axis=0).shape[0]
+            if k > distinct:
+                raise ValueError(f"k={k} exceeds {distinct} distinct feature vectors")
         if total <= 0:
             # all remaining points coincide with a centroid; pick any distinct row
             centroids[i] = points[rng.integers(n)]
         else:
             centroids[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, _squared_diff(points, centroids[i]).sum(axis=1))
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
+def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row from |p|^2 - 2 p.c + |c|^2; sq_norms is (n, 1)."""
+    d2 = points @ (-2.0 * centroids.T)  # exactly -(2p . c): scaling by 2 does not round
+    d2 += sq_norms
+    d2 += np.sum(centroids * centroids, axis=1)
     return np.argmin(d2, axis=1)
 
 
 def _update_centroids(points, labels, centroids, k):
+    dim = points.shape[1]
+    counts = np.bincount(labels, minlength=k)
+    # bincount adds each bin's weights in index order: every cluster's rows in row order
+    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim).reshape(k, dim)
     out = centroids.copy()
-    for c in range(k):
-        mask = labels == c
-        if mask.any():
-            out[c] = points[mask].mean(axis=0)
-        else:
-            # deterministic reseed: point farthest from its current centroid
-            d2 = np.sum((points - out[labels]) ** 2, axis=1)
-            out[c] = points[int(np.argmax(d2))]
+    full = counts > 0
+    out[full] = sums[full] / counts[full, None]
+    for c in np.flatnonzero(~full):
+        # deterministic reseed: point farthest from its current centroid, with
+        # clusters below c already updated and those from c on not yet
+        current = np.concatenate([out[:c], centroids[c:]])
+        d2 = _squared_diff(points, current[labels]).sum(axis=1)
+        out[c] = points[int(np.argmax(d2))]
     return out
 
 
 def _wcss(points, centroids, labels) -> float:
-    return float(np.sum((points - centroids[labels]) ** 2))
+    return float(_squared_diff(points, centroids[labels]).sum())
+
+
+def _squared_diff(points, other):
+    """(points - other) ** 2 with one temporary: squaring in place is the same x * x."""
+    diff = points - other
+    diff *= diff
+    return diff
 
 
 def vote_saliency(clusters: ClusterMap, attention: np.ndarray, vote_threshold: float,

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 
+from objectslam.errors import NumericalError
+
 
 def flood_fill_components(mask, connectivity):
     """Recursive flood fill; partitions true cells into frozensets of (r, c)."""
@@ -114,3 +116,102 @@ def se3_jr_inv_series(xi, terms=20):
         out += float(bern[2 * k] / math.factorial(2 * k)) * power
         power = power @ ad2
     return out
+
+
+def kmeans_reference(features, k, max_iters=50, seed=0):
+    """Lloyd's algorithm with per-cluster masked means and a sequential
+    empty-cluster reseed, validating k against the distinct rows up front.
+
+    Returns (labels (H, W), centroids, wcss history, number of reseeds).
+    """
+    h, w, dim = features.shape
+    points = features.reshape(-1, dim)
+    n = points.shape[0]
+    if k < 1 or k > n:
+        raise ValueError(f"k={k} out of range for {n} patches")
+    distinct = np.unique(points, axis=0).shape[0]
+    if k > distinct:
+        raise ValueError(f"k={k} exceeds {distinct} distinct feature vectors")
+
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, dim))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i] = points[rng.integers(n)]
+        else:
+            centroids[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centroids[i]) ** 2, axis=1))
+
+    def assign(cents):
+        d2 = (np.sum(points * points, axis=1)[:, None] - 2.0 * points @ cents.T
+              + np.sum(cents * cents, axis=1)[None, :])
+        return np.argmin(d2, axis=1)
+
+    def wcss(cents, labels):
+        return float(np.sum((points - cents[labels]) ** 2))
+
+    reseeds = 0
+    labels = assign(centroids)
+    history = [wcss(centroids, labels)]
+    for _ in range(max_iters):
+        out = centroids.copy()
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                out[c] = points[mask].mean(axis=0)
+            else:
+                reseeds += 1
+                d2 = np.sum((points - out[labels]) ** 2, axis=1)
+                out[c] = points[int(np.argmax(d2))]
+        centroids = out
+        new_labels = assign(centroids)
+        history.append(wcss(centroids, new_labels))
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return labels.reshape(h, w), centroids, history, reseeds
+
+
+def innovation_covariance(h_pose, h_landmark, joint_cov, gamma):
+    """C = [H_x | H_l] Sigma [H_x | H_l]^T + Gamma over the joint 9x9 marginal,
+    one pair at a time, after checking both covariances."""
+    joint_cov = np.asarray(joint_cov, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    _require_symmetric_psd(joint_cov, "joint covariance", strict=False)
+    _require_symmetric_psd(gamma, "measurement covariance", strict=True)
+    h = np.hstack([np.asarray(h_pose, dtype=float), np.asarray(h_landmark, dtype=float)])
+    c = h @ joint_cov @ h.T + gamma
+    return 0.5 * (c + c.T)
+
+
+def _require_symmetric_psd(m, name, strict):
+    if m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-8):
+        raise NumericalError(f"{name} must be symmetric")
+    eigmin = float(np.linalg.eigvalsh(m)[0])
+    if eigmin < -1e-10 or (strict and eigmin <= 0.0):
+        raise NumericalError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
+
+
+def mahalanobis_d2(innovation, cov):
+    """r^T C^-1 r via Cholesky; raises NumericalError on a singular covariance."""
+    innovation = np.asarray(innovation, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular innovation covariance") from exc
+    y = np.linalg.solve(chol, innovation)
+    return float(y @ y)
+
+
+def log_marginal_likelihood(d_squared, cov):
+    """Log of the Gaussian measurement likelihood at Mahalanobis distance
+    d_squared, normalizer included."""
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise NumericalError("innovation covariance has non-positive determinant")
+    return -0.5 * d_squared - 0.5 * (cov.shape[0] * math.log(2.0 * math.pi) + float(logdet))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objectslam import segmentation as seg
-from oracles import flood_fill_components, nearest_prototype_labels
+from oracles import flood_fill_components, kmeans_reference, nearest_prototype_labels
 
 
 def make_grid(features, attention=None, depth=None):
@@ -73,6 +73,62 @@ def test_cluster_deterministic():
     b = seg.cluster_features(grid, k=3, seed=7)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centroids, b.centroids)
+
+
+def assert_matches_kmeans_reference(features, k, seed, max_iters=50) -> int:
+    """Bit-identical ClusterMap against the per-cluster reference; returns its reseed count."""
+    cm = seg.cluster_features(make_grid(features), k, max_iters, seed)
+    labels, centroids, wcss_history, reseeds = kmeans_reference(features, k, max_iters, seed)
+    assert np.array_equal(cm.labels, labels)
+    assert np.array_equal(cm.centroids, centroids)
+    assert cm.wcss_history == wcss_history
+    return reseeds
+
+
+def test_cluster_matches_reference_on_random_grids():
+    rng = np.random.default_rng(9)
+    for trial in range(24):
+        centers = rng.normal(size=(int(rng.integers(4, 13)), 32))
+        features = (centers[rng.integers(len(centers), size=(32, 32))]
+                    + rng.normal(scale=rng.uniform(0.05, 1.0), size=(32, 32, 32)))
+        assert_matches_kmeans_reference(features, k=8, seed=trial)
+
+
+def test_cluster_matches_reference_through_an_empty_cluster_reseed():
+    # 1-D along feature 0. With seed 249, cluster 0 is seeded at 1.4 between
+    # a left and a right group; after the first update both neighbours'
+    # means close in and take all of its members, so the second update finds
+    # it empty and reseeds it against the not yet updated clusters 1 and 2.
+    values = [-3.5, -1.3, -1.5, -1.8, -0.9, 1.3, 2.0, 1.6, 2.0, 1.4, 1.7, 1.8, 2.4, -3.4]
+    features = np.zeros((2, 7, 2))
+    features[..., 0] = np.reshape(values, (2, 7))
+    assert assert_matches_kmeans_reference(features, k=3, seed=249) == 1
+
+
+def test_cluster_matches_reference_with_duplicate_rows_at_distinct_k():
+    rng = np.random.default_rng(10)
+    for trial in range(10):
+        k = int(rng.integers(2, 9))
+        values = rng.normal(size=(k, 4))
+        index = np.concatenate([np.arange(k), rng.integers(k, size=16 * 16 - k)])
+        features = values[rng.permutation(index)].reshape(16, 16, 4)
+        assert_matches_kmeans_reference(features, k, seed=trial)
+
+
+@pytest.mark.parametrize("rows, k", [
+    ([[1.0, 0.0]], 2),                            # one distinct row
+    ([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]], 5),    # three distinct rows
+    ([[1e200, 0.0], [-1e200, 0.0]], 3),           # squared distances overflow
+])
+def test_cluster_k_above_distinct_raises_the_reference_error(rows, k):
+    features = np.asarray(rows)[np.arange(16) % len(rows)].reshape(4, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as got:
+            seg.cluster_features(make_grid(features), k)
+        with pytest.raises(ValueError) as want:
+            kmeans_reference(features, k)
+    assert str(got.value) == str(want.value)
+    assert "distinct feature vectors" in str(got.value)
 
 
 def test_vote_saliency_unanimous_and_empty():
