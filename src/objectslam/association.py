@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.stats import chi2
@@ -24,6 +24,10 @@ from .segmentation import ObjectDetection
 STRATEGIES = ("ml", "em", "mm", "geometric_only", "new_only")
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# The point innovation is 3-D (H is 3 x 9): the degrees of freedom of its
+# chi-square gates.
+POINT_DOF = 3
 
 
 @dataclass
@@ -48,7 +52,6 @@ class Landmark:
 class DAConfig:
     alpha: float = 0.8            # cosine class-gate threshold
     beta: float = 0.95            # chi-square confidence
-    dof: int = 3                  # point innovation dimension
     gate_radius: float = 5.0      # meters, geometric pre-filter
     strategy: str = "ml"
     # Looser instantiation gate: a detection failing the association gate but
@@ -64,14 +67,12 @@ class DAConfig:
             raise ValueError("beta must be in (0, 1)")
         if not self.beta <= self.new_landmark_beta < 1.0:
             raise ValueError("new_landmark_beta must be in [beta, 1)")
-        if self.dof < 1:
-            raise ValueError("dof must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
     @property
     def chi2_threshold(self) -> float:
-        return chi_square_quantile(self.dof, self.beta)
+        return chi_square_quantile(POINT_DOF, self.beta)
 
 
 @dataclass
@@ -131,15 +132,13 @@ class StateSnapshot:
     def marginal(self, landmark_id: int) -> np.ndarray:
         return self.joint_marginals.get(landmark_id, _ZERO9)
 
+    @cached_property
     def _arrays(self):
         """Stacked landmark-side quantities, built once and reused per frame.
 
-        Returns (predicted points, H Sigma H^T blocks, embeddings, their
-        norms); everything here is detection-independent.
+        (predicted points, H Sigma H^T blocks, embeddings, their norms);
+        everything here is detection-independent.
         """
-        cached = getattr(self, "_cache", None)
-        if cached is not None:
-            return cached
         n = len(self.landmarks)
         positions = (np.array([lm.position for lm in self.landmarks]).reshape(n, 3)
                      if n else np.zeros((0, 3)))
@@ -156,9 +155,7 @@ class StateSnapshot:
         h[:, :, 3:6] = -np.eye(3)
         h[:, :, 6:] = rot_t
         hsh = h @ joints @ np.swapaxes(h, 1, 2)
-        cache = (predicted, hsh, embeddings, emb_norms)
-        object.__setattr__(self, "_cache", cache)
-        return cache
+        return predicted, hsh, embeddings, emb_norms
 
 
 _ZERO9 = np.zeros((9, 9))
@@ -184,8 +181,8 @@ def chi_square_quantile(dof: int, beta: float) -> float:
     return float(chi2.ppf(beta, df=dof))
 
 
-def _log_marginal_from_logdet(d_squared: float, logdet: float, dim: int = 3) -> float:
-    return -0.5 * d_squared - 0.5 * (dim * _LOG_2PI + logdet)
+def _log_marginal_from_logdet(d_squared: float, logdet: float) -> float:
+    return -0.5 * d_squared - 0.5 * (POINT_DOF * _LOG_2PI + logdet)
 
 
 def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
@@ -202,7 +199,7 @@ def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     nl = len(snapshot.landmarks)
     if nd == 0 or nl == 0:
         return [[] for _ in range(nd)]
-    predicted, hsh, embeddings, emb_norms = snapshot._arrays()
+    predicted, hsh, embeddings, emb_norms = snapshot._arrays
 
     points = np.array([d.point for d in detections])
     det_embs = np.array([d.embedding for d in detections])
@@ -261,12 +258,15 @@ def generate_hypotheses(detection: ObjectDetection, snapshot: StateSnapshot,
     geometric_only), D^2 < chi-square threshold. Sorted by log marginal
     likelihood descending, ties broken by ascending landmark id.
     """
-    threshold = config.chi2_threshold
-    hypotheses = [
-        Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
-        for lm_id, cos, d2, c, logdet in _evaluate_frame([detection], snapshot, config)[0]
-        if d2 < threshold
-    ]
+    return _ranked(_evaluate_frame([detection], snapshot, config)[0], config.chi2_threshold)
+
+
+def _ranked(evaluated, threshold: float) -> list[Hypothesis]:
+    """The hypotheses among one detection's ``_evaluate_frame`` pairs with
+    D^2 < threshold, by log marginal likelihood descending, ties broken by
+    ascending landmark id."""
+    hypotheses = [Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
+                  for lm_id, cos, d2, c, logdet in evaluated if d2 < threshold]
     hypotheses.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
     return hypotheses
 
@@ -308,13 +308,10 @@ def associate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     lies within the new_landmark_beta gate; both cuts come from one pass.
     """
     threshold = config.chi2_threshold
-    loose = chi_square_quantile(config.dof, config.new_landmark_beta)
+    loose = chi_square_quantile(POINT_DOF, config.new_landmark_beta)
     all_hyps, near = [], []
     for evaluated in _evaluate_frame(detections, snapshot, config):
-        hyps = [Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
-                for lm_id, cos, d2, c, logdet in evaluated if d2 < threshold]
-        hyps.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
-        all_hyps.append(hyps)
+        all_hyps.append(_ranked(evaluated, threshold))
         near.append(any(d2 < loose for _, _, d2, _, _ in evaluated))
     order = sorted(
         range(len(detections)),

@@ -5,17 +5,26 @@ warm-started from the current estimates.
 
 Storage. A FactorGraph keeps everything in one ``_BatchedFactors``: the pose
 estimates as (N, 7) rows (unit quaternion, translation), the landmark
-estimates as (M, 3), and one table per factor type -- priors, betweens,
-observations (plain and weighted) and max-mixture components, one row each --
-holding the measurement, the square-root information, the variables' slots
-and the factor's scatter index into the system below. Every array sits in a
-buffer whose capacity doubles, so appending never moves an existing row.
-Variables take slots in insertion order as they are added. ``add_factor``
-only queues a factor on ``factors``; the next optimize, error or marginal
-call appends the queued tail, vectorized over it. A weight bump rewrites the
-weight column of the weighted observations and rebuilds nothing. ``optimize``
-retracts the stored arrays directly; ``poses`` and ``landmarks`` are mapping
-views that build a Pose3 or a point only when one is read.
+estimates as (M, 3), and one table per factor type -- priors, betweens and
+observations -- holding the measurement, the square-root information, the
+variables' slots and the factor's scatter index into the system below. An
+observation row is a plain or EM-weighted observation or one component of a
+max-mixture (Olson & Agarwal, RSS 2012), with side indexes of the latter two.
+Every array sits in a buffer whose capacity doubles, so appending never
+moves an existing row. Variables take slots in insertion order as they are
+added. ``add_factor`` only queues a factor on ``factors``; the next
+optimize, error or marginal call appends the queued tail, vectorized over
+it. A weight bump rewrites the weight column of the weighted observations
+and rebuilds nothing. ``optimize`` retracts the stored arrays directly;
+``poses`` and ``landmarks`` are mapping views that build a Pose3 or a point
+only when one is read.
+
+Observation scale. Each observation row's whitened residual and Jacobian
+carry a scale taken at the estimate the residuals are for: 1 for a plain
+row, sqrt(w) for an EM-weighted one, and for a mixture component 1 when it
+is its mixture's first cheapest component there and 0 otherwise. The error
+is 1/2 sum ||scale W r||^2 plus the -log w of every active component: the
+min over components of each mixture's cost.
 
 System. Linearization is vectorized per factor type and scatters each
 factor's J^T J and J^T r blocks straight into the Gauss-Newton system,
@@ -41,15 +50,17 @@ entries of that Jacobian's J^T J. A linearization gives a row a new
 Jacobian only when the row is new, when one of its variables moved more
 than RELINEARIZE_THRESHOLD in any stored parameter from its point (the point
 then moves to the estimate first) or was written from outside ``optimize``,
-or, for a weighted row, after a weight bump. Mixture rows are linearized
-anew every time, at the estimate, since their active component may change.
-One ``np.bincount`` then bins every stored J^T J entry together with each
-row's J^T r, whose residual r is always taken at the estimate: the
-residuals the LM acceptance test just computed (``error_only``), so one
-residual pass serves both. The error is therefore exact, and the system is
-exact wherever the points sit at the estimate; a system whose every point
-does is "fresh". A wider band or a doubled landmark capacity only
-re-indexes the stored rows.
+or, for a weighted row, when its scale differs from the one its stored
+Jacobian was taken with, after a weight bump. The rows of a mixture of two
+or more components are linearized anew every time, at the estimate, where
+the active component is chosen; a one-component mixture cannot switch and
+is kept like a plain row. One ``np.bincount`` then bins every stored J^T J
+entry together with each row's J^T r, whose residual r is always taken at
+the estimate: the residuals the LM acceptance test just computed
+(``error_only``), so one residual pass serves both. The error is therefore
+exact, and the system is exact wherever the points sit at the estimate; a
+system whose every point does is "fresh". A wider band or a doubled
+landmark capacity only re-indexes the stored rows.
 
 ``optimize`` ends fresh whenever it converges: before a solve stops as
 converged it relinearizes every stale row and checks again, and a rejected
@@ -628,11 +639,9 @@ class _Residuals(NamedTuple):
     """Every factor row's whitened residual at one estimate, and the total error."""
 
     error: float
-    whitened: tuple        # prior (n, 6), between (n, 6), observation (n, 3) scaled by s
+    whitened: tuple        # prior (n, 6), between (n, 6), observation (n, 3) times scale
     terms: tuple           # per table the residual kernel's output, for its Jacobians
-    active: np.ndarray     # the active component's row of each mixture
-    mixture: np.ndarray    # their whitened residuals (n, 3)
-    predicted: np.ndarray  # and predicted points (n, 3)
+    scale: np.ndarray      # each observation row's scale at this estimate
 
 
 class _BatchedFactors:
@@ -644,17 +653,21 @@ class _BatchedFactors:
     linearization point ``lin`` (NaN until the first linearization and after
     a write from outside) and ``seen``, the estimate as last stored or
     synced, which reveals such writes. Factors: the tables ``prior``,
-    ``between``, ``observation`` (weight column ``s`` = sqrt(weight), 1 for a
-    plain one) and ``mixture`` (one row per component; ``mixture_start``
-    holds each mixture's first row). Each factor row keeps its system columns
-    ``cols``, its scatter ``index`` into the flat system buffer (see the
-    module docstring) and, but for mixture rows, its whitened Jacobian
-    ``jac`` at the linearization points of its variables; the kept J^T J
-    entries of those Jacobians sit in the buffer that ``linearize`` bins
-    (``_binned``). ``sync`` appends the factors queued since the last
-    sync, rewrites the weight column after a weight bump, and recomputes
-    every scatter index only when the layout changes: when the landmark
-    capacity doubles or a between widens the band.
+    ``between`` and ``observation``, one row per plain or weighted
+    observation and per mixture component, with ``s`` = sqrt(weight) (1 if
+    not weighted) and ``jac_s``, the scale of the stored Jacobian. Side
+    indexes: ``components`` (each component's row and -log w, mixture by
+    mixture), ``mixtures`` (each mixture's first component) and ``weighted``
+    (each weighted row and its group number). Each factor row keeps its
+    system columns ``cols``, its scatter ``index`` into the flat system
+    buffer (see the module docstring) and its whitened Jacobian ``jac`` at
+    the linearization points of its variables, or at the estimate for a row
+    of a mixture of two or more components; the kept J^T J entries of those
+    Jacobians sit in the buffer that ``linearize`` bins (``_binned``).
+    ``sync`` appends the factors queued since the last sync, rewrites the
+    weight column after a weight bump, and recomputes every scatter index
+    only when the layout changes: when the landmark capacity doubles or a
+    between widens the band.
     """
 
     def __init__(self):
@@ -671,16 +684,14 @@ class _BatchedFactors:
                               jac=((6, 12), float))
         self.observation = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
                                   z=((3,), float), w=((3, 3), float), s=((), float),
-                                  jac=((3, 9), float))
-        self.mixture = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
-                              z=((3,), float), w=((3, 3), float), nlw=((), float),
-                              group=((), np.intp))
-        self.mixture_start = _Table(row=((), np.intp))
-        self._weighted: list = []       # weighted observation factors
-        self._weighted_rows: list = []  # and their rows in ``observation``
+                                  jac_s=((), float), jac=((3, 9), float))
+        self.components = _Table(row=((), np.intp), nlw=((), float))
+        self.mixtures = _Table(start=((), np.intp))
+        self.weighted = _Table(row=((), np.intp), group=((), np.intp))
+        self._weighted: list = []       # the weighted observation factors, as in ``weighted``
+        self._groups: dict = {}         # group_id, or (row,) for none, -> group number
         self._synced = 0                # factors appended so far
         self._weights_version = 0
-        self._reweighted = np.zeros(0, dtype=np.intp)  # observation rows to relinearize
         self._linearized = (0, 0, 0)    # prior, between, observation rows with a Jacobian
         self._bins = None               # see _binned
         self._rebin = True
@@ -755,7 +766,7 @@ class _BatchedFactors:
         if (band_rows, self.landmarks.capacity) != self.layout:
             self._set_layout(band_rows, self.landmarks.capacity)
             self._rebin = True
-            for table, block in self._factor_tables():
+            for table, block in self._tables():
                 table["index"][:] = self._scatter_index(block, table["cols"])
 
         if priors:
@@ -770,44 +781,39 @@ class _BatchedFactors:
                          i=bt_i, j=bt_j, q=[f.relative.rotation for f in betweens],
                          t=[f.relative.translation for f in betweens],
                          w=[f.sqrt_info for f in betweens])
-        if observations:
-            p = np.array([slot[f.pose_key] for f in observations], dtype=np.intp)
-            l = np.array([lm_slot[f.landmark_key] for f in observations], dtype=np.intp)
+        if observations or mixtures:
+            # a row per plain or weighted observation, then per mixture component
+            rows = ([(f, f.landmark_key) for f in observations]
+                    + [(f, key) for f in mixtures for key in f.landmark_keys])
+            p = np.array([slot[f.pose_key] for f, _ in rows], dtype=np.intp)
+            l = np.array([lm_slot[key] for _, key in rows], dtype=np.intp)
             first = len(self.observation)
             self._append(self.observation, _OBSERVATION_BLOCK, _observation_cols(p, l),
-                         p=p, l=l, z=[f.point for f in observations],
-                         w=[f.sqrt_info for f in observations],
-                         s=np.sqrt([getattr(f, "weight", 1.0) for f in observations]))
-            for row, f in enumerate(observations, first):
-                if isinstance(f, WeightedObservationFactor):
-                    self._weighted.append(f)
-                    self._weighted_rows.append(row)
-        if mixtures:
-            sizes = [len(f.landmark_keys) for f in mixtures]
-            parts = [(f, key) for f in mixtures for key in f.landmark_keys]
-            p = np.array([slot[f.pose_key] for f, _ in parts], dtype=np.intp)
-            l = np.array([lm_slot[key] for _, key in parts], dtype=np.intp)
-            starts = len(self.mixture) + np.cumsum([0] + sizes[:-1])
-            groups = len(self.mixture_start) + np.repeat(np.arange(len(mixtures)), sizes)
-            self.mixture_start.extend(len(mixtures), row=starts)
-            self._append(self.mixture, _OBSERVATION_BLOCK, _observation_cols(p, l),
-                         p=p, l=l, z=[f.point for f, _ in parts],
-                         w=[f.sqrt_info for f, _ in parts],
-                         nlw=np.concatenate([f.neg_log_weights for f in mixtures]),
-                         group=groups)
+                         p=p, l=l, z=[f.point for f, _ in rows],
+                         w=[f.sqrt_info for f, _ in rows],
+                         s=np.sqrt([getattr(f, "weight", 1.0) for f, _ in rows]))
+            weighted = [(row, f) for row, f in enumerate(observations, first)
+                        if isinstance(f, WeightedObservationFactor)]
+            self._weighted += [f for _, f in weighted]
+            self.weighted.extend(len(weighted), row=[row for row, _ in weighted], group=[
+                self._groups.setdefault((row,) if f.group_id is None else f.group_id,
+                                        len(self._groups)) for row, f in weighted])
+            if mixtures:
+                sizes = [len(f.landmark_keys) for f in mixtures]
+                starts = len(self.components) + np.cumsum([0] + sizes[:-1])
+                self.mixtures.extend(len(mixtures), start=starts)
+                components = np.arange(first + len(observations), len(self.observation))
+                self.components.extend(len(components), row=components,
+                                       nlw=np.concatenate([f.neg_log_weights for f in mixtures]))
 
         if weights_version != self._weights_version:
             self._weights_version = weights_version
             if self._weighted:
-                self.observation["s"][self._weighted_rows] = np.sqrt(
+                self.observation["s"][self.weighted["row"]] = np.sqrt(
                     [f.weight for f in self._weighted])
-                self._reweighted = np.array(self._weighted_rows, dtype=np.intp)
 
-    def _factor_tables(self):
-        return self._linear_tables() + ((self.mixture, _OBSERVATION_BLOCK),)
-
-    def _linear_tables(self):
-        """The tables whose rows keep a Jacobian, in the order they are binned."""
+    def _tables(self):
+        """The factor tables, in the order they are binned."""
         return ((self.prior, _PRIOR_BLOCK), (self.between, _BETWEEN_BLOCK),
                 (self.observation, _OBSERVATION_BLOCK))
 
@@ -880,19 +886,30 @@ class _BatchedFactors:
         q_ij, t_ij = relative_pose(x[i, :4], x[i, 4:], x[j, :4], x[j, 4:])
         return pose_residuals(bt["q"][rows], bt["t"][rows], q_ij, t_ij), q_ij, t_ij
 
-    def _observation_residuals(self, x, lms, rows, table=None):
-        table = self.observation if table is None else table
-        p = table["p"][rows]
-        return observation_residuals(x[p, :4], x[p, 4:], lms[table["l"][rows]],
-                                     table["z"][rows])
+    def _observation_residuals(self, x, lms, rows):
+        ob = self.observation
+        p = ob["p"][rows]
+        q = x[p, :4]
+        return (*observation_residuals(q, x[p, 4:], lms[ob["l"][rows]], ob["z"][rows]), q)
 
-    def _mixture_active(self, costs):
-        """The active (first cheapest) component row of each mixture, and their total cost."""
-        gmin = np.minimum.reduceat(costs, self.mixture_start["row"])
-        group = self.mixture["group"]
-        candidates = np.flatnonzero(costs == gmin[group])
-        _, first = np.unique(group[candidates], return_index=True)
-        return candidates[first], float(gmin.sum())
+    def _observation_scale(self, rw):
+        """Each observation row's scale at the unscaled whitened residuals
+        ``rw`` (see the module docstring), and the -log w total of the active
+        mixture components: NaN when a mixture has a NaN cost."""
+        scale = self.observation["s"].copy()
+        if not len(self.mixtures):
+            return scale, 0.0
+        rows, nlw, starts = self.components["row"], self.components["nlw"], self.mixtures["start"]
+        mixed = rw[rows]
+        costs = 0.5 * np.sum(mixed * mixed, axis=1) + nlw
+        n = len(costs)
+        cheapest = costs == np.repeat(np.minimum.reduceat(costs, starts),
+                                      np.diff(starts, append=n))
+        active = np.minimum.reduceat(np.where(cheapest, np.arange(n), n), starts)
+        found = active[active < n]
+        scale[rows] = 0.0
+        scale[rows[found]] = 1.0
+        return scale, float(nlw[found].sum()) if len(found) == len(active) else np.nan
 
     def error_only(self, state) -> _Residuals:
         """The whitened residuals and the total error at ``state``."""
@@ -904,19 +921,11 @@ class _BatchedFactors:
         terms = (self._prior_residuals(x, lms, rows), self._between_residuals(x, lms, rows),
                  self._observation_residuals(x, lms, rows))
         whitened = [np.einsum("nij,nj->ni", table["w"], r[0])
-                    for (table, _), r in zip(self._linear_tables(), terms)]
-        whitened[2] *= self.observation["s"][:, None]
-        total = 0.5 * sum(float(np.sum(rw * rw)) for rw in whitened)
-        active = np.zeros(0, dtype=np.intp)
-        mixture = predicted = np.zeros((0, 3))
-        if len(self.mixture):
-            r, h = self._observation_residuals(x, lms, rows, self.mixture)
-            rw = np.einsum("nij,nj->ni", self.mixture["w"], r)
-            active, mix_total = self._mixture_active(
-                0.5 * np.sum(rw * rw, axis=1) + self.mixture["nlw"])
-            total += mix_total
-            mixture, predicted = rw[active], h[active]
-        return _Residuals(total, tuple(whitened), terms, active, mixture, predicted)
+                    for (table, _), r in zip(self._tables(), terms)]
+        scale, log_weights = self._observation_scale(whitened[2])
+        whitened[2] *= scale[:, None]
+        total = 0.5 * sum(float(np.sum(rw * rw)) for rw in whitened) + log_weights
+        return _Residuals(total, tuple(whitened), terms, scale)
 
     # -- linearization -------------------------------------------------------
     # The Jacobian kernels give the whitened Jacobians of the rows ``rows``
@@ -930,11 +939,10 @@ class _BatchedFactors:
         w = self.between["w"][rows]
         return np.concatenate([w @ j_i, w @ j_j], axis=2)
 
-    def _observation_jacobians(self, rows, r, h):
+    def _observation_jacobians(self, rows, r, h, q):
         ob = self.observation
-        j_pose, j_lm = observation_jacobians(self.poses["lin"][ob["p"][rows], :4], h)
-        return ob["s"][rows, None, None] * (ob["w"][rows] @ np.concatenate([j_pose, j_lm],
-                                                                           axis=2))
+        jac = ob["w"][rows] @ np.concatenate(observation_jacobians(q, h), axis=2)
+        return ob["jac_s"][rows, None, None] * jac
 
     def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False):
         """Total error and the Gauss-Newton system at ``state``.
@@ -942,13 +950,14 @@ class _BatchedFactors:
         Only these rows get a new Jacobian: rows appended since the last
         linearization, rows of a variable whose estimate moved more than
         RELINEARIZE_THRESHOLD (0 when ``fresh``) from its linearization point
-        or was written from outside, and weighted rows after a weight bump.
-        Such a variable's point first moves to its estimate; every Jacobian is
-        taken at the points of its row's variables. Mixture rows are linearized
-        anew at ``state``. Every kept J^T J entry is then binned with the
-        gradient J^T r, whose whitened residuals r are taken at ``state``:
-        ``residuals`` when given (``error_only``'s result at ``state``), else
-        computed here.
+        or was written from outside, and observation rows whose scale at
+        ``state`` differs from the one their Jacobian was taken with. Such a
+        variable's point first moves to its estimate; every Jacobian is taken
+        at the points of its row's variables. The rows of a mixture of two or
+        more components get a new Jacobian every time, at ``state``. Every
+        kept J^T J entry is then binned with the gradient J^T r, whose
+        whitened residuals r are taken at ``state``: ``residuals`` when given
+        (``error_only``'s result at ``state``), else computed here.
         """
         if residuals is None:
             residuals = self._residuals(state)
@@ -963,18 +972,22 @@ class _BatchedFactors:
                    (self._observation_residuals, self._observation_jacobians))
         relinearized = 0
         for (table, block), (residual_kernel, jacobian_kernel), variables, done, terms, part, \
-                rw in zip(self._linear_tables(), kernels, self._row_variables(),
+                rw in zip(self._tables(), kernels, self._row_variables(),
                           self._linearized, residuals.terms, bins.parts, residuals.whitened):
             redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
             redo[done:] = True  # appended since the last linearization
-            if table is self.observation:
-                redo[self._reweighted] = True
+            current = np.zeros(len(table), dtype=bool)  # rows linearized at the estimate
+            if table is self.observation:  # components that may switch, and rows whose scale changed
+                sizes = np.diff(self.mixtures["start"], append=len(self.components))
+                current[self.components["row"][np.repeat(sizes > 1, sizes)]] = True
+                redo |= current | (residuals.scale != table["jac_s"])
+                table["jac_s"][:] = residuals.scale
             rows = np.flatnonzero(redo)
             k = len(block.kept)
             if len(rows):
                 terms = [a[rows] for a in terms]
-                lagged = ~np.logical_and.reduce([at[kind][slots[rows]]
-                                                 for kind, slots in variables])
+                lagged = ~(current[rows] | np.logical_and.reduce([at[kind][slots[rows]]
+                                                                  for kind, slots in variables]))
                 if lagged.any():  # rows with a point away from the estimate
                     for a, b in zip(terms, residual_kernel(
                             self.poses["lin"], self.landmarks["lin"], rows[lagged])):
@@ -985,17 +998,7 @@ class _BatchedFactors:
                 part[rows, :k] = _kept_products(jac, block)
                 relinearized += len(jac)
             np.einsum("nij,ni->nj", table["jac"], rw, out=part[:, k:])
-        self._reweighted = np.zeros(0, dtype=np.intp)
-        self._linearized = tuple(len(table) for table, _ in self._linear_tables())
-
-        if len(bins.mix_index):
-            mx, active = self.mixture, residuals.active
-            j_pose, j_lm = observation_jacobians(x[mx["p"][active], :4], residuals.predicted)
-            jac = mx["w"][active] @ np.concatenate([j_pose, j_lm], axis=2)
-            k = len(_OBSERVATION_BLOCK.kept)
-            bins.mix_values[:, :k] = _kept_products(jac, _OBSERVATION_BLOCK)
-            np.einsum("nij,ni->nj", jac, residuals.mixture, out=bins.mix_values[:, k:])
-            bins.mix_index[:] = mx["index"][active]
+        self._linearized = tuple(len(table) for table, _ in self._tables())
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
         flat = np.bincount(bins.index, bins.values,
@@ -1012,7 +1015,7 @@ class _BatchedFactors:
             fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized)
 
     def _row_variables(self):
-        """Per table of ``_linear_tables``, its rows' variables as (0 for a pose
+        """Per table of ``_tables``, its rows' variables as (0 for a pose
         or 1 for a landmark, slot column) pairs."""
         return (((0, self.prior["slot"]),),
                 ((0, self.between["i"]), (0, self.between["j"])),
@@ -1026,37 +1029,32 @@ class _BatchedFactors:
         if self._rebin:
             self._rebin = False
             old = self._bins.parts if self._bins else (None,) * 3
-            width = len(_OBSERVATION_BLOCK.kept) + 9
-            sizes = [table["index"].size for table, _ in self._linear_tables()]
-            total = sum(sizes) + len(self.mixture_start) * width
+            sizes = [table["index"].size for table, _ in self._tables()]
+            total = sum(sizes)
             if len(self._spare[1]) < total:
                 self._spare = (np.empty(2 * total, dtype=np.intp), np.empty(2 * total))
             index, values = self._spare[0][:total], self._spare[1][:total]
             self._spare, self._buffers = self._buffers, self._spare
             parts, at = [], 0
-            for (table, _), size, kept in zip(self._linear_tables(), sizes, old):
+            for (table, _), size, kept in zip(self._tables(), sizes, old):
                 index[at:at + size] = table["index"].ravel()
                 part = values[at:at + size].reshape(table["index"].shape)
                 if kept is not None:
                     part[:len(kept)] = kept
                 parts.append(part)
                 at += size
-            self._bins = _Bins(index, values, tuple(parts), index[at:].reshape(-1, width),
-                               values[at:].reshape(-1, width))
+            self._bins = _Bins(index, values, tuple(parts))
         return self._bins
 
 
 class _Bins(NamedTuple):
     """What ``_BatchedFactors.linearize`` bins, in one buffer: per table of
-    ``_linear_tables`` a (rows, kept + d) part holding each row's kept J^T J
-    entries, then its J^T r entries; then one such record per mixture, for
-    its active component."""
+    ``_tables`` a (rows, kept + d) part holding each row's kept J^T J
+    entries, then its J^T r entries."""
 
     index: np.ndarray        # scatter index of every entry
     values: np.ndarray
     parts: tuple             # views of values
-    mix_index: np.ndarray    # (mixtures, kept + 9) views of index and values
-    mix_values: np.ndarray
 
 
 def em_reweight(graph: FactorGraph, iterations: int = 1,
@@ -1068,17 +1066,15 @@ def em_reweight(graph: FactorGraph, iterations: int = 1,
     innovation covariance frozen at insertion time (falls back to the
     measurement covariance when absent).
     """
-    weighted = [f for f in graph.factors if isinstance(f, WeightedObservationFactor)]
-    if not weighted:
+    batch = graph._batched()
+    if not batch._weighted:
         return graph.optimize(lm_config)
     # stable-sort by group so each group is one contiguous segment
-    weighted.sort(key=lambda f: f.group_id if f.group_id is not None else id(f))
-    group_keys = [f.group_id if f.group_id is not None else id(f) for f in weighted]
-    offsets = [0] + [i for i in range(1, len(weighted))
-                     if group_keys[i] != group_keys[i - 1]] + [len(weighted)]
-    offsets = np.array(offsets)
+    order = np.argsort(batch.weighted["group"], kind="stable")
+    starts = np.flatnonzero(np.diff(batch.weighted["group"][order], prepend=-1))
+    rows = batch.weighted["row"][order]
+    weighted = [batch._weighted[i] for i in order.tolist()]
 
-    z = np.array([f.point for f in weighted])
     covs = np.array([f.innovation_cov if f.innovation_cov is not None else f.gamma
                      for f in weighted])
     try:
@@ -1086,22 +1082,28 @@ def em_reweight(graph: FactorGraph, iterations: int = 1,
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance must be SPD") from exc
     log_norm = -np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
-    batch = graph._batch
-    pose_slots = [batch.pose_slot[f.pose_key] for f in weighted]
-    lm_slots = [batch.lm_slot[f.landmark_key] for f in weighted]
 
     report = None
     for _ in range(iterations):
-        x, lms = batch.state()
-        r, _ = observation_residuals(x[pose_slots, :4], x[pose_slots, 4:], lms[lm_slots], z)
+        r = batch._observation_residuals(*batch.state(), rows)[0]
         y = np.linalg.solve(chol, r[..., None])[..., 0]
         logs = -0.5 * np.einsum("mk,mk->m", y, y) + log_norm
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            w = np.exp(logs[a:b] - logs[a:b].max())
-            w = np.maximum(w / w.sum(), 1e-12)
-            w /= w.sum()
-            for f, wi in zip(weighted[a:b], w):
-                f.weight = float(wi)
+        for f, w in zip(weighted, _group_weights(logs, starts).tolist()):
+            f.weight = w
         graph.bump_weights_version()
         report = graph.optimize(lm_config)
     return report
+
+
+def _group_weights(logs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """exp(logs) normalized within each group, the segment of ``logs`` from
+    one entry of ``starts`` to the next; then floored at 1e-12 and normalized
+    again."""
+    sizes = np.diff(starts, append=len(logs))
+
+    def per_group(reduce, a):
+        return np.repeat(reduce.reduceat(a, starts), sizes)
+
+    w = np.exp(logs - per_group(np.maximum, logs))
+    w = np.maximum(w / per_group(np.add, w), 1e-12)
+    return w / per_group(np.add, w)

@@ -158,7 +158,7 @@ def brute_force_hypotheses(det, snap, cfg):
         c = hh @ snap.marginal(lm.id) @ hh.T + det.point_covariance
         c = 0.5 * (c + c.T)
         d2 = float(r @ np.linalg.inv(c) @ r)
-        if not d2 < chi2_quantile(cfg.dof, cfg.beta):
+        if not d2 < chi2_quantile(da.POINT_DOF, cfg.beta):
             continue
         lml = -0.5 * d2 - 0.5 * np.log(np.linalg.det(2 * np.pi * c))
         out.append((lm.id, d2, cos, lml))
@@ -203,7 +203,7 @@ def test_hypotheses_match_enumeration_oracle():
 def test_gating_soundness():
     rng = np.random.default_rng(4)
     cfg = da.DAConfig(alpha=0.0, gate_radius=8.0)
-    threshold = chi2_quantile(cfg.dof, cfg.beta)
+    threshold = chi2_quantile(da.POINT_DOF, cfg.beta)
     for _ in range(100):
         det, snap = random_instance(rng, 4)
         for h in da.generate_hypotheses(det, snap, cfg):

@@ -181,7 +181,8 @@ def test_gauge_full_rank_with_single_prior():
 def dense_normal_equations(g, batch, at=None, lin=None, absolute=False):
     """Dense J^T J and J^T r stacked from each factor's scalar linearize(): the
     residuals at the estimates ``at`` and the Jacobians at ``lin`` (Values;
-    both default to the graph's estimates). A mixture is linearized at ``at``.
+    both default to the graph's estimates). A mixture of two or more
+    components is linearized at ``at``.
     ``absolute`` stacks |J|^T |J| and |J|^T |r|, the scale of the rounding."""
     at = at or g.values()
     lin = lin or at
@@ -189,7 +190,8 @@ def dense_normal_equations(g, batch, at=None, lin=None, absolute=False):
     grad = np.zeros(batch.num_cols)
     for f in g.factors:
         r, _ = f.linearize(at)
-        _, jacobians = f.linearize(at if isinstance(f, fx.MixtureObservationFactor) else lin)
+        switches = isinstance(f, fx.MixtureObservationFactor) and len(f.landmark_keys) > 1
+        _, jacobians = f.linearize(at if switches else lin)
         jac = np.zeros((len(r), batch.num_cols))
         for (kind, key), block in jacobians.items():
             cols = batch.pose_columns(key) if kind == "x" else batch.landmark_columns(key)
@@ -504,6 +506,75 @@ def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
         assert stale > 20
 
 
+def test_mixture_switch_relinearizes_the_switched_rows():
+    # After a converged solve, a write to landmark 0 makes the mixture's other
+    # candidate, landmark 1, the cheaper one. The plain rows of landmark 0 get
+    # new Jacobians because it was written, and both mixture rows because a
+    # mixture of two is linearized at the estimate: the switched-off row with
+    # scale 0, the switched-on one with scale 1. A one-component mixture of
+    # unmoved variables keeps its Jacobian. The system equals the oracle and
+    # the error the sum of the scalar errors, which holds the -log w of the
+    # active components.
+    rng = np.random.default_rng(18)
+    poses = chain_poses(rng, 4)
+    g = build_chain_graph(poses, perturb=0.02, rng=rng)
+    gamma = np.eye(3) * 1e-2
+    points = [rng.normal(size=3)]
+    points.append(points[0] + np.array([0.3, 0.0, 0.0]))
+    for j, point in enumerate(points):
+        g.add_landmark(j, point + rng.normal(scale=0.05, size=3))
+        for k, pose in enumerate(poses):
+            z = inverse(pose).apply(point) + rng.normal(scale=0.05, size=3)
+            g.add_factor(fx.ObservationFactor(k, j, z, gamma))
+    z = inverse(poses[3]).apply(points[0])
+    g.add_factor(fx.MixtureObservationFactor(3, [0, 1], z, gamma, [0.7, 0.3]))
+    z = inverse(poses[2]).apply(points[1])
+    g.add_factor(fx.MixtureObservationFactor(2, [1], z, gamma, [1.0]))
+    assert g.optimize().converged
+    batch = g._batched()
+    rows = batch.components["row"]
+    assert np.array_equal(batch.observation["jac_s"][rows], [1.0, 0.0, 1.0])
+
+    g.landmarks[0][0] += 1.0
+    batch = g._batched()
+    state = tuple(a.copy() for a in batch.state())
+    err, system = batch.linearize(state)
+    assert np.array_equal(batch.observation["jac_s"][rows], [0.0, 1.0, 1.0])
+    assert not batch.observation["jac"][rows[0]].any()
+    assert batch.observation["jac"][rows[1]].any()
+    assert system.relinearized == len(poses) + 2  # landmark 0's plain rows, the mixture of two
+    lin = (batch.poses["lin"], batch.landmarks["lin"])
+    check_against_oracle(g, state, lin, err, system, from_scratch=False)
+    assert err == pytest.approx(sum(f.error(g.values()) for f in g.factors), rel=1e-12)
+
+    report = g.optimize()
+    _, state, system = g._final_system
+    check_against_oracle(g, state, lin, report.final_error, system, report.converged)
+
+
+def test_nan_trial_step_on_a_mixture_graph_is_rejected(monkeypatch):
+    # The first trial step puts a mixture's candidate landmark at NaN. Its
+    # error is NaN, so LM rejects the step, raises lambda and goes on.
+    g = structured_graph(np.random.default_rng(20))
+    batch = g._batched()
+    slot = batch.lm_slot[10]
+    original = gr._BatchedFactors.retract
+    trials = []
+
+    def retract(self, state, delta):
+        x, lms = original(self, state, delta)
+        if not trials:
+            lms[slot] = np.nan
+        trials.append(self.error_only((x, lms)).error)
+        return x, lms
+
+    monkeypatch.setattr(gr._BatchedFactors, "retract", retract)
+    report = g.optimize()
+    assert np.isnan(trials[0]) and len(trials) > 1
+    assert report.converged and np.isfinite(report.final_error)
+    assert np.isfinite(g.landmarks[10]).all()
+
+
 @pytest.mark.parametrize("with_landmarks", [True, False])
 def test_solve_and_marginals_match_dense_oracle(with_landmarks):
     g = structured_graph(np.random.default_rng(10), with_landmarks)
@@ -788,6 +859,54 @@ def test_em_reweight_error_non_increasing_convex_case():
     before = g.error()
     report = gr.em_reweight(g, iterations=1)
     assert report.final_error <= before + 1e-12
+
+
+def test_em_reweight_normalizes_each_group_wherever_its_members_sit():
+    # Group 7 gets members in two syncs, around group 3's and two ungrouped
+    # factors. Each group is normalized on its own, and an ungrouped factor
+    # is a group of one.
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), PRIOR_SIGMA))
+    z = np.array([1.0, 0.0, 0.0])
+    for j in range(4):
+        g.add_landmark(j, z + np.array([0.0, 0.03 * j, 0.0]))
+    gamma = np.eye(3) * 0.0025
+    for members in ([(0, 7), (1, 3), (2, None), (2, 3)], [(3, 7), (1, None), (0, 3)]):
+        for j, group in members:
+            g.add_factor(fx.WeightedObservationFactor(0, j, z, gamma, 0.5, group_id=group))
+        g.error()  # appends these members
+    weighted = [f for f in g.factors if isinstance(f, fx.WeightedObservationFactor)]
+    likelihood = []
+    for f in weighted:
+        r = inverse(g.poses[0]).apply(g.landmarks[f.landmark_key]) - f.point
+        likelihood.append(np.exp(-0.5 * r @ np.linalg.solve(f.gamma, r)))
+    keys = [f.group_id if f.group_id is not None else ("alone", i)
+            for i, f in enumerate(weighted)]
+    total = {}
+    for key, lik in zip(keys, likelihood):
+        total[key] = total.get(key, 0.0) + lik
+    want = [lik / total[key] for key, lik in zip(keys, likelihood)]
+    gr.em_reweight(g, iterations=1)
+    assert [f.weight for f in weighted] == pytest.approx(want, rel=1e-12)
+    assert [f.weight for f in weighted if f.group_id is None] == [1.0, 1.0]
+
+
+def test_group_weights_match_per_group_loop():
+    # ndarray.sum and np.add.reduceat add a group's terms in different orders,
+    # so the weights may differ from the loop's in the last few bits
+    rng = np.random.default_rng(19)
+    sizes = rng.integers(1, 9, size=200)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    logs = rng.normal(scale=30.0, size=sizes.sum())
+    want = np.empty_like(logs)
+    for a, b in zip(starts, starts + sizes):
+        w = np.exp(logs[a:b] - logs[a:b].max())
+        w = np.maximum(w / w.sum(), 1e-12)
+        want[a:b] = w / w.sum()
+    got = gr._group_weights(logs, starts)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert (want < 1e-11).any()  # the floor is reached
 
 
 def test_em_reweight_non_spd_innovation_raises_numerical_error():

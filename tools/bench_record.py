@@ -19,11 +19,16 @@ change next to the first checkout's interquartile range.
 
 ``--run-slam`` also records, per checkout, the end-to-end ``run_slam`` rows on
 the 1500-frame scenario: the default ``WorldConfig`` (3 loops of 500
-keyframes), odometry noise multiplier 3, seed 0, the ``ml`` strategy, with
-``optimize_every`` 1 and 10. Each row runs in its own process from the
-checkout's root and gives ms per frame overall and per third of 500 frames
-(``finalize`` counts in the last frame), APE RMSE, the landmark count and map
-precision/recall.
+keyframes), odometry noise multiplier 3, seed 0: the ``ml`` strategy with
+``optimize_every`` 1 and 10, and the ``mm`` and ``em`` strategies with
+``optimize_every`` 10, since only these build max-mixture and EM-weighted
+observation rows and no perfbench workload does. Each row runs ``--pairs``
+times per checkout, in the same alternating order as the workloads, each run
+in its own process from the checkout's root. A row records ms per frame
+(every value, median and quartiles) and the median per third of 500 frames
+(``finalize`` counts in the last frame), then the APE RMSE, landmark count and
+map precision/recall of the first run, and whether every repeat gave the same
+four.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from pathlib import Path
 
 # lower is better for every gated metric (see BENCHMARK.json)
 END_TO_END = ("setup_s", "cost_per_op", "peak_rss_mb", "quality_loss")
-SLAM_OPTIMIZE_EVERY = (1, 10)
+SLAM_ROWS = (("ml", 1), ("ml", 10), ("mm", 10), ("em", 10))  # (strategy, optimize_every)
 SLAM_NOISE_MULTIPLIER = 3.0
 SLAM_SEED = 0
 SLAM_ROW = "--slam-row"  # internal: run one run_slam row in this process
@@ -53,7 +58,8 @@ def parse_args(argv):
     parser.add_argument("--workloads", nargs="*", default=[])
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--pairs", type=int, default=10,
-                        help="untraced runs per checkout, workload and seed")
+                        help="untraced runs per checkout, workload and seed, and runs "
+                             "per checkout of each run_slam row")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--run-slam", action="store_true",
                         help="also record the 1500-frame run_slam rows of each checkout")
@@ -121,7 +127,7 @@ def compare(base: dict, other: dict) -> dict:
     return out
 
 
-def slam_row(optimize_every: int) -> dict:
+def slam_row(strategy: str, optimize_every: int) -> dict:
     """One run_slam row on the 1500-frame scenario, with the package from the
     working directory's src/; frame times come from timing each keyframe."""
     src = Path.cwd() / "src"
@@ -133,7 +139,7 @@ def slam_row(optimize_every: int) -> dict:
         raise SystemExit(f"error: objectslam imported from {pipeline.__file__}, not {src}")
     world, trajectory, dataset = simworld.simulate(
         simworld.WorldConfig(), simworld.NoiseModel(multiplier=SLAM_NOISE_MULTIPLIER), SLAM_SEED)
-    system = pipeline.SlamSystem(pipeline.SlamConfig(da=DAConfig(strategy="ml"),
+    system = pipeline.SlamSystem(pipeline.SlamConfig(da=DAConfig(strategy=strategy),
                                                      optimize_every=optimize_every))
     keyframes = dataset.keyframes
     frame_s = []
@@ -147,7 +153,7 @@ def slam_row(optimize_every: int) -> dict:
     landmarks = system.landmarks()
     report = evaluation.map_report(landmarks, world)
     ape = evaluation.ape(system.trajectory([kf.t for kf in keyframes]), trajectory)
-    return {"frames": len(frame_s), "optimize_every": optimize_every, "strategy": "ml",
+    return {"frames": len(frame_s), "optimize_every": optimize_every, "strategy": strategy,
             "noise_multiplier": SLAM_NOISE_MULTIPLIER, "seed": SLAM_SEED,
             "wall_s": sum(frame_s), "ms_per_frame": 1e3 * sum(frame_s) / len(frame_s),
             "ms_per_frame_thirds": [1e3 * sum(t) / len(t) for t in thirds],
@@ -155,24 +161,36 @@ def slam_row(optimize_every: int) -> dict:
             "map_precision": report.precision, "map_recall": report.recall}
 
 
-def run_slam_row(root: Path, optimize_every: int) -> dict:
+def summarize_slam(runs: list) -> dict:
+    """One run_slam row over its repeats."""
+    row = dict(runs[0], repeats=len(runs))
+    for name in ("wall_s", "ms_per_frame"):
+        row[name] = spread([r[name] for r in runs])
+    row["ms_per_frame_thirds"] = [statistics.median(third) for third in
+                                  zip(*(r["ms_per_frame_thirds"] for r in runs))]
+    row["deterministic"] = all(r[name] == runs[0][name] for r in runs for name in
+                               ("ape_rmse_m", "landmarks", "map_precision", "map_recall"))
+    return row
+
+
+def run_slam_row(root: Path, strategy: str, optimize_every: int) -> dict:
     """One run_slam row of a checkout, in its own process."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW,
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW, strategy,
                            str(optimize_every)], cwd=root, env=env, capture_output=True,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
+    row = f"{strategy} optimize_every={optimize_every}"
     if proc.returncode or not lines:
-        raise RuntimeError(f"{root}: run_slam optimize_every={optimize_every} failed:\n"
-                           f"{proc.stderr[-2000:]}")
-    print(f"run_slam {root} optimize_every={optimize_every}: {lines[-1]}", flush=True)
+        raise RuntimeError(f"{root}: run_slam {row} failed:\n{proc.stderr[-2000:]}")
+    print(f"run_slam {root} {row}: {lines[-1]}", flush=True)
     return json.loads(lines[-1])
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == [SLAM_ROW]:
-        print(json.dumps(slam_row(int(argv[1]))))
+        print(json.dumps(slam_row(argv[1], int(argv[2]))))
         return 0
     args = parse_args(argv)
     raw = {label: {} for label, _ in args.checkout}
@@ -193,9 +211,13 @@ def main(argv=None) -> int:
                 raw[label][key] = summarize(*runs[label])
             machine = machine or runs[args.checkout[0][0]][0][0]["environment"]
     slam = {label: [] for label, _ in args.checkout} if args.run_slam else {}
-    for every in SLAM_OPTIMIZE_EVERY if args.run_slam else ():
-        for label, root in args.checkout:
-            slam[label].append(run_slam_row(Path(root), every))
+    for strategy, every in SLAM_ROWS if args.run_slam else ():
+        runs = {label: [] for label, _ in args.checkout}
+        for i in range(args.pairs):
+            for label, root in args.checkout if i % 2 == 0 else args.checkout[::-1]:
+                runs[label].append(run_slam_row(Path(root), strategy, every))
+        for label, _ in args.checkout:
+            slam[label].append(summarize_slam(runs[label]))
     first = args.checkout[0][0]
     record = {
         "pr": args.pr,
