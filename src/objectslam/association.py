@@ -3,7 +3,8 @@
 A detection is matched against mapped landmarks in two gates: a class gate on
 embedding cosine similarity, then a chi-square gate on the Mahalanobis
 distance of the point innovation under the innovation covariance
-C = H Sigma H^T + Gamma (H stacked over the joint pose/landmark marginal).
+C = H Sigma H^T + Gamma, with H the observation Jacobian with respect to
+the pose and the landmark and Sigma their joint marginal.
 Surviving hypotheses are ranked by log marginal likelihood and resolved per
 strategy: max-likelihood, max-mixtures, EM weights, geometric-only, or
 always-new.
@@ -12,13 +13,15 @@ always-new.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.stats import chi2
 
-from .geometry import Pose3, skew
+from .factors import observation_jacobians, observation_residuals
+from .geometry import Pose3
+from .graph import pose_landmark_blocks
 from .segmentation import ObjectDetection
 
 STRATEGIES = ("ml", "em", "mm", "geometric_only", "new_only")
@@ -118,19 +121,22 @@ class AssociationDecision:
 
 @dataclass
 class StateSnapshot:
-    """Frozen view handed to association: pose, landmarks, joint marginals.
+    """Frozen view handed to association: pose, landmarks, joint covariance.
 
-    joint_marginals maps landmark id to the 9x9 covariance of the stacked
-    (pose tangent, landmark point) error. Missing entries are treated as a
+    joint_cov is the (6 + 3n) covariance of the stacked (pose tangent, point
+    of each landmark) error, with the landmarks in list order: the graph's
+    ``joint_covariance``, landmark cross-covariances included. None is a
     perfectly known state.
     """
 
     pose: Pose3
     landmarks: list[Landmark]
-    joint_marginals: dict[int, np.ndarray] = field(default_factory=dict)
+    joint_cov: np.ndarray | None = None
 
-    def marginal(self, landmark_id: int) -> np.ndarray:
-        return self.joint_marginals.get(landmark_id, _ZERO9)
+    def __post_init__(self):
+        dim = 6 + 3 * len(self.landmarks)
+        if self.joint_cov is not None and np.shape(self.joint_cov) != (dim, dim):
+            raise ValueError(f"joint_cov must be {dim}x{dim} for {len(self.landmarks)} landmarks")
 
     @cached_property
     def _arrays(self):
@@ -142,23 +148,19 @@ class StateSnapshot:
         n = len(self.landmarks)
         positions = (np.array([lm.position for lm in self.landmarks]).reshape(n, 3)
                      if n else np.zeros((0, 3)))
-        joints = (np.array([self.marginal(lm.id) for lm in self.landmarks]).reshape(n, 9, 9)
-                  if n else np.zeros((0, 9, 9)))
         embeddings = (np.array([lm.embedding for lm in self.landmarks])
                       if n else np.zeros((0, 1)))
         emb_norms = np.linalg.norm(embeddings, axis=1)
-        rot_t = self.pose.rotation_matrix().T
-        predicted = (positions - self.pose.translation) @ rot_t.T
-        # H = [skew(h) | -I | R^T]; project the joint marginal once per landmark
-        h = np.zeros((n, 3, 9))
-        h[:, :, :3] = skew(predicted)
-        h[:, :, 3:6] = -np.eye(3)
-        h[:, :, 6:] = rot_t
+        q = self.pose.rotation
+        _, predicted = observation_residuals(q, self.pose.translation, positions, 0.0)
+        if self.joint_cov is None:
+            return predicted, np.zeros((n, 3, 3)), embeddings, emb_norms
+        # each (pose, landmark) block through that pair's observation Jacobian
+        joints = pose_landmark_blocks(self.joint_cov)
+        j_pose, j_lm = observation_jacobians(q, predicted)
+        h = np.concatenate([j_pose, np.broadcast_to(j_lm, (n, 3, 3))], axis=-1)
         hsh = h @ joints @ np.swapaxes(h, 1, 2)
         return predicted, hsh, embeddings, emb_norms
-
-
-_ZERO9 = np.zeros((9, 9))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -80,7 +80,10 @@ last band column block, next to the landmark border, so the trailing
 eliminates every other pose: its inverse is the joint (last pose,
 landmarks) covariance the gate needs, with no solve over the other
 6(N - 1) pose rows. For any other pose the marginals are the corresponding
-columns of the inverse, solved through the whole factor.
+columns of the inverse, solved through the whole factor. That one (6 + 3M)
+matrix, ``joint_covariance``, is what the pipeline hands the gate, landmark
+cross-covariances included; ``joint_marginals`` (its 9x9 pose-landmark
+blocks) and ``pose_marginal`` read it.
 
 Scatter layout. The ``np.bincount`` assembles the system into a flat buffer
 laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
@@ -131,15 +134,22 @@ class Values:
 @dataclass
 class LMConfig:
     max_iterations: int = 100
-    rel_decrease_tol: float = 1e-9
-    gradient_tol: float = 1e-8
-    init_lambda: float = 1e-6
-    lambda_scale: float = 10.0
-    max_lambda: float = 1e10
+
+
+# Levenberg-Marquardt stopping tolerances and damping schedule
+REL_DECREASE_TOL = 1e-9
+GRADIENT_TOL = 1e-8
+INIT_LAMBDA = 1e-6
+LAMBDA_SCALE = 10.0
+MAX_LAMBDA = 1e10
 
 
 @dataclass
 class OptimizeReport:
+    """``gradient_norm`` is that of the system the solve ended with. A solve
+    cut off by ``max_iterations`` may end with stale rows, so its gradient is
+    the lagged model's, not the true gradient at the returned estimate."""
+
     initial_error: float
     final_error: float
     iterations: int
@@ -278,19 +288,19 @@ class FactorGraph:
             """Whether the solve has converged at ``state``; a system that says
             so is made fresh and asked again."""
             nonlocal system
-            small = rel < config.rel_decrease_tol
-            if float(np.linalg.norm(system.grad)) >= config.gradient_tol and not small:
+            small = rel < REL_DECREASE_TOL
+            if float(np.linalg.norm(system.grad)) >= GRADIENT_TOL and not small:
                 return False
             if not system.fresh:
                 _, system = batch.linearize(state, residuals, fresh=True)
-            return float(np.linalg.norm(system.grad)) < config.gradient_tol or small
+            return float(np.linalg.norm(system.grad)) < GRADIENT_TOL or small
 
-        lam = config.init_lambda
+        lam = INIT_LAMBDA
         iterations = 0
         converged = stops(np.inf)
         while not converged and iterations < config.max_iterations:
             stepped = False
-            while lam <= config.max_lambda:
+            while lam <= MAX_LAMBDA:
                 factor = self._factorize(system, lam)
                 candidate = batch.retract(state, factor.solve(-system.grad))
                 cand = batch.error_only(candidate)
@@ -305,7 +315,7 @@ class FactorGraph:
                     break
                 if not system.fresh:
                     _, system = batch.linearize(state, residuals, fresh=True)
-                lam *= config.lambda_scale
+                lam *= LAMBDA_SCALE
             if not stepped:
                 break
 
@@ -362,28 +372,12 @@ class FactorGraph:
             _, system = batch.linearize(state, fresh=True)
         return self._factorize(system), batch
 
-    def joint_marginal(self, pose_key: int, landmark_key: int) -> np.ndarray:
-        """Exact 9x9 joint (pose, landmark) covariance from the GN information."""
-        return self.joint_marginals(pose_key, [landmark_key])[landmark_key]
-
-    def joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
-        """Joint 9x9 (pose, landmark) covariances, from ``optimize``'s final
-        linearization while the estimate is unchanged."""
-        cov = self._marginal_covariance(pose_key, landmark_keys)
-        lm = 6 + 3 * np.arange(len(landmark_keys))[:, None] + np.arange(3)
-        sel = np.concatenate([np.broadcast_to(np.arange(6), (len(lm), 6)), lm], axis=1)
-        return dict(zip(landmark_keys, cov[sel[:, :, None], sel[:, None, :]]))
-
-    def pose_marginal(self, pose_key: int) -> np.ndarray:
-        """6x6 pose covariance, from ``optimize``'s final linearization while
-        the estimate is unchanged."""
-        return self._marginal_covariance(pose_key, [])
-
-    def _marginal_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
-        """Joint covariance of the pose and the landmarks, in that order. For
-        the pose in the last slot it comes from the trailing block of the
-        factor; for any other pose, from solving for those columns of the
-        inverse."""
+    def joint_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
+        """Joint (6 + 3M) covariance of the pose and the landmarks, in that
+        order, from ``optimize``'s final linearization while the estimate is
+        unchanged. For the pose in the last slot it comes from the trailing
+        block of the factor; for any other pose, from solving for those
+        columns of the inverse."""
         if pose_key not in self.poses:
             raise ValueError(f"pose {pose_key} not in graph")
         for k in landmark_keys:
@@ -396,6 +390,16 @@ class FactorGraph:
             return factor.trailing_covariance()[np.ix_(sel, sel)]
         return _covariance(factor, batch, np.concatenate(
             [batch.pose_columns(pose_key)] + [batch.landmark_columns(k) for k in landmark_keys]))
+
+    def joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
+        """Joint 9x9 (pose, landmark) covariances: the blocks of
+        ``joint_covariance``."""
+        cov = self.joint_covariance(pose_key, landmark_keys)
+        return dict(zip(landmark_keys, pose_landmark_blocks(cov)))
+
+    def pose_marginal(self, pose_key: int) -> np.ndarray:
+        """6x6 pose covariance: ``joint_covariance`` with no landmark."""
+        return self.joint_covariance(pose_key, [])
 
 
 class _Estimates(Mapping):
@@ -430,6 +434,15 @@ def _pose_from_row(row: np.ndarray) -> Pose3:
 
 def _row_from_pose(pose: Pose3) -> np.ndarray:
     return np.concatenate([pose.rotation, pose.translation])
+
+
+def pose_landmark_blocks(cov: np.ndarray) -> np.ndarray:
+    """The (n, 9, 9) joint (pose, landmark i) blocks of a (6 + 3n) covariance
+    laid out as ``FactorGraph.joint_covariance`` returns it."""
+    n = (len(cov) - 6) // 3
+    lm = 6 + 3 * np.arange(n)[:, None] + np.arange(3)
+    sel = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), lm], axis=1)
+    return cov[sel[:, :, None], sel[:, None, :]]
 
 
 def _covariance(factor: "SchurFactor", batch: "_BatchedFactors", cols) -> np.ndarray:
@@ -1057,9 +1070,8 @@ class _Bins(NamedTuple):
     parts: tuple             # views of values
 
 
-def em_reweight(graph: FactorGraph, iterations: int = 1,
-                lm_config: LMConfig | None = None) -> OptimizeReport | None:
-    """Alternate E (recompute association weights) and M (optimize) steps.
+def em_reweight(graph: FactorGraph, lm_config: LMConfig | None = None) -> OptimizeReport:
+    """One E step (recompute association weights) and one M step (optimize).
 
     Weights of each weighted-observation group are set proportional to the
     marginal measurement likelihood at the current estimates, using the
@@ -1083,16 +1095,13 @@ def em_reweight(graph: FactorGraph, iterations: int = 1,
         raise NumericalError("innovation covariance must be SPD") from exc
     log_norm = -np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
 
-    report = None
-    for _ in range(iterations):
-        r = batch._observation_residuals(*batch.state(), rows)[0]
-        y = np.linalg.solve(chol, r[..., None])[..., 0]
-        logs = -0.5 * np.einsum("mk,mk->m", y, y) + log_norm
-        for f, w in zip(weighted, _group_weights(logs, starts).tolist()):
-            f.weight = w
-        graph.bump_weights_version()
-        report = graph.optimize(lm_config)
-    return report
+    r = batch._observation_residuals(*batch.state(), rows)[0]
+    y = np.linalg.solve(chol, r[..., None])[..., 0]
+    logs = -0.5 * np.einsum("mk,mk->m", y, y) + log_norm
+    for f, w in zip(weighted, _group_weights(logs, starts).tolist()):
+        f.weight = w
+    graph.bump_weights_version()
+    return graph.optimize(lm_config)
 
 
 def _group_weights(logs: np.ndarray, starts: np.ndarray) -> np.ndarray:

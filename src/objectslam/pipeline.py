@@ -4,8 +4,14 @@ Each keyframe appends a pose (initialized by composing the odometry), runs
 the association module against a frozen snapshot of the current estimates and
 marginals, materializes observation factors (plain, mixture, or EM-weighted)
 or new landmarks, and triggers the batch optimizer on the configured stride.
-Between optimizations the pose covariance is propagated through the odometry
-so the chi-square gate stays calibrated as drift accumulates.
+
+The gate reads one matrix: the joint covariance of the latest pose and every
+landmark, (6 + 3M) square with the landmarks in id order. Each optimize
+replaces it with the graph's ``joint_covariance``. Between optimizations the
+whole matrix is propagated, so the chi-square gate stays calibrated as drift
+accumulates: odometry maps it through T P T^T + Q with T = blockdiag(Ad, I),
+and a new landmark appends its row of cross-covariances with the pose and
+every other landmark.
 """
 
 from __future__ import annotations
@@ -37,15 +43,15 @@ from .graph import FactorGraph, LMConfig, OptimizeReport, em_reweight
 from .segmentation import ObjectDetection
 from .simworld import Dataset
 
+# LM iterations of the solve after a keyframe; ``finalize`` runs to convergence.
+INTERMEDIATE_LM_ITERATIONS = 2
+
 
 @dataclass
 class SlamConfig:
     da: DAConfig = field(default_factory=DAConfig)
-    lm: LMConfig = field(default_factory=LMConfig)
     prior_sigma: np.ndarray = field(default_factory=lambda: np.full(6, 1e-4))
     optimize_every: int = 1
-    intermediate_lm_iterations: int = 2
-    em_iterations: int = 1
     log_decisions: bool = False
 
     def __post_init__(self):
@@ -79,12 +85,9 @@ class SlamSystem:
         self.next_group_id = 0
         self.dropped_ambiguous = 0
         self.decision_log: list[dict] = []
-        self._pose_cov = np.diag(config.prior_sigma ** 2)
-        # per-landmark marginal and (latest pose, landmark) cross-covariance
-        # blocks; one of each is appended when a landmark is created, so block
-        # j belongs to the landmark with dense id j
-        self._lm_cov = np.zeros((0, 3, 3))
-        self._cross = np.zeros((0, 6, 3))
+        # joint covariance of the latest pose and the landmarks; landmark ids
+        # are dense and issued in order, so landmark j is rows 6 + 3j to 9 + 3j
+        self._gate_cov = np.diag(config.prior_sigma ** 2)
 
     # -- keyframe intake -----------------------------------------------------
 
@@ -100,9 +103,8 @@ class SlamSystem:
         k = self.frame
         if k == 0:
             pose = Pose3.identity()
-            pose_cov = np.diag(self.config.prior_sigma ** 2)
-            factor = PriorFactor(0, pose, pose_cov)
-            cross = self._cross
+            factor = PriorFactor(0, pose, np.diag(self.config.prior_sigma ** 2))
+            gate_cov = self._gate_cov
         else:
             if odometry is None:
                 raise DataFormatError(f"keyframe {k} is missing odometry")
@@ -111,15 +113,17 @@ class SlamSystem:
             factor = BetweenFactor(k - 1, k, rel, cov)
             pose = compose(self.graph.poses[k - 1], rel)
             adj = se3_adjoint(*_inverse_qt(rel))
-            pose_cov = adj @ self._pose_cov @ adj.T + cov
-            cross = adj @ self._cross
+            gate_cov = self._gate_cov.copy()
+            gate_cov[:6] = adj @ gate_cov[:6]
+            gate_cov[:, :6] = gate_cov[:, :6] @ adj.T
+            gate_cov[:6, :6] += cov
         for det in detections:
             if not np.all(np.isfinite(det.point)):
                 raise DataFormatError(f"keyframe {k}: detection point must be finite")
 
         self.graph.add_pose(k, pose)
         self.graph.add_factor(factor)
-        self._pose_cov, self._cross = pose_cov, cross
+        self._gate_cov = gate_cov
 
         decisions = []
         if detections:
@@ -139,15 +143,7 @@ class SlamSystem:
         return decisions
 
     def _snapshot(self, pose: Pose3) -> StateSnapshot:
-        joints = {}
-        for j, lm in self.registry.items():
-            joint = np.zeros((9, 9))
-            joint[:6, :6] = self._pose_cov
-            joint[:6, 6:] = self._cross[j]
-            joint[6:, :6] = self._cross[j].T
-            joint[6:, 6:] = self._lm_cov[j]
-            joints[j] = joint
-        return StateSnapshot(pose, list(self.registry.values()), joints)
+        return StateSnapshot(pose, self.landmarks(), self._gate_cov)
 
     def _apply_decision(self, k: int, pose: Pose3, det: ObjectDetection,
                         decision: AssociationDecision) -> None:
@@ -159,7 +155,7 @@ class SlamSystem:
             self.graph.add_landmark(j, world_point)
             self.registry[j] = Landmark(j, world_point, det.embedding.copy())
             self.graph.add_factor(ObservationFactor(k, j, det.point, gamma))
-            self._init_landmark_covariance(j, pose, det)
+            self._init_landmark_covariance(pose, det)
             return
         if decision.kind == "single":
             j = decision.best_landmark
@@ -180,41 +176,31 @@ class SlamSystem:
             j = decision.best_landmark
         update_landmark_embedding(self.registry[j], det.embedding)
 
-    def _init_landmark_covariance(self, j: int, pose: Pose3, det: ObjectDetection) -> None:
+    def _init_landmark_covariance(self, pose: Pose3, det: ObjectDetection) -> None:
         rot = pose.rotation_matrix()
         jac = rot @ np.hstack([-skew(det.point), np.eye(3)])  # d(world point)/d(pose tangent)
-        self._lm_cov = np.concatenate([self._lm_cov, np.zeros((1, 3, 3))])
-        self._cross = np.concatenate([self._cross, np.zeros((1, 6, 3))])
-        self._lm_cov[j] = jac @ self._pose_cov @ jac.T + rot @ det.point_covariance @ rot.T
-        self._cross[j] = self._pose_cov @ jac.T
+        cov = self._gate_cov
+        cross = jac @ cov[:6]  # with the pose and every landmark
+        own = cross[:, :6] @ jac.T + rot @ det.point_covariance @ rot.T
+        self._gate_cov = np.block([[cov, cross.T], [cross, own]])
 
     # -- optimization schedule -------------------------------------------------
 
     def _optimize(self, intermediate: bool) -> OptimizeReport:
-        lm_cfg = self.config.lm
-        if intermediate:
-            lm_cfg = LMConfig(max_iterations=self.config.intermediate_lm_iterations,
-                              rel_decrease_tol=lm_cfg.rel_decrease_tol,
-                              gradient_tol=lm_cfg.gradient_tol)
+        lm_cfg = LMConfig(max_iterations=INTERMEDIATE_LM_ITERATIONS) if intermediate else LMConfig()
         if self.config.da.strategy == "em":
-            report = em_reweight(self.graph, self.config.em_iterations, lm_cfg)
+            report = em_reweight(self.graph, lm_cfg)
         else:
             report = self.graph.optimize(lm_cfg)
         self._refresh_after_optimize()
         return report
 
     def _refresh_after_optimize(self) -> None:
-        latest = self.frame - 1
         for j, lm in self.registry.items():
             lm.position = self.graph.landmarks[j].copy()
         if not self.registry:
             return
-        ids = sorted(self.registry)
-        joints = self.graph.joint_marginals(latest, ids)
-        self._pose_cov = joints[ids[0]][:6, :6]
-        for j in ids:
-            self._lm_cov[j] = joints[j][6:, 6:]
-            self._cross[j] = joints[j][:6, 6:]
+        self._gate_cov = self.graph.joint_covariance(self.frame - 1, sorted(self.registry))
 
     def finalize(self) -> OptimizeReport:
         """Final full optimization; run once after the last keyframe."""

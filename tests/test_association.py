@@ -103,8 +103,15 @@ def test_gate_calibration_monte_carlo():
 
 def snapshot_one_landmark(pose, lm_pos, lm_emb, cov=None):
     lm = da.Landmark(0, lm_pos, lm_emb)
-    marg = {0: cov} if cov is not None else {}
-    return da.StateSnapshot(pose, [lm], marg)
+    return da.StateSnapshot(pose, [lm], cov)
+
+
+def joint_block(snap, i):
+    """The 9x9 (pose, landmark i) block of the snapshot's joint covariance."""
+    if snap.joint_cov is None:
+        return np.zeros((9, 9))
+    idx = np.r_[0:6, 6 + 3 * i:9 + 3 * i]
+    return snap.joint_cov[np.ix_(idx, idx)]
 
 
 def test_generate_hypotheses_simple_cases():
@@ -113,6 +120,8 @@ def test_generate_hypotheses_simple_cases():
     det = make_detection([1.0, 0.0, 2.0], [1.0, 0.0, 0.0])
 
     assert da.generate_hypotheses(det, da.StateSnapshot(pose, []), cfg) == []
+    with pytest.raises(ValueError):  # joint_cov must cover the pose and every landmark
+        da.StateSnapshot(pose, [da.Landmark(0, np.zeros(3), [1.0])], np.eye(6))
 
     snap = snapshot_one_landmark(pose, [1.0, 0.0, 2.0], [1.0, 0.0, 0.0])
     hyps = da.generate_hypotheses(det, snap, cfg)
@@ -145,7 +154,7 @@ def test_generate_hypotheses_gates():
 def brute_force_hypotheses(det, snap, cfg):
     """Literal re-evaluation of the gating equations over all landmarks."""
     out = []
-    for lm in snap.landmarks:
+    for i, lm in enumerate(snap.landmarks):
         pred = measurement_model_h(snap.pose, lm.position)
         r = pred - det.point
         if np.linalg.norm(r) > cfg.gate_radius:
@@ -155,7 +164,7 @@ def brute_force_hypotheses(det, snap, cfg):
             continue
         hp, hl = measurement_jacobians(snap.pose, lm.position)
         hh = np.hstack([hp, hl])
-        c = hh @ snap.marginal(lm.id) @ hh.T + det.point_covariance
+        c = hh @ joint_block(snap, i) @ hh.T + det.point_covariance
         c = 0.5 * (c + c.T)
         d2 = float(r @ np.linalg.inv(c) @ r)
         if not d2 < chi2_quantile(da.POINT_DOF, cfg.beta):
@@ -169,11 +178,10 @@ def brute_force_hypotheses(det, snap, cfg):
 def random_instance(rng, n_landmarks):
     pose = random_pose(rng, max_angle=1.0, max_trans=1.0)
     lms = []
-    margs = {}
     dim = 4
     for i in range(n_landmarks):
         lms.append(da.Landmark(i, rng.uniform(-3, 3, size=3), rng.normal(size=dim)))
-        margs[i] = random_spd(rng, 9, 0.01)
+    joint = random_spd(rng, 6 + 3 * n_landmarks, 0.01)  # landmark-landmark blocks non-zero
     # point the detection near a random landmark's prediction half the time
     if rng.random() < 0.5 and lms:
         target = lms[rng.integers(len(lms))]
@@ -181,7 +189,7 @@ def random_instance(rng, n_landmarks):
     else:
         point = rng.uniform(-3, 3, size=3)
     det = ObjectDetection(rng.normal(size=dim), point, random_spd(rng, 3, 0.05))
-    return det, da.StateSnapshot(pose, lms, margs)
+    return det, da.StateSnapshot(pose, lms, joint)
 
 
 def test_hypotheses_match_enumeration_oracle():
@@ -216,14 +224,17 @@ def test_indefinite_innovation_covariance_drops_only_its_pairs():
     cfg = da.DAConfig(alpha=0.0, gate_radius=8.0)
     pose = random_pose(rng, max_angle=1.0, max_trans=1.0)
     landmarks = [da.Landmark(i, rng.uniform(-3, 3, size=3), rng.normal(size=4)) for i in range(6)]
-    margs = {lm.id: random_spd(rng, 9, 0.01) for lm in landmarks}
+    joint = random_spd(rng, 6 + 3 * len(landmarks), 0.01)
     dets = [ObjectDetection(rng.normal(size=4),
                             measurement_model_h(pose, lm.position) + rng.normal(scale=0.3, size=3),
                             random_spd(rng, 3, 0.05)) for lm in landmarks]
-    clean = da._evaluate_frame(dets, da.StateSnapshot(pose, landmarks, margs), cfg)
+    clean = da._evaluate_frame(dets, da.StateSnapshot(pose, landmarks, joint), cfg)
     broken = 2
-    # H H^T >= 2 I, so H (-I) H^T + Gamma is negative definite for every detection
-    faulty_snap = da.StateSnapshot(pose, landmarks, {**margs, broken: -np.eye(9)})
+    # a landmark block of -100 I swamps the rest of H Sigma H^T, so C is
+    # negative definite for every detection paired with the broken landmark
+    faulty_joint = joint.copy()
+    faulty_joint[6 + 3 * broken:9 + 3 * broken, 6 + 3 * broken:9 + 3 * broken] = -100 * np.eye(3)
+    faulty_snap = da.StateSnapshot(pose, landmarks, faulty_joint)
     faulty = da._evaluate_frame(dets, faulty_snap, cfg)
     dropped = 0
     for want, got in zip(clean, faulty, strict=True):
@@ -236,7 +247,7 @@ def test_indefinite_innovation_covariance_drops_only_its_pairs():
     assert dropped > 0 and sum(map(len, faulty)) > 0
     assert len(da.associate_frame(dets, faulty_snap, cfg)) == len(dets)
     # a frame whose every pair is broken gates everything out
-    alone = da.StateSnapshot(pose, [landmarks[broken]], {broken: -np.eye(9)})
+    alone = da.StateSnapshot(pose, [landmarks[broken]], joint_block(faulty_snap, broken))
     assert da.generate_hypotheses(dets[broken], alone, da.DAConfig(strategy="geometric_only")) == []
 
 
@@ -291,7 +302,7 @@ def test_associate_frame_exclusivity():
     pose = Pose3.identity()
     emb = np.array([1.0, 0.0])
     lm = da.Landmark(0, [1.0, 0.0, 2.0], emb)
-    snap = da.StateSnapshot(pose, [lm], {0: np.zeros((9, 9))})
+    snap = da.StateSnapshot(pose, [lm], np.zeros((9, 9)))
     d_near = make_detection([1.0, 0.0, 2.0], emb)
     d_far = make_detection([1.05, 0.0, 2.0], emb)
     decisions = da.associate_frame([d_far, d_near], snap, cfg)

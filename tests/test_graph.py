@@ -156,13 +156,13 @@ def test_joint_marginal_spd_and_symmetric():
         z = inverse(poses[k]).apply(np.array([0.5, 0.5, 0.0]))
         g.add_factor(fx.ObservationFactor(k, 0, z, np.eye(3) * 0.01))
     g.optimize()
-    block = g.joint_marginal(4, 0)
+    block = g.joint_marginals(4, [0])[0]
     assert block.shape == (9, 9)
     assert np.allclose(block, block.T, atol=1e-9)
     np.linalg.cholesky(block)  # SPD check
 
     with pytest.raises(ValueError):
-        g.joint_marginal(99, 0)
+        g.joint_marginals(99, [0])
 
 
 def test_gauge_full_rank_with_single_prior():
@@ -763,7 +763,7 @@ def test_marginals_never_served_from_a_stale_system(monkeypatch):
     assert checked_marginals(g, 7, calls) == 2
     assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
 
-    gr.em_reweight(g, iterations=1)  # ends in optimize: its system is current
+    gr.em_reweight(g)  # ends in optimize: its system is current
     assert checked_marginals(g, 7, calls) == 0
     assert checked_marginals(g, 11, calls) == 0
 
@@ -828,7 +828,7 @@ def observed_graph(rng, weights, innovation_covs=None):
 def test_em_reweight_ambiguity_resolves():
     rng = np.random.default_rng(6)
     g = observed_graph(rng, [0.5, 0.5])
-    gr.em_reweight(g, iterations=1)
+    gr.em_reweight(g)
     weighted = [f for f in g.factors if isinstance(f, fx.WeightedObservationFactor)]
     by_lm = {f.landmark_key: f.weight for f in weighted}
     # landmark 0 matches the measurement exactly; landmark 1 sits 10 sigma away
@@ -839,10 +839,10 @@ def test_em_reweight_ambiguity_resolves():
 def test_em_reweight_fixed_point():
     rng = np.random.default_rng(7)
     g = observed_graph(rng, [0.5, 0.5])
-    gr.em_reweight(g, iterations=1)
+    gr.em_reweight(g)
     pose_before = g.poses[0]
     lm_before = {k: v.copy() for k, v in g.landmarks.items()}
-    report = gr.em_reweight(g, iterations=1)
+    report = gr.em_reweight(g)
     assert np.linalg.norm(local(pose_before, g.poses[0])) < 1e-9
     for k, v in lm_before.items():
         assert np.linalg.norm(g.landmarks[k] - v) < 1e-9
@@ -857,7 +857,7 @@ def test_em_reweight_error_non_increasing_convex_case():
     g.add_factor(fx.WeightedObservationFactor(0, 0, np.array([2.0, 0.0, 0.0]),
                                               np.eye(3) * 0.01, 1.0, group_id=1))
     before = g.error()
-    report = gr.em_reweight(g, iterations=1)
+    report = gr.em_reweight(g)
     assert report.final_error <= before + 1e-12
 
 
@@ -887,7 +887,7 @@ def test_em_reweight_normalizes_each_group_wherever_its_members_sit():
     for key, lik in zip(keys, likelihood):
         total[key] = total.get(key, 0.0) + lik
     want = [lik / total[key] for key, lik in zip(keys, likelihood)]
-    gr.em_reweight(g, iterations=1)
+    gr.em_reweight(g)
     assert [f.weight for f in weighted] == pytest.approx(want, rel=1e-12)
     assert [f.weight for f in weighted if f.group_id is None] == [1.0, 1.0]
 
@@ -913,7 +913,7 @@ def test_em_reweight_non_spd_innovation_raises_numerical_error():
     g = observed_graph(np.random.default_rng(11), [0.5, 0.5],
                        innovation_covs=[np.eye(3) * 0.01, -np.eye(3) * 0.01])
     with pytest.raises(NumericalError):
-        gr.em_reweight(g, iterations=1)
+        gr.em_reweight(g)
 
 
 def test_summary_counts():

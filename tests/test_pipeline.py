@@ -72,11 +72,11 @@ def test_add_keyframe_rejects_bad_odometry_without_mutation():
     system.add_keyframe(None, [])
     rel = Pose3(np.array([1, 0, 0, 0.0]), np.array([0.1, 0.0, 0.0]))
     before = graph_counts(system)
-    pose_cov = system._pose_cov.copy()
+    gate_cov = system._gate_cov.copy()
     with pytest.raises(DataFormatError):
         system.add_keyframe((rel, np.array([1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3])), [])
     assert graph_counts(system) == before
-    assert np.array_equal(system._pose_cov, pose_cov)
+    assert np.array_equal(system._gate_cov, gate_cov)
     system.add_keyframe((rel, np.full(6, 1e-3)), [])  # the retry succeeds
     assert graph_counts(system) == (2, 2, 0, 2, 0)
 
@@ -101,10 +101,11 @@ def test_object_detection_rejects_non_finite_point():
 
 
 def test_propagated_gate_covariance_matches_graph_marginals():
-    # Oracle: with no optimize in the run, the gate's joint (pose, landmark)
+    # Oracle: with no optimize in the run, the gate's joint (pose, landmarks)
     # covariance is carried by propagation alone. Every landmark is seen once,
     # so the graph is a tree whose initial estimate is the MAP estimate, and
-    # the propagated blocks must equal the graph's own joint marginals.
+    # every block of the propagated matrix must equal the graph's own joint
+    # covariance: pose, pose-landmark, landmark and landmark-landmark.
     system = pl.SlamSystem(slam_config(optimize_every=1000))
     rng = np.random.default_rng(11)
     sigmas = np.array([0.02, 0.01, 0.005, 0.004, 0.006, 0.03])
@@ -124,13 +125,16 @@ def test_propagated_gate_covariance_matches_graph_marginals():
     assert sorted(system.registry) == [0, 1, 2]
 
     latest = system.frame - 1
-    gate = system._snapshot(system.graph.poses[latest]).joint_marginals
-    blocks = {"pose": np.s_[:6, :6], "cross": np.s_[:6, 6:], "landmark": np.s_[6:, 6:]}
-    for j in system.registry:
-        oracle = system.graph.joint_marginals(latest, [j])[j]
-        for name, block in blocks.items():
-            err = np.linalg.norm(gate[j][block] - oracle[block]) / np.linalg.norm(oracle[block])
-            assert err < 1e-9, (j, name, err)
+    gate = system._snapshot(system.graph.poses[latest]).joint_cov
+    oracle = system.graph.joint_covariance(latest, sorted(system.registry))
+    assert gate.shape == oracle.shape == (15, 15)
+    spans = {"pose": np.s_[:6]} | {f"landmark {j}": np.s_[6 + 3 * j:9 + 3 * j]
+                                   for j in system.registry}
+    for row, rows in spans.items():
+        for col, cols in spans.items():
+            want = oracle[rows, cols]
+            err = np.linalg.norm(gate[rows, cols] - want) / np.linalg.norm(want)
+            assert err < 1e-9, (row, col, err)
 
 
 def test_run_slam_odometry_only_composes():
