@@ -68,6 +68,8 @@ class DAConfig:
             raise ValueError("alpha must be in (-1, 1)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
+        if not self.gate_radius > 0.0:  # NaN fails too
+            raise ValueError("gate_radius must be > 0")
         if not self.beta <= self.new_landmark_beta < 1.0:
             raise ValueError("new_landmark_beta must be in [beta, 1)")
         if self.strategy not in STRATEGIES:

@@ -341,17 +341,6 @@ def measurement_model_h(pose: Pose3, landmark: np.ndarray) -> np.ndarray:
     return quat_rotate(quat_conj(pose.rotation), lm - pose.translation)
 
 
-def measurement_jacobians(pose: Pose3, landmark: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of measurement_model_h w.r.t. a right pose perturbation and the point.
-
-    Returns (H_pose 3x6 in (r, t) tangent order, H_landmark 3x3).
-    """
-    h0 = measurement_model_h(pose, landmark)
-    h_pose = np.hstack([skew(h0), -np.eye(3)])
-    h_lm = pose.rotation_matrix().T
-    return h_pose, h_lm
-
-
 def retract(pose: Pose3, delta: np.ndarray) -> Pose3:
     return compose(pose, Pose3.from_tangent(delta))
 

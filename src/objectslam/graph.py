@@ -14,10 +14,11 @@ Every array sits in a buffer whose capacity doubles, so appending never
 moves an existing row. Variables take slots in insertion order as they are
 added. ``add_factor`` only queues a factor on ``factors``; the next
 optimize, error or marginal call appends the queued tail, vectorized over
-it. A weight bump rewrites the weight column of the weighted observations
-and rebuilds nothing. ``optimize`` retracts the stored arrays directly;
-``poses`` and ``landmarks`` are mapping views that build a Pose3 or a point
-only when one is read.
+it. The graph is the only writer of what it stores: ``optimize`` is the
+only writer of the estimates, and ``em_reweight`` the only one of the
+weights, which rewrites the weight column of the weighted observations and
+rebuilds nothing. ``poses`` and ``landmarks`` are mappings that return a
+read-only copy of an estimate when one is read.
 
 Observation scale. Each observation row's whitened residual and Jacobian
 carry a scale taken at the estimate the residuals are for: 1 for a plain
@@ -46,13 +47,14 @@ widens the band: storage grows as (6w + 6) * 6N and the factorization as
 Fluid relinearization (iSAM2; Kaess et al., IJRR 2012). Every variable has
 a linearization point, and every prior, between and observation row stores
 its whitened Jacobian, taken at the points of its variables, and the kept
-entries of that Jacobian's J^T J. A linearization gives a row a new
-Jacobian only when the row is new, when one of its variables moved more
-than RELINEARIZE_THRESHOLD in any stored parameter from its point (the point
-then moves to the estimate first) or was written from outside ``optimize``,
-or, for a weighted row, when its scale differs from the one its stored
-Jacobian was taken with, after a weight bump. The rows of a mixture of two
-or more components are linearized anew every time, at the estimate, where
+entries of that Jacobian's J^T J. A variable's point is NaN until its
+first linearization. A linearization gives a row a new Jacobian only when
+the row is new, when one of its variables moved more than
+RELINEARIZE_THRESHOLD in any stored parameter from its point (the point
+then moves to the estimate first) or, for a weighted row, when its scale
+differs from the one its stored Jacobian was taken with, after
+``em_reweight`` set new weights. The rows of a mixture of two or more
+components are linearized anew every time, at the estimate, where
 the active component is chosen; a one-component mixture cannot switch and
 is kept like a plain row. One ``np.bincount`` then bins every stored J^T J
 entry together with each row's J^T r, whose residual r is always taken at
@@ -69,21 +71,21 @@ step is retried on a fresh system. Only a solve cut off by
 stale rows, linearized at points within the threshold of its estimate.
 
 Marginals come from the undamped factor of the system ``optimize`` ended
-with while the factors and estimates are unchanged (Kaess & Dellaert, RAS
-2009). After a converged solve that system is exact; after an
+with, until a variable or a factor is added or ``em_reweight`` sets new
+weights; nothing else changes the estimates or the weights (Kaess &
+Dellaert, RAS 2009). After a converged solve that system is exact; after an
 iteration-capped one its stale rows are linearized at points up to
 RELINEARIZE_THRESHOLD from the returned estimate, and the gate covariance
 is the one at those points. Otherwise the marginals come from a fresh
-linearization at the current estimate. The pose in the last slot is the
-last band column block, next to the landmark border, so the trailing
-(6 + 3M) block of the Cholesky factor L factors the Schur complement that
-eliminates every other pose: its inverse is the joint (last pose,
-landmarks) covariance the gate needs, with no solve over the other
-6(N - 1) pose rows. For any other pose the marginals are the corresponding
-columns of the inverse, solved through the whole factor. That one (6 + 3M)
-matrix, ``joint_covariance``, is what the pipeline hands the gate, landmark
-cross-covariances included; ``joint_marginals`` (its 9x9 pose-landmark
-blocks) and ``pose_marginal`` read it.
+linearization at the current estimate. There is one marginal path: the
+pose in the last slot is the last band column block, next to the landmark
+border, so the trailing (6 + 3M) block of the Cholesky factor L factors
+the Schur complement that eliminates every other pose. Its inverse is the
+joint (last pose, landmarks) covariance the gate needs, with no solve over
+the other 6(N - 1) pose rows. That one matrix, ``joint_covariance``, is
+what the pipeline hands the gate, landmark cross-covariances included;
+``joint_marginals`` returns its 9x9 pose-landmark blocks. Both serve the
+pose in the last slot only.
 
 Scatter layout. The ``np.bincount`` assembles the system into a flat buffer
 laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
@@ -110,7 +112,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs, dtrtri
 
-from .errors import NumericalError
+from .errors import DataFormatError, NumericalError
 from .factors import (
     BetweenFactor,
     MixtureObservationFactor,
@@ -124,11 +126,6 @@ from .factors import (
     relative_pose,
 )
 from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp, se3_jr_inv
-
-@dataclass
-class Values:
-    poses: Mapping
-    landmarks: Mapping
 
 
 @dataclass
@@ -168,21 +165,18 @@ _FACTOR_TYPES = (PriorFactor, BetweenFactor, ObservationFactor, MixtureObservati
 class FactorGraph:
     """Pose and landmark variables with their current estimates, and the factors.
 
-    ``poses[k]`` reads the estimate as a read-only Pose3 copy;
-    ``landmarks[j]`` is a writable (3,) view of the estimate, valid until the
-    next landmark is added. Assigning to an existing key of either overwrites
-    the estimate. ``factors`` is append-only: add to it through ``add_factor``.
+    ``poses[k]`` reads the estimate as a read-only Pose3 copy and
+    ``landmarks[j]`` as a read-only (3,) copy: only ``optimize`` moves the
+    estimates. ``factors`` is append-only: add to it through ``add_factor``.
     """
 
     def __init__(self):
         self.factors: list = []
-        self.weights_version = 0
         self._batch = batch = _BatchedFactors()
-        self.poses = _Estimates(batch.pose_ids, batch.pose_slot, batch.poses,
-                                _pose_from_row, _row_from_pose)
-        self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks,
-                                    lambda row: row, lambda p: np.asarray(p, dtype=float))
-        # (stamp, state, system) at optimize's returned estimate; the marginals reuse it
+        self.poses = _Estimates(batch.pose_ids, batch.pose_slot, batch.poses, _pose_from_row)
+        self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks, _frozen_copy)
+        # (stamp, system): the system optimize ended with, at the stored
+        # estimate; the marginals reuse it while the stamp matches
         self._final_system = None
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
@@ -200,7 +194,10 @@ class FactorGraph:
     def add_landmark(self, key: int, point: np.ndarray) -> None:
         if key in self.landmarks:
             raise ValueError(f"landmark {key} already exists")
-        self._batch.add_landmark(key, np.asarray(point, dtype=float).reshape(3))
+        point = np.asarray(point, dtype=float).reshape(3)
+        if not np.isfinite(point).all():
+            raise DataFormatError(f"landmark {key} must be finite, got {point}")
+        self._batch.add_landmark(key, point)
         self._unanchored += 1
 
     def add_factor(self, factor) -> None:
@@ -242,15 +239,9 @@ class FactorGraph:
             self._uf_anchored.add(rb)
         self._unanchored -= 1
 
-    def values(self) -> Values:
-        return Values(self.poses, self.landmarks)
-
     def error(self) -> float:
         batch = self._batched()
         return batch.error_only(batch.state()).error
-
-    def bump_weights_version(self) -> None:
-        self.weights_version += 1
 
     def summary(self) -> dict:
         counts: dict[str, int] = {}
@@ -278,8 +269,7 @@ class FactorGraph:
         config = config or LMConfig()
         self._validate_gauge()
         batch = self._batched()
-        # a copy, so the state kept below cannot change with the stored estimates
-        state = tuple(a.copy() for a in batch.state())
+        state = batch.state()
         err, system = batch.linearize(state)
         initial = err
         residuals = None  # error_only's result at state, once a step is accepted
@@ -320,7 +310,7 @@ class FactorGraph:
                 break
 
         batch.store(state)
-        self._final_system = (self._stamp(), state, system)  # system is linearized at state
+        self._final_system = (self._stamp(), system)  # system is linearized at state
         return OptimizeReport(initial, err, iterations, converged,
                               float(np.linalg.norm(system.grad)))
 
@@ -351,70 +341,67 @@ class FactorGraph:
 
     def _batched(self) -> "_BatchedFactors":
         """The graph's storage, with the factors queued since the last call appended."""
-        self._batch.sync(self.factors, self.weights_version)
+        self._batch.sync(self.factors)
         return self._batch
 
     def _stamp(self) -> tuple:
-        return len(self.factors), len(self.poses), len(self.landmarks), self.weights_version
+        return len(self.factors), len(self.poses), len(self.landmarks)
+
+    def _set_weights(self, which: np.ndarray, weights: np.ndarray) -> None:
+        """The one writer of observation weights: give the weighted observation
+        factors at positions ``which`` of ``_BatchedFactors.weighted`` the
+        ``weights``, write their rows' scale sqrt(w), and drop the kept final
+        system, which was linearized with the old scales."""
+        batch = self._batched()
+        for i, w in zip(which.tolist(), weights.tolist()):
+            batch._weighted[i].weight = w
+        batch.observation["s"][batch.weighted["row"][which]] = np.sqrt(weights)
+        self._final_system = None
 
     # -- covariance recovery -------------------------------------------------
 
     def _information_factorization(self):
         """Undamped factor at the current estimate, and the storage; reuses
-        ``optimize``'s final system while its factors and estimates are current."""
+        ``optimize``'s final system while its stamp matches."""
         batch = self._batched()
-        state = batch.state()
         final = self._final_system
-        if (final is not None and final[0] == self._stamp()
-                and all(map(np.array_equal, final[1], state))):
-            system = final[2]
-        else:
-            _, system = batch.linearize(state, fresh=True)
+        if final is not None and final[0] == self._stamp():
+            system = final[1]
+        else:  # a variable, a factor or new weights came after the last optimize
+            _, system = batch.linearize(batch.state(), fresh=True)
         return self._factorize(system), batch
 
     def joint_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
-        """Joint (6 + 3M) covariance of the pose and the landmarks, in that
-        order, from ``optimize``'s final linearization while the estimate is
-        unchanged. For the pose in the last slot it comes from the trailing
-        block of the factor; for any other pose, from solving for those
-        columns of the inverse."""
-        if pose_key not in self.poses:
-            raise ValueError(f"pose {pose_key} not in graph")
+        """Joint (6 + 3M) covariance of the pose in the last slot and the
+        landmarks, in that order: the inverse of the trailing block of the
+        factor of ``optimize``'s final system while it is current. Any other
+        pose raises ValueError."""
+        if self._batch.pose_slot.get(pose_key) != len(self.poses) - 1:
+            raise ValueError(f"pose {pose_key} is not the last pose of the graph")
         for k in landmark_keys:
             if k not in self.landmarks:
                 raise ValueError(f"landmark {k} not in graph")
         factor, batch = self._information_factorization()
-        if batch.pose_slot[pose_key] == batch.num_poses - 1:
-            sel = np.concatenate([np.arange(6)] + [6 + 3 * batch.lm_slot[k] + np.arange(3)
-                                                  for k in landmark_keys])
-            return factor.trailing_covariance()[np.ix_(sel, sel)]
-        return _covariance(factor, batch, np.concatenate(
-            [batch.pose_columns(pose_key)] + [batch.landmark_columns(k) for k in landmark_keys]))
+        sel = np.concatenate([np.arange(6)] + [6 + 3 * batch.lm_slot[k] + np.arange(3)
+                                              for k in landmark_keys])
+        return factor.trailing_covariance()[np.ix_(sel, sel)]
 
     def joint_marginals(self, pose_key: int, landmark_keys) -> dict[int, np.ndarray]:
-        """Joint 9x9 (pose, landmark) covariances: the blocks of
+        """Joint 9x9 (last pose, landmark) covariances: the blocks of
         ``joint_covariance``."""
         cov = self.joint_covariance(pose_key, landmark_keys)
         return dict(zip(landmark_keys, pose_landmark_blocks(cov)))
 
-    def pose_marginal(self, pose_key: int) -> np.ndarray:
-        """6x6 pose covariance: ``joint_covariance`` with no landmark."""
-        return self.joint_covariance(pose_key, [])
-
 
 class _Estimates(Mapping):
-    """Variable estimates by key, read from and written to the stored rows."""
+    """Variable estimates by key, read from the stored rows as read-only copies."""
 
-    def __init__(self, ids: list, slot: dict, table: "_Table", read, write):
+    def __init__(self, ids: list, slot: dict, table: "_Table", read):
         self._ids, self._slot, self._table = ids, slot, table
-        self._read, self._write = read, write
+        self._read = read
 
     def __getitem__(self, key):
         return self._read(self._table["x"][self._slot[key]])
-
-    def __setitem__(self, key, value) -> None:
-        """Overwrite the estimate of an existing variable."""
-        self._table["x"][self._slot[key]] = self._write(value)
 
     def __contains__(self, key) -> bool:
         return key in self._slot
@@ -426,9 +413,14 @@ class _Estimates(Mapping):
         return len(self._ids)
 
 
-def _pose_from_row(row: np.ndarray) -> Pose3:
+def _frozen_copy(row: np.ndarray) -> np.ndarray:
     row = row.copy()
     row.flags.writeable = False
+    return row
+
+
+def _pose_from_row(row: np.ndarray) -> Pose3:
+    row = _frozen_copy(row)
     return Pose3._trusted(row[:4], row[4:])
 
 
@@ -443,14 +435,6 @@ def pose_landmark_blocks(cov: np.ndarray) -> np.ndarray:
     lm = 6 + 3 * np.arange(n)[:, None] + np.arange(3)
     sel = np.concatenate([np.broadcast_to(np.arange(6), (n, 6)), lm], axis=1)
     return cov[sel[:, :, None], sel[:, None, :]]
-
-
-def _covariance(factor: "SchurFactor", batch: "_BatchedFactors", cols) -> np.ndarray:
-    """Covariance among the given system columns: those columns of the inverse."""
-    rhs = np.zeros((batch.num_cols, len(cols)))
-    rhs[cols, np.arange(len(cols))] = 1.0
-    block = factor.solve(rhs)[cols]
-    return 0.5 * (block + block.T)
 
 
 @dataclass
@@ -662,13 +646,12 @@ class _BatchedFactors:
     linearization store, and the vectorized kernels that run over them.
 
     Variables: ``pose_ids`` / ``lm_ids`` in insertion order, their slots, and
-    per variable the estimate ``x`` ((N, 7) poses, (M, 3) landmarks), its
-    linearization point ``lin`` (NaN until the first linearization and after
-    a write from outside) and ``seen``, the estimate as last stored or
-    synced, which reveals such writes. Factors: the tables ``prior``,
-    ``between`` and ``observation``, one row per plain or weighted
-    observation and per mixture component, with ``s`` = sqrt(weight) (1 if
-    not weighted) and ``jac_s``, the scale of the stored Jacobian. Side
+    per variable the estimate ``x`` ((N, 7) poses, (M, 3) landmarks) and its
+    linearization point ``lin`` (NaN until the first linearization). Factors:
+    the tables ``prior``, ``between`` and ``observation``, one row per plain
+    or weighted observation and per mixture component, with ``s`` =
+    sqrt(weight) (1 if not weighted; only ``FactorGraph._set_weights``
+    rewrites it) and ``jac_s``, the scale of the stored Jacobian. Side
     indexes: ``components`` (each component's row and -log w, mixture by
     mixture), ``mixtures`` (each mixture's first component) and ``weighted``
     (each weighted row and its group number). Each factor row keeps its
@@ -677,10 +660,9 @@ class _BatchedFactors:
     the linearization points of its variables, or at the estimate for a row
     of a mixture of two or more components; the kept J^T J entries of those
     Jacobians sit in the buffer that ``linearize`` bins (``_binned``).
-    ``sync`` appends the factors queued since the last sync, rewrites the
-    weight column after a weight bump, and recomputes every scatter index
-    only when the layout changes: when the landmark capacity doubles or a
-    between widens the band.
+    ``sync`` appends the factors queued since the last sync, and recomputes
+    every scatter index only when the layout changes: when the landmark
+    capacity doubles or a between widens the band.
     """
 
     def __init__(self):
@@ -688,8 +670,8 @@ class _BatchedFactors:
         self.lm_ids: list = []
         self.pose_slot: dict = {}
         self.lm_slot: dict = {}
-        self.poses = _Table(x=((7,), float), lin=((7,), float), seen=((7,), float))
-        self.landmarks = _Table(x=((3,), float), lin=((3,), float), seen=((3,), float))
+        self.poses = _Table(x=((7,), float), lin=((7,), float))
+        self.landmarks = _Table(x=((3,), float), lin=((3,), float))
         self.prior = _table(_PRIOR_BLOCK, slot=((), np.intp), q=((4,), float),
                             t=((3,), float), w=((6, 6), float), jac=((6, 6), float))
         self.between = _table(_BETWEEN_BLOCK, i=((), np.intp), j=((), np.intp),
@@ -704,7 +686,6 @@ class _BatchedFactors:
         self._weighted: list = []       # the weighted observation factors, as in ``weighted``
         self._groups: dict = {}         # group_id, or (row,) for none, -> group number
         self._synced = 0                # factors appended so far
-        self._weights_version = 0
         self._linearized = (0, 0, 0)    # prior, between, observation rows with a Jacobian
         self._bins = None               # see _binned
         self._rebin = True
@@ -716,13 +697,12 @@ class _BatchedFactors:
     def add_pose(self, key, pose: Pose3) -> None:
         self.pose_slot[key] = len(self.pose_ids)
         self.pose_ids.append(key)
-        row = _row_from_pose(pose)
-        self.poses.extend(1, x=row, lin=np.nan, seen=row)
+        self.poses.extend(1, x=_row_from_pose(pose), lin=np.nan)
 
     def add_landmark(self, key, point: np.ndarray) -> None:
         self.lm_slot[key] = len(self.lm_ids)
         self.lm_ids.append(key)
-        self.landmarks.extend(1, x=point, lin=np.nan, seen=point)
+        self.landmarks.extend(1, x=point, lin=np.nan)
 
     @property
     def layout(self) -> tuple:
@@ -737,26 +717,10 @@ class _BatchedFactors:
     def num_lms(self) -> int:
         return len(self.lm_ids)
 
-    @property
-    def num_cols(self) -> int:
-        return 6 * self.num_poses + 3 * self.num_lms
-
-    def pose_columns(self, pose_key) -> np.ndarray:
-        return 6 * self.pose_slot[pose_key] + np.arange(6)
-
-    def landmark_columns(self, lm_key) -> np.ndarray:
-        return 6 * self.num_poses + 3 * self.lm_slot[lm_key] + np.arange(3)
-
     # -- factors -------------------------------------------------------------
 
-    def sync(self, factors: list, weights_version: int) -> None:
-        """Append ``factors[synced:]``, apply a weight bump, and clear the
-        linearization point of every estimate written since the last sync."""
-        for table in (self.poses, self.landmarks):
-            written = np.any(table["x"] != table["seen"], axis=1)
-            table["lin"][written] = np.nan
-            table["seen"][written] = table["x"][written]
-
+    def sync(self, factors: list) -> None:
+        """Append ``factors[synced:]``."""
         priors, betweens, observations, mixtures = [], [], [], []
         for f in factors[self._synced:]:
             if isinstance(f, PriorFactor):
@@ -819,12 +783,6 @@ class _BatchedFactors:
                 self.components.extend(len(components), row=components,
                                        nlw=np.concatenate([f.neg_log_weights for f in mixtures]))
 
-        if weights_version != self._weights_version:
-            self._weights_version = weights_version
-            if self._weighted:
-                self.observation["s"][self.weighted["row"]] = np.sqrt(
-                    [f.weight for f in self._weighted])
-
     def _tables(self):
         """The factor tables, in the order they are binned."""
         return ((self.prior, _PRIOR_BLOCK), (self.between, _BETWEEN_BLOCK),
@@ -868,9 +826,8 @@ class _BatchedFactors:
 
     def store(self, state) -> None:
         x, lms = state
-        for table, value in ((self.poses, x), (self.landmarks, lms)):
-            table["x"][:] = value
-            table["seen"][:] = value
+        self.poses["x"][:] = x
+        self.landmarks["x"][:] = lms
 
     def retract(self, state, delta: np.ndarray):
         x, lms = state
@@ -963,8 +920,8 @@ class _BatchedFactors:
         Only these rows get a new Jacobian: rows appended since the last
         linearization, rows of a variable whose estimate moved more than
         RELINEARIZE_THRESHOLD (0 when ``fresh``) from its linearization point
-        or was written from outside, and observation rows whose scale at
-        ``state`` differs from the one their Jacobian was taken with. Such a
+        or has none yet, and observation rows whose scale at ``state``
+        differs from the one their Jacobian was taken with. Such a
         variable's point first moves to its estimate; every Jacobian is taken
         at the points of its row's variables. The rows of a mixture of two or
         more components get a new Jacobian every time, at ``state``. Every
@@ -1098,9 +1055,7 @@ def em_reweight(graph: FactorGraph, lm_config: LMConfig | None = None) -> Optimi
     r = batch._observation_residuals(*batch.state(), rows)[0]
     y = np.linalg.solve(chol, r[..., None])[..., 0]
     logs = -0.5 * np.einsum("mk,mk->m", y, y) + log_norm
-    for f, w in zip(weighted, _group_weights(logs, starts).tolist()):
-        f.weight = w
-    graph.bump_weights_version()
+    graph._set_weights(order, _group_weights(logs, starts))
     return graph.optimize(lm_config)
 
 

@@ -56,6 +56,8 @@ class SlamConfig:
 
     def __post_init__(self):
         self.prior_sigma = np.asarray(self.prior_sigma, dtype=float).reshape(6)
+        if not np.all(self.prior_sigma > 0) or not np.isfinite(self.prior_sigma).all():
+            raise ValueError("prior_sigma must be finite and > 0")
         if self.optimize_every < 1:
             raise ValueError("optimize_every must be >= 1")
 
@@ -197,7 +199,7 @@ class SlamSystem:
 
     def _refresh_after_optimize(self) -> None:
         for j, lm in self.registry.items():
-            lm.position = self.graph.landmarks[j].copy()
+            lm.position = self.graph.landmarks[j]
         if not self.registry:
             return
         self._gate_cov = self.graph.joint_covariance(self.frame - 1, sorted(self.registry))

@@ -2,10 +2,35 @@
 
 import math
 import sys
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from objectslam.errors import NumericalError
+from objectslam.geometry import Pose3, measurement_model_h, skew
+
+
+@dataclass
+class Values:
+    """Estimates by key, as the factors' scalar methods read them."""
+
+    poses: Mapping
+    landmarks: Mapping
+
+
+def graph_values(graph) -> Values:
+    """A FactorGraph's current estimates."""
+    return Values(graph.poses, graph.landmarks)
+
+
+def measurement_jacobians(pose: Pose3, landmark: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of measurement_model_h w.r.t. a right pose perturbation and the point,
+    for one pair: (H_pose 3x6 in (r, t) tangent order, H_landmark 3x3)."""
+    h0 = measurement_model_h(pose, landmark)
+    h_pose = np.hstack([skew(h0), -np.eye(3)])
+    h_lm = pose.rotation_matrix().T
+    return h_pose, h_lm
 
 
 def flood_fill_components(mask, connectivity):

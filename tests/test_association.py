@@ -5,10 +5,10 @@ import pytest
 
 from objectslam import association as da
 from objectslam.errors import NumericalError
-from objectslam.geometry import Pose3, measurement_jacobians, measurement_model_h
+from objectslam.geometry import Pose3, measurement_model_h
 from objectslam.segmentation import ObjectDetection
 from oracles import (chi2_quantile, innovation_covariance, log_marginal_likelihood,
-                     mahalanobis_d2)
+                     mahalanobis_d2, measurement_jacobians)
 
 from test_geometry import random_pose
 
@@ -128,6 +128,13 @@ def test_generate_hypotheses_simple_cases():
     assert len(hyps) == 1
     assert hyps[0].d_squared == pytest.approx(0.0)
     assert hyps[0].cosine == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("radius", [-5.0, 0.0, math.nan, -math.inf])
+def test_daconfig_rejects_bad_gate_radius(radius):
+    # the radius is squared, so -5 would gate like 5, and NaN would gate out everything
+    with pytest.raises(ValueError):
+        da.DAConfig(gate_radius=radius)
 
 
 def test_generate_hypotheses_gates():

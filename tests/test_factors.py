@@ -4,7 +4,7 @@ import pytest
 from objectslam import factors as fx
 from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3, retract
-from objectslam.graph import Values
+from oracles import Values
 
 from test_geometry import random_pose
 from test_association import random_spd

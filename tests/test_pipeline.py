@@ -94,6 +94,16 @@ def test_add_keyframe_rejects_non_finite_detection_without_mutation():
     assert graph_counts(system) == (1, 1, 1, 2, 1)
 
 
+@pytest.mark.parametrize("bad", [-1e-4, 0.0, np.nan, np.inf])
+def test_slam_config_rejects_bad_prior_sigma(bad):
+    # a sigma is squared, so a negative one would pass as its absolute value
+    sigma = np.full(6, 1e-4)
+    sigma[2] = bad
+    with pytest.raises(ValueError):
+        pl.SlamConfig(prior_sigma=sigma)
+    pl.SlamConfig(prior_sigma=np.full(6, 1e-4))
+
+
 def test_object_detection_rejects_non_finite_point():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
