@@ -207,10 +207,16 @@ class WeightedObservationFactor(ObservationFactor):
         super().__init__(pose_key, landmark_key, point, gamma)
         if not 0.0 < _finite("weight", weight) <= 1.0:
             raise ValueError("weight must be in (0, 1]")
-        self.weight = float(weight)
+        self._weight = float(weight)
         self.group_id = group_id
         self.innovation_cov = (None if innovation_cov is None
                                else _finite("innovation_cov", innovation_cov))
+
+    @property
+    def weight(self) -> float:
+        """Read-only: once the factor is in a graph, ``em_reweight`` sets it
+        together with the graph's own copy."""
+        return self._weight
 
     def error(self, values) -> float:
         return self.weight * super().error(values)

@@ -239,21 +239,6 @@ class FactorGraph:
             self._uf_anchored.add(rb)
         self._unanchored -= 1
 
-    def error(self) -> float:
-        batch = self._batched()
-        return batch.error_only(batch.state()).error
-
-    def summary(self) -> dict:
-        counts: dict[str, int] = {}
-        for f in self.factors:
-            counts[type(f).__name__] = counts.get(type(f).__name__, 0) + 1
-        return {
-            "num_poses": len(self.poses),
-            "num_landmarks": len(self.landmarks),
-            "factor_counts": counts,
-            "total_error": self.error(),
-        }
-
     # -- optimization -------------------------------------------------------
 
     def optimize(self, config: LMConfig | None = None) -> OptimizeReport:
@@ -354,7 +339,7 @@ class FactorGraph:
         system, which was linearized with the old scales."""
         batch = self._batched()
         for i, w in zip(which.tolist(), weights.tolist()):
-            batch._weighted[i].weight = w
+            batch._weighted[i]._weight = w  # read-only everywhere else
         batch.observation["s"][batch.weighted["row"][which]] = np.sqrt(weights)
         self._final_system = None
 

@@ -41,8 +41,10 @@ class FeatureGrid:
             raise ValueError("attention must be (A, H, W) with A >= 1")
         if self.depth.shape != (h, w):
             raise ValueError("depth must be (H, W)")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("non-finite features")
+        for name, values in (("features", self.features), ("attention", self.attention),
+                             ("depth", self.depth)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"non-finite {name}")
         if np.any(self.attention < 0) or np.any(self.depth < 0):
             raise ValueError("attention and depth must be non-negative")
 
@@ -65,6 +67,13 @@ class FeatureGrid:
 
 @dataclass
 class ClusterMap:
+    """K-means result. ``wcss_history`` holds the within-cluster sum of squares
+    after the seeding assignment and after each Lloyd iteration, so its length
+    is iterations + 1. Each entry is the sum over patches of the squared
+    distance to the assigned centroid in the expanded form
+    |p|^2 - 2 p.c + |c|^2 that the assignment ranks by: within about
+    1e-16 * sum |p|^2 of the direct sum of (p - c)^2."""
+
     labels: np.ndarray     # (H, W) ints in [0, k)
     centroids: np.ndarray  # (k, D)
     wcss_history: list[float] = field(default_factory=list)
@@ -150,7 +159,9 @@ def cluster_features(grid: FeatureGrid, k: int, max_iters: int = 50, seed: int =
     bit-identical to that per-cluster loop. k above the number of distinct
     feature vectors raises ``ValueError``; k-means++ seeding detects it when it
     runs out of rows away from the chosen centroids, so valid grids never pay
-    for a distinct-row sort.
+    for a distinct-row sort. The returned ``wcss_history`` has one entry per
+    assignment (iterations + 1), each read off the distances that assignment
+    computed (see ``ClusterMap``).
     """
     points = grid.features.reshape(-1, grid.dim)
     n = points.shape[0]
@@ -160,13 +171,13 @@ def cluster_features(grid: FeatureGrid, k: int, max_iters: int = 50, seed: int =
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = np.sum(points * points, axis=1)[:, None]
-    labels = _assign(points, sq_norms, centroids)
-    wcss_history = [_wcss(points, centroids, labels)]
+    labels, wcss = _assign(points, sq_norms, centroids)
+    wcss_history = [wcss]
 
     for _ in range(max_iters):
         centroids = _update_centroids(points, labels, centroids, k)
-        new_labels = _assign(points, sq_norms, centroids)
-        wcss_history.append(_wcss(points, centroids, new_labels))
+        new_labels, wcss = _assign(points, sq_norms, centroids)
+        wcss_history.append(wcss)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
@@ -198,12 +209,16 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row from |p|^2 - 2 p.c + |c|^2; sq_norms is (n, 1)."""
+def _assign(points: np.ndarray, sq_norms: np.ndarray,
+            centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest centroid per row from |p|^2 - 2 p.c + |c|^2, and the sum of
+    each row's distance to it; sq_norms is (n, 1)."""
     d2 = points @ (-2.0 * centroids.T)  # exactly -(2p . c): scaling by 2 does not round
     d2 += sq_norms
     d2 += np.sum(centroids * centroids, axis=1)
-    return np.argmin(d2, axis=1)
+    labels = np.argmin(d2, axis=1)
+    # each row's own distance by a flat gather, cheaper than a 2-D fancy index
+    return labels, float(d2.ravel()[np.arange(0, d2.size, d2.shape[1]) + labels].sum())
 
 
 def _update_centroids(points, labels, centroids, k):
@@ -212,20 +227,15 @@ def _update_centroids(points, labels, centroids, k):
     # bincount adds each bin's weights in index order: every cluster's rows in row order
     bins = (labels[:, None] * dim + np.arange(dim)).ravel()
     sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim).reshape(k, dim)
-    out = centroids.copy()
-    full = counts > 0
-    out[full] = sums[full] / counts[full, None]
-    for c in np.flatnonzero(~full):
+    out = sums / np.maximum(counts, 1)[:, None]
+    for c in np.flatnonzero(counts == 0):
         # deterministic reseed: point farthest from its current centroid, with
-        # clusters below c already updated and those from c on not yet
+        # clusters below c already updated and those from c on not yet; each
+        # empty cluster's row is written here before any later c reads it
         current = np.concatenate([out[:c], centroids[c:]])
         d2 = _squared_diff(points, current[labels]).sum(axis=1)
         out[c] = points[int(np.argmax(d2))]
     return out
-
-
-def _wcss(points, centroids, labels) -> float:
-    return float(_squared_diff(points, centroids[labels]).sum())
 
 
 def _squared_diff(points, other):
@@ -246,24 +256,28 @@ def vote_saliency(clusters: ClusterMap, attention: np.ndarray, vote_threshold: f
     """
     if not 0.0 <= vote_threshold <= 1.0:
         raise ValueError("vote_threshold must be in [0, 1]")
+    if not 0.0 <= attended_mass_fraction <= 1.0:
+        raise ValueError("attended_mass_fraction must be in [0, 1]")
     labels = clusters.labels.ravel()
     k = clusters.k
     num_heads = attention.shape[0]
     cluster_sizes = np.bincount(labels, minlength=k)
 
-    votes = np.zeros(k, dtype=int)
-    for h in range(num_heads):
-        w = attention[h].ravel()
-        total = w.sum()
-        if total <= 0:
-            continue
-        order = np.argsort(-w, kind="stable")
-        csum = np.cumsum(w[order])
-        cut = int(np.searchsorted(csum, attended_mass_fraction * total))
-        cutoff_value = w[order[min(cut, len(order) - 1)]]
-        attended = (w >= cutoff_value) & (w > 0)
-        attended_per_cluster = np.bincount(labels[attended], minlength=k)
-        votes += attended_per_cluster > 0.5 * cluster_sizes
+    w = attention.reshape(num_heads, -1)
+    # each head's values in descending order; tied values add the same
+    # whichever order they come in, so no stable argsort is needed
+    ranked = np.sort(w, axis=1)[:, ::-1]
+    csum = np.cumsum(ranked, axis=1)
+    # the attended mass is the first prefix reaching the fraction of the total
+    # (searchsorted "left" on the non-decreasing csum); a head with no mass
+    # has a cutoff of 0 and so attends nothing
+    cut = np.count_nonzero(csum < attended_mass_fraction * w.sum(axis=1)[:, None], axis=1)
+    cutoff = ranked[np.arange(num_heads), np.minimum(cut, w.shape[1] - 1)]
+    attended = (w >= cutoff[:, None]) & (w > 0)
+    head_cluster = np.arange(0, num_heads * k, k)[:, None] + labels
+    attended_per_cluster = np.bincount(head_cluster[attended],
+                                       minlength=num_heads * k).reshape(num_heads, k)
+    votes = np.count_nonzero(attended_per_cluster > 0.5 * cluster_sizes, axis=0)
     return {c for c in range(k) if cluster_sizes[c] > 0 and votes[c] / num_heads > vote_threshold}
 
 
@@ -397,11 +411,14 @@ def load_feature_grid(path) -> FeatureGrid:
     attention = np.frombuffer(raw, dtype="<f4", count=a * h * w, offset=offset)
     offset += 4 * a * h * w
     depth = np.frombuffer(raw, dtype="<f4", count=h * w, offset=offset)
-    return FeatureGrid(
-        features.reshape(h, w, d).astype(float),
-        attention.reshape(a, h, w).astype(float),
-        depth.reshape(h, w).astype(float),
-    )
+    try:
+        return FeatureGrid(
+            features.reshape(h, w, d).astype(float),
+            attention.reshape(a, h, w).astype(float),
+            depth.reshape(h, w).astype(float),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_detections(path, detections: list[ObjectDetection], frame: int = 0) -> None:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -22,6 +23,23 @@ class Values:
 def graph_values(graph) -> Values:
     """A FactorGraph's current estimates."""
     return Values(graph.poses, graph.landmarks)
+
+
+def graph_error(graph) -> float:
+    """A FactorGraph's total error at its estimates, from one batched residual
+    pass (appending the factors queued since the last one)."""
+    batch = graph._batched()
+    return batch.error_only(batch.state()).error
+
+
+def graph_summary(graph) -> dict:
+    """Variable counts, factor counts by type and the total error."""
+    return {
+        "num_poses": len(graph.poses),
+        "num_landmarks": len(graph.landmarks),
+        "factor_counts": Counter(type(f).__name__ for f in graph.factors),
+        "total_error": graph_error(graph),
+    }
 
 
 def measurement_jacobians(pose: Pose3, landmark: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +217,29 @@ def kmeans_reference(features, k, max_iters=50, seed=0):
             break
         labels = new_labels
     return labels.reshape(h, w), centroids, history, reseeds
+
+
+def vote_saliency_reference(labels, k, attention, vote_threshold, attended_mass_fraction=0.5):
+    """Attention voting one head at a time: a stable descending argsort of the
+    head's attention, its running sum and a searchsorted cut, as
+    ``segmentation.vote_saliency`` documents it."""
+    labels = np.asarray(labels).ravel()
+    num_heads = attention.shape[0]
+    cluster_sizes = np.bincount(labels, minlength=k)
+    votes = np.zeros(k, dtype=int)
+    for h in range(num_heads):
+        w = attention[h].ravel()
+        total = w.sum()
+        if total <= 0:
+            continue
+        order = np.argsort(-w, kind="stable")
+        csum = np.cumsum(w[order])
+        cut = int(np.searchsorted(csum, attended_mass_fraction * total))
+        cutoff_value = w[order[min(cut, len(order) - 1)]]
+        attended = (w >= cutoff_value) & (w > 0)
+        attended_per_cluster = np.bincount(labels[attended], minlength=k)
+        votes += attended_per_cluster > 0.5 * cluster_sizes
+    return {c for c in range(k) if cluster_sizes[c] > 0 and votes[c] / num_heads > vote_threshold}
 
 
 def innovation_covariance(h_pose, h_landmark, joint_cov, gamma):

@@ -8,7 +8,7 @@ from objectslam import factors as fx
 from objectslam import graph as gr
 from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3, compose, inverse, local, retract
-from oracles import Values, graph_values
+from oracles import Values, graph_error, graph_summary, graph_values
 
 from test_geometry import random_pose
 
@@ -285,7 +285,7 @@ def test_assembly_matches_scalar_factor_oracle():
     err, system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
     n_pose = 6 * len(g.poses)
-    assert err == pytest.approx(g.error(), rel=1e-12)
+    assert err == pytest.approx(graph_error(g), rel=1e-12)
     assert rel_err(band_to_dense(system.band), info[:n_pose, :n_pose]) < 1e-12
     assert rel_err(system.border, info[:n_pose, n_pose:]) < 1e-12
     assert rel_err(system.landmark, info[n_pose:, n_pose:]) < 1e-12
@@ -296,8 +296,8 @@ def test_error_matches_scalar_factor_sum():
     g = structured_graph(np.random.default_rng(16))
     values = graph_values(g)
     want = sum(f.error(values) for f in g.factors)
-    assert g.error() == pytest.approx(want, rel=1e-12)
-    assert g.summary()["total_error"] == pytest.approx(want, rel=1e-12)
+    assert graph_error(g) == pytest.approx(want, rel=1e-12)
+    assert graph_summary(g)["total_error"] == pytest.approx(want, rel=1e-12)
 
 
 def check_storage(g):
@@ -662,7 +662,7 @@ def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
 
     gr._BatchedFactors.linearize = recording
     try:
-        before = g.error()
+        before = graph_error(g)
         report = g.optimize(gr.LMConfig(max_iterations=max_iterations))
     finally:
         gr._BatchedFactors.linearize = original
@@ -841,6 +841,19 @@ def test_em_reweight_ambiguity_resolves():
     assert by_lm[0] + by_lm[1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_weight_is_read_only_and_em_reweight_sets_it():
+    g = observed_graph(np.random.default_rng(6), [0.5, 0.5])
+    f = next(f for f in g.factors if isinstance(f, fx.WeightedObservationFactor))
+    with pytest.raises(AttributeError):
+        f.weight = 0.1
+    assert f.weight == 0.5
+    gr.em_reweight(g)
+    assert f.weight > 0.99
+    batch = g._batched()
+    assert np.array_equal(batch.observation["s"][batch.weighted["row"]],
+                          np.sqrt([factor.weight for factor in batch._weighted]))
+
+
 def test_em_reweight_fixed_point():
     rng = np.random.default_rng(7)
     g = observed_graph(rng, [0.5, 0.5])
@@ -861,7 +874,7 @@ def test_em_reweight_error_non_increasing_convex_case():
     g.add_landmark(0, np.array([2.0, 0.3, -0.1]))
     g.add_factor(fx.WeightedObservationFactor(0, 0, np.array([2.0, 0.0, 0.0]),
                                               np.eye(3) * 0.01, 1.0, group_id=1))
-    before = g.error()
+    before = graph_error(g)
     report = gr.em_reweight(g)
     assert report.final_error <= before + 1e-12
 
@@ -880,7 +893,7 @@ def test_em_reweight_normalizes_each_group_wherever_its_members_sit():
     for members in ([(0, 7), (1, 3), (2, None), (2, 3)], [(3, 7), (1, None), (0, 3)]):
         for j, group in members:
             g.add_factor(fx.WeightedObservationFactor(0, j, z, gamma, 0.5, group_id=group))
-        g.error()  # appends these members
+        graph_error(g)  # appends these members
     weighted = [f for f in g.factors if isinstance(f, fx.WeightedObservationFactor)]
     likelihood = []
     for f in weighted:
@@ -925,7 +938,7 @@ def test_summary_counts():
     rng = np.random.default_rng(8)
     poses = chain_poses(rng, 3)
     g = build_chain_graph(poses)
-    s = g.summary()
+    s = graph_summary(g)
     assert s["num_poses"] == 3
     assert s["factor_counts"]["PriorFactor"] == 1
     assert s["factor_counts"]["BetweenFactor"] == 2

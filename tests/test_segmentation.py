@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from objectslam import segmentation as seg
-from oracles import flood_fill_components, kmeans_reference, nearest_prototype_labels
+from objectslam import simworld as sw
+from objectslam.errors import DataFormatError
+from objectslam.geometry import Pose3
+from oracles import (flood_fill_components, kmeans_reference, nearest_prototype_labels,
+                     vote_saliency_reference)
 
 
 def make_grid(features, attention=None, depth=None):
@@ -76,12 +80,17 @@ def test_cluster_deterministic():
 
 
 def assert_matches_kmeans_reference(features, k, seed, max_iters=50) -> int:
-    """Bit-identical ClusterMap against the per-cluster reference; returns its reseed count."""
+    """Bit-identical labels and centroids against the per-cluster reference,
+    one WCSS per assignment, each within 1e-12 * sum |p|^2 of the reference's
+    direct sum of (p - c)^2 (the expanded form that the assignment ranks by
+    cancels to about 1e-16 of it); returns the reference's reseed count."""
     cm = seg.cluster_features(make_grid(features), k, max_iters, seed)
     labels, centroids, wcss_history, reseeds = kmeans_reference(features, k, max_iters, seed)
     assert np.array_equal(cm.labels, labels)
     assert np.array_equal(cm.centroids, centroids)
-    assert cm.wcss_history == wcss_history
+    assert len(cm.wcss_history) == len(wcss_history)
+    scale = float(np.sum(features * features))
+    assert np.all(np.abs(np.subtract(cm.wcss_history, wcss_history)) <= 1e-12 * scale)
     return reseeds
 
 
@@ -153,6 +162,75 @@ def test_vote_saliency_two_of_three_heads():
     assert 1 in seg.vote_saliency(cm, attention, 0.6)
     # threshold 0.7 rejects it
     assert 1 not in seg.vote_saliency(cm, attention, 0.7)
+
+
+def test_vote_saliency_matches_per_head_reference():
+    # attention from a few integer levels puts ties at the cutoff, and some
+    # grids hold a head with no attention at all, or a single head
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        k = int(rng.integers(1, 8))
+        shape = tuple(rng.integers(2, 12, size=2))
+        labels = rng.integers(k, size=shape)
+        heads = 1 if trial % 3 == 0 else int(rng.integers(2, 7))
+        levels = int(rng.integers(1, 5))
+        attention = rng.integers(levels + 1, size=(heads,) + shape).astype(float)
+        if trial % 3 == 1:
+            attention[rng.integers(heads)] = 0.0
+        if trial % 2:
+            attention *= rng.uniform(0.1, 10.0)
+        fraction = float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()]))
+        threshold = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+        cm = seg.ClusterMap(labels, np.zeros((k, 2)))
+        assert seg.vote_saliency(cm, attention, threshold, fraction) == \
+            vote_saliency_reference(labels, k, attention, threshold, fraction)
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_vote_saliency_rejects_mass_fraction_outside_unit_interval(fraction):
+    cm = seg.ClusterMap(np.zeros((4, 4), dtype=int), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="attended_mass_fraction"):
+        seg.vote_saliency(cm, np.ones((1, 4, 4)), 0.5, fraction)
+
+
+def detection_bytes(detections):
+    return [(d.embedding.tobytes(), d.point.tobytes(), d.point_covariance.tobytes(), d.area)
+            for d in detections]
+
+
+def test_detect_matches_oracles_on_rendered_grids(monkeypatch):
+    grid_config = sw.GridConfig()
+    rng = np.random.default_rng(12)
+    frames = []
+    for seed in range(8):
+        count = int(rng.integers(2, 7))
+        world = sw.generate_world(sw.WorldConfig(object_count=count, class_count=4,
+                                                 embedding_dim=16), seed=seed)
+        world.objects = [sw.WorldObject(i, np.array([rng.uniform(-0.9, 0.9),
+                                                     rng.uniform(-0.6, 0.6),
+                                                     rng.uniform(1.5, 3.5)]),
+                                        int(rng.integers(4)))
+                         for i in range(count)]
+        grid, _ = sw.synthesize_feature_grid(world, Pose3.identity(), grid_config, seed)
+        frames.append(grid)
+    config = seg.SegmentationConfig(k=5, fx=grid_config.fx, fy=grid_config.fy,
+                                    cx=grid_config.cx, cy=grid_config.cy,
+                                    patch_size=grid_config.patch_size)
+    got = [seg.detect(grid, config) for grid in frames]
+    assert sum(map(len, got)) >= len(frames)  # the frames do hold objects
+
+    def cluster_oracle(grid, k, max_iters, seed):
+        labels, centroids, history, _ = kmeans_reference(grid.features, k, max_iters, seed)
+        return seg.ClusterMap(labels, centroids, history)
+
+    def vote_oracle(clusters, attention, vote_threshold, attended_mass_fraction):
+        return vote_saliency_reference(clusters.labels, clusters.k, attention,
+                                       vote_threshold, attended_mass_fraction)
+
+    monkeypatch.setattr(seg, "cluster_features", cluster_oracle)
+    monkeypatch.setattr(seg, "vote_saliency", vote_oracle)
+    for grid, dets in zip(frames, got):
+        assert detection_bytes(seg.detect(grid, config)) == detection_bytes(dets)
 
 
 def test_refine_mask_cases():
@@ -315,9 +393,29 @@ def test_feature_grid_round_trip(tmp_path):
     assert np.allclose(back.depth, grid.depth, atol=1e-6)
 
 
-def test_feature_grid_bad_magic(tmp_path):
-    from objectslam.errors import DataFormatError
+@pytest.mark.parametrize("field, value", [
+    ("features", np.nan), ("attention", np.nan), ("attention", np.inf),
+    ("depth", np.nan), ("depth", np.inf), ("attention", -1.0), ("depth", -1.0)])
+def test_feature_grid_rejects_non_finite_or_negative_input(field, value):
+    arrays = {"features": np.zeros((4, 4, 2)), "attention": np.ones((2, 4, 4)),
+              "depth": np.ones((4, 4))}
+    arrays[field].flat[5] = value
+    with pytest.raises(ValueError):
+        seg.FeatureGrid(**arrays)
 
+
+def test_load_feature_grid_rejects_non_finite_values(tmp_path):
+    grid = seg.FeatureGrid(np.zeros((4, 4, 2)), np.ones((1, 4, 4)), np.ones((4, 4)))
+    path = tmp_path / "grid.fgrd"
+    seg.save_feature_grid(path, grid)
+    raw = bytearray(path.read_bytes())
+    raw[20:24] = np.float32(np.nan).tobytes()  # the first feature value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="non-finite features"):
+        seg.load_feature_grid(path)
+
+
+def test_feature_grid_bad_magic(tmp_path):
     path = tmp_path / "bad.fgrd"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(DataFormatError):
