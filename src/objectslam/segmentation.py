@@ -10,6 +10,7 @@ that scales with range).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,26 +163,38 @@ def cluster_features(grid: FeatureGrid, k: int, max_iters: int = 50, seed: int =
     for a distinct-row sort. The returned ``wcss_history`` has one entry per
     assignment (iterations + 1), each read off the distances that assignment
     computed (see ``ClusterMap``).
+
+    The loop keeps its buffers across iterations: the (n, k) distance buffer,
+    the row offsets of its WCSS gather and the (n, D) bincount index of
+    ``_update_centroids``, built once after the seeding assignment. After each
+    assignment, the rows whose label moved are both the fixed-point test (none
+    moved) and the only index rows rewritten; an iteration moves a few percent
+    of the patches on rendered frames.
     """
     points = grid.features.reshape(-1, grid.dim)
-    n = points.shape[0]
+    n, dim = points.shape
     if k < 1 or k > n:
         raise ValueError(f"k={k} out of range for {n} patches")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = np.sum(points * points, axis=1)[:, None]
-    labels, wcss = _assign(points, sq_norms, centroids)
+    d2 = np.empty((n, k))
+    row_starts = np.arange(0, n * k, k)
+    labels, wcss = _assign(points, sq_norms, centroids, d2, row_starts)
     wcss_history = [wcss]
+    columns = np.arange(dim)
+    bins = labels[:, None] * dim + columns
 
     for _ in range(max_iters):
-        centroids = _update_centroids(points, labels, centroids, k)
-        new_labels, wcss = _assign(points, sq_norms, centroids)
+        centroids = _update_centroids(points, labels, bins, centroids, k)
+        new_labels, wcss = _assign(points, sq_norms, centroids, d2, row_starts)
         wcss_history.append(wcss)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        moved = np.flatnonzero(new_labels != labels)
         labels = new_labels
+        if not moved.size:
+            break
+        bins[moved] = labels[moved, None] * dim + columns
 
     return ClusterMap(labels.reshape(grid.height, grid.width), centroids, wcss_history)
 
@@ -209,25 +222,29 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _assign(points: np.ndarray, sq_norms: np.ndarray,
-            centroids: np.ndarray) -> tuple[np.ndarray, float]:
+def _assign(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
+            d2: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest centroid per row from |p|^2 - 2 p.c + |c|^2, and the sum of
-    each row's distance to it; sq_norms is (n, 1)."""
-    d2 = points @ (-2.0 * centroids.T)  # exactly -(2p . c): scaling by 2 does not round
+    each row's distance to it; sq_norms is (n, 1), d2 an (n, k) buffer the
+    distances are written to and row_starts the flat offsets 0, k, 2k, ...
+    of its rows."""
+    np.matmul(points, -2.0 * centroids.T, out=d2)  # exactly -(2p . c): scaling by 2 does not round
     d2 += sq_norms
     d2 += np.sum(centroids * centroids, axis=1)
     labels = np.argmin(d2, axis=1)
     # each row's own distance by a flat gather, cheaper than a 2-D fancy index
-    return labels, float(d2.ravel()[np.arange(0, d2.size, d2.shape[1]) + labels].sum())
+    return labels, float(d2.ravel()[row_starts + labels].sum())
 
 
-def _update_centroids(points, labels, centroids, k):
+def _update_centroids(points, labels, bins, centroids, k):
+    """Member means of each cluster. bins is the (n, D) bincount index
+    labels[:, None] * D + column; the caller keeps it across iterations and
+    rewrites only the rows whose label moved."""
     dim = points.shape[1]
     counts = np.bincount(labels, minlength=k)
     # bincount adds each bin's weights in index order: every cluster's rows in row order
-    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim).reshape(k, dim)
-    out = sums / np.maximum(counts, 1)[:, None]
+    out = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * dim).reshape(k, dim)
+    out /= np.maximum(counts, 1)[:, None]
     for c in np.flatnonzero(counts == 0):
         # deterministic reseed: point farthest from its current centroid, with
         # clusters below c already updated and those from c on not yet; each
@@ -401,7 +418,10 @@ def load_feature_grid(path) -> FeatureGrid:
         raw = f.read()
     if raw[:4] != FGRD_MAGIC:
         raise DataFormatError(f"{path}: bad magic, expected FGRD")
-    h, w, d, a = np.frombuffer(raw, dtype="<u4", count=4, offset=4)
+    if len(raw) < 20:
+        raise DataFormatError(f"{path}: truncated header ({len(raw)} < 20 bytes)")
+    # Python ints, so the expected size cannot wrap as a u32 product would
+    h, w, d, a = struct.unpack_from("<4I", raw, 4)
     expect = 4 + 16 + 4 * (h * w * d + a * h * w + h * w)
     if len(raw) != expect:
         raise DataFormatError(f"{path}: truncated grid file ({len(raw)} != {expect} bytes)")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from objectslam import segmentation as seg
 from objectslam import simworld as sw
@@ -138,6 +140,42 @@ def test_cluster_k_above_distinct_raises_the_reference_error(rows, k):
             kmeans_reference(features, k)
     assert str(got.value) == str(want.value)
     assert "distinct feature vectors" in str(got.value)
+
+
+@st.composite
+def tied_grids(draw):
+    """(features, k, seed): an H x W x D grid (2-6, 2-6, 2-4) whose entries
+    take four values, so duplicate rows and equidistant centroids are common;
+    k runs one past the distinct rows (at most 8 + 1), so k above them occurs
+    too."""
+    h, w, d = draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    entries = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                            min_size=h * w * d, max_size=h * w * d))
+    features = np.reshape(entries, (h, w, d))
+    distinct = np.unique(features.reshape(-1, d), axis=0).shape[0]
+    return features, draw(st.integers(1, min(distinct, 8) + 1)), draw(st.integers(0, 2**16))
+
+
+# six values along feature 0; with seed 11 the second update finds a cluster
+# empty and reseeds it, which random grids over a few values almost never do
+RESEED_GRID = np.stack([np.array([
+    [-3.0, -3.7, 0.7, -3.7, -3.7, -0.2], [-3.0, -3.0, 2.8, -0.2, 0.7, 0.7],
+    [-3.0, 2.7, -3.0, 2.8, 0.7, 0.7], [-3.7, 2.8, 2.7, 0.7, 0.7, 0.7]]), np.zeros((4, 6))], axis=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_grids())
+@example((RESEED_GRID, 3, 11))
+def test_cluster_matches_reference_on_small_tied_grids(case):
+    features, k, seed = case
+    try:
+        kmeans_reference(features, k, seed=seed)
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            seg.cluster_features(make_grid(features), k, seed=seed)
+        assert str(got.value) == str(want)
+        return
+    assert_matches_kmeans_reference(features, k, seed)
 
 
 def test_vote_saliency_unanimous_and_empty():
@@ -412,6 +450,21 @@ def test_load_feature_grid_rejects_non_finite_values(tmp_path):
     raw[20:24] = np.float32(np.nan).tobytes()  # the first feature value
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="non-finite features"):
+        seg.load_feature_grid(path)
+
+
+def test_load_feature_grid_rejects_a_file_shorter_than_its_header(tmp_path):
+    path = tmp_path / "short.fgrd"
+    path.write_bytes(seg.FGRD_MAGIC + b"\x01\x00")
+    with pytest.raises(DataFormatError, match="truncated header"):
+        seg.load_feature_grid(path)
+
+
+def test_load_feature_grid_size_check_does_not_wrap(tmp_path):
+    # 65536 * 65536 wraps to 0 in u32, so a u32 size check would expect 20 bytes
+    path = tmp_path / "huge.fgrd"
+    path.write_bytes(seg.FGRD_MAGIC + np.array([65536, 65536, 1, 1], dtype="<u4").tobytes())
+    with pytest.raises(DataFormatError, match="truncated grid file"):
         seg.load_feature_grid(path)
 
 

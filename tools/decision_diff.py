@@ -19,8 +19,11 @@ of each row and exits non-zero when any row differs.
 ``segmentation.detect`` on every frame that the ``detect_stream`` benchmark
 workload sets up (``perfbench/workloads.py::setup_detect`` at full scale, for
 each seed in ``DETECT_SEEDS``), in its own process from the checkout's root
-with one BLAS thread. Each frame's detections are reduced to a digest of their
-raw bytes (embedding, point, covariance, area); the script prints each
+with one BLAS thread. Each frame is reduced to a digest of raw bytes: its
+``cluster_features`` labels, centroids and ``wcss_history`` length (so the
+clustering itself is compared, not only the detections that survive the
+saliency vote), then each detection's embedding, point, covariance and area.
+``cluster_features`` runs outside the timed ``detect`` call. The script prints each
 checkout's detection count and summed ``detect`` seconds, lists the frames
 whose digests differ for each seed and exits non-zero when any does.
 """
@@ -73,12 +76,18 @@ def run_detect(seed: int) -> dict:
 
     inputs = workloads.setup_detect(seed, workloads.FULL,
                                     workloads.Stopwatch(workloads.Reference()))
+    config = inputs["config"]
     digests, detections, seconds = [], 0, 0.0
     for frame in (frame for frames in inputs["frames"] for frame in frames):
         t0 = time.perf_counter()
-        found = segmentation.detect(frame.grid, inputs["config"])
+        found = segmentation.detect(frame.grid, config)
         seconds += time.perf_counter() - t0
+        clusters = segmentation.cluster_features(frame.grid, config.k, config.max_iters,
+                                                 config.seed)
         digest = hashlib.sha256()
+        for array in (clusters.labels.astype(np.int64), clusters.centroids,
+                      np.int64(len(clusters.wcss_history))):
+            digest.update(array.tobytes())
         for det in found:
             for array in (det.embedding, det.point, det.point_covariance, np.int64(det.area)):
                 digest.update(array.tobytes())
