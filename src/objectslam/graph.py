@@ -5,20 +5,22 @@ warm-started from the current estimates.
 
 Storage. A FactorGraph keeps everything in one ``_BatchedFactors``: the pose
 estimates as (N, 7) rows (unit quaternion, translation), the landmark
-estimates as (M, 3), and one table per factor type -- priors, betweens and
-observations -- holding the measurement, the square-root information, the
-variables' slots and the factor's scatter index into the system below. An
-observation row is a plain or EM-weighted observation or one component of a
-max-mixture (Olson & Agarwal, RSS 2012), with side indexes of the latter two.
-Every array sits in a buffer whose capacity doubles, so appending never
-moves an existing row. Variables take slots in insertion order as they are
-added. ``add_factor`` only queues a factor on ``factors``; the next
-optimize, error or marginal call appends the queued tail, vectorized over
-it. The graph is the only writer of what it stores: ``optimize`` is the
-only writer of the estimates, and ``em_reweight`` the only one of the
-weights, which rewrites the weight column of the weighted observations and
-rebuilds nothing. ``poses`` and ``landmarks`` are mappings that return a
-read-only copy of an estimate when one is read.
+estimates as (M, 3), and two factor tables -- pose factors and observations
+-- holding the measurement, the square-root information, the variables'
+slots and the factor's scatter index into the system below. A prior is a
+between from the origin: an anchored row whose first pose is the identity,
+with a zero Jacobian on that side, both of whose slots are its own pose's.
+An observation row is a plain or EM-weighted observation or one component
+of a max-mixture (Olson & Agarwal, RSS 2012), with side indexes of the
+latter two. Every array sits in a buffer whose capacity doubles, so
+appending never moves an existing row. Variables take slots in insertion
+order as they are added. ``add_factor`` only queues a factor on
+``factors``; the next optimize, error or marginal call appends the queued
+tail, vectorized over it. The graph is the only writer of what it stores:
+``optimize`` is the only writer of the estimates, and ``em_reweight`` the
+only one of the weights, which rewrites the weight column of the weighted
+observations and rebuilds nothing. ``poses`` and ``landmarks`` are mappings
+that return a read-only copy of an estimate when one is read.
 
 Observation scale. Each observation row's whitened residual and Jacobian
 carry a scale taken at the estimate the residuals are for: 1 for a plain
@@ -27,7 +29,7 @@ is its mixture's first cheapest component there and 0 otherwise. The error
 is 1/2 sum ||scale W r||^2 plus the -log w of every active component: the
 min over components of each mixture's cost.
 
-System. Linearization is vectorized per factor type and scatters each
+System. Linearization is vectorized per factor table and scatters each
 factor's J^T J and J^T r blocks straight into the Gauss-Newton system,
 ordered poses first:
 
@@ -44,9 +46,32 @@ Synthesis", 2000). A loop closure between poses w slots apart is exact but
 widens the band: storage grows as (6w + 6) * 6N and the factorization as
 (6w + 6)^2 * 6N.
 
+What carries across solves. ``optimize`` keeps the system it ended with,
+at the estimate it returns, with its error and its scatter buffer. The next
+``optimize`` starts at that estimate, so its first linearization only
+computes the residuals, Jacobians and J^T r of the rows appended since, bins
+them and adds them to the kept error and buffer; mixture and weighted rows
+take this path too. It linearizes every row instead when anything else
+linearized in between (a marginal call after new factors, say), when the
+layout changed (a wider band, a doubled landmark capacity) or when
+``em_reweight`` set new weights.
+
+The graph also keeps its latest undamped factor, and each factorization
+records the first pose slot among the rows linearized anew since then: the
+first pose column whose J^T J entries changed. The band has 6(w + 1) rows,
+so the columns of L_A before that one, and the rows of W = L_A^-1 B above
+it, do not depend on anything after it. An undamped factorization keeps
+them and refactors only the trailing part, whose corner first loses its
+product with the kept L_A columns next to it, and updates a running W^T W
+by the changed rows of W (Kaess, Ranganathan & Dellaert, "iSAM", T-RO
+2008). A band widening, a landmark-capacity doubling or new weights force a
+full factorization. LM damping adds to every diagonal and so cannot reuse
+the factor; ``optimize`` therefore takes undamped Gauss-Newton steps until
+a step is rejected, and only then damps (see ``optimize``).
+
 Fluid relinearization (iSAM2; Kaess et al., IJRR 2012). Every variable has
-a linearization point, and every prior, between and observation row stores
-its whitened Jacobian, taken at the points of its variables, and the kept
+a linearization point, and every between and observation row stores its
+whitened Jacobian, taken at the points of its variables, and the kept
 entries of that Jacobian's J^T J. A variable's point is NaN until its
 first linearization. A linearization gives a row a new Jacobian only when
 the row is new, when one of its variables moved more than
@@ -70,22 +95,23 @@ step is retried on a fresh system. Only a solve cut off by
 ``max_iterations`` (the online pipeline's 2-iteration solves) may end with
 stale rows, linearized at points within the threshold of its estimate.
 
-Marginals come from the undamped factor of the system ``optimize`` ended
+Marginals come from a full undamped factor of the system ``optimize`` ended
 with, until a variable or a factor is added or ``em_reweight`` sets new
 weights; nothing else changes the estimates or the weights (Kaess &
 Dellaert, RAS 2009). After a converged solve that system is exact; after an
 iteration-capped one its stale rows are linearized at points up to
 RELINEARIZE_THRESHOLD from the returned estimate, and the gate covariance
 is the one at those points. Otherwise the marginals come from a fresh
-linearization at the current estimate. There is one marginal path: the
-pose in the last slot is the last band column block, next to the landmark
-border, so the trailing (6 + 3M) block of the Cholesky factor L factors
-the Schur complement that eliminates every other pose. Its inverse is the
-joint (last pose, landmarks) covariance the gate needs, with no solve over
-the other 6(N - 1) pose rows. That one matrix, ``joint_covariance``, is
-what the pipeline hands the gate, landmark cross-covariances included;
-``joint_marginals`` returns its 9x9 pose-landmark blocks. Both serve the
-pose in the last slot only.
+linearization at the current estimate. The factor becomes the kept one
+when its system is the latest linearization. There is one marginal path:
+the pose in the last slot is the last band column block, next to the
+landmark border, so the trailing (6 + 3M) block of the Cholesky factor L
+factors the Schur complement that eliminates every other pose. Its inverse
+is the joint (last pose, landmarks) covariance the gate needs, with no
+solve over the other 6(N - 1) pose rows. That one matrix,
+``joint_covariance``, is what the pipeline hands the gate, landmark
+cross-covariances included; ``joint_marginals`` returns its 9x9
+pose-landmark blocks. Both serve the pose in the last slot only.
 
 Scatter layout. The ``np.bincount`` assembles the system into a flat buffer
 laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
@@ -93,7 +119,9 @@ laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
 entries), row c of B (3K entries) and the gradient entry. A scatter index
 therefore depends on the band width and K only, never on N: it is
 recomputed, for every stored factor at once, only when K doubles or a
-between spans more pose slots than any before it.
+between spans more pose slots than any before it, and a kept buffer stays
+a prefix of the next one as poses are added. Each entry's index is a
+constant plus multiples of its factor's two slots (``_index_form``).
 
 Gauge. A union-find over the variables counts the components that hold no
 prior as variables and factors arrive, so ``optimize`` checks the gauge in
@@ -125,7 +153,8 @@ from .factors import (
     pose_residuals,
     relative_pose,
 )
-from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp, se3_jr_inv
+from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp
+from .geometry import se3_jr_inv  # noqa: F401  # perfbench's self-test reads it from here
 
 
 @dataclass
@@ -176,8 +205,10 @@ class FactorGraph:
         self.poses = _Estimates(batch.pose_ids, batch.pose_slot, batch.poses, _pose_from_row)
         self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks, _frozen_copy)
         # (stamp, system): the system optimize ended with, at the stored
-        # estimate; the marginals reuse it while the stamp matches
+        # estimate; the marginals reuse it while the stamp matches, and the
+        # next optimize appends to it while it is the latest linearization
         self._final_system = None
+        self._factor = None  # the latest undamped factor; see _keep_factor
         self._uf_parent: dict = {}
         self._uf_anchored: set = set()
         self._num_priors = 0
@@ -244,18 +275,28 @@ class FactorGraph:
     def optimize(self, config: LMConfig | None = None) -> OptimizeReport:
         """Levenberg-Marquardt from the current estimates.
 
-        Each accepted step relinearizes only the rows whose variables moved
-        (see ``_BatchedFactors.linearize``), with its gradient taken at the
-        residuals the acceptance test just computed. A rejected step makes the
-        system fresh before the next factorization, and a solve that would
-        stop as converged first makes it fresh and checks again, so a
-        converged solve ends exact at its returned estimate.
+        The first linearization appends the rows added since the last solve
+        to the system that solve ended with, when that system is still the
+        latest one (see ``_BatchedFactors.linearize``). Each accepted step
+        relinearizes only the rows whose variables moved, with its gradient
+        taken at the residuals the acceptance test just computed. A rejected
+        step makes the system fresh before the next factorization, and a
+        solve that would stop as converged first makes it fresh and checks
+        again, so a converged solve ends exact at its returned estimate.
+
+        Steps are undamped Gauss-Newton (lambda = 0) until one is rejected:
+        the first rejection sets lambda to INIT_LAMBDA and each further one
+        multiplies it by LAMBDA_SCALE; each accepted step divides it by
+        LAMBDA_SCALE, back to 0 once it falls below INIT_LAMBDA. An undamped
+        factorization refactors only from the first pose column that changed
+        since the kept factor (see ``_factorize``).
         """
         config = config or LMConfig()
         self._validate_gauge()
         batch = self._batched()
         state = batch.state()
-        err, system = batch.linearize(state)
+        final = self._final_system
+        err, system = batch.linearize(state, base=final and final[1])
         initial = err
         residuals = None  # error_only's result at state, once a step is accepted
 
@@ -270,13 +311,13 @@ class FactorGraph:
                 _, system = batch.linearize(state, residuals, fresh=True)
             return float(np.linalg.norm(system.grad)) < GRADIENT_TOL or small
 
-        lam = INIT_LAMBDA
+        lam = 0.0
         iterations = 0
         converged = stops(np.inf)
         while not converged and iterations < config.max_iterations:
             stepped = False
             while lam <= MAX_LAMBDA:
-                factor = self._factorize(system, lam)
+                factor = self._factorize(system, lam) if lam else self._keep_factor(system)
                 candidate = batch.retract(state, factor.solve(-system.grad))
                 cand = batch.error_only(candidate)
                 if cand.error <= err and np.isfinite(cand.error):
@@ -284,13 +325,13 @@ class FactorGraph:
                     state, residuals, err = candidate, cand, cand.error
                     iterations += 1
                     stepped = True
-                    lam = max(lam * 0.1, 1e-12)
+                    lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
                     _, system = batch.linearize(state, residuals)
                     converged = stops(rel)
                     break
                 if not system.fresh:
                     _, system = batch.linearize(state, residuals, fresh=True)
-                lam *= LAMBDA_SCALE
+                lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
             if not stepped:
                 break
 
@@ -299,22 +340,67 @@ class FactorGraph:
         return OptimizeReport(initial, err, iterations, converged,
                               float(np.linalg.norm(system.grad)))
 
+    def _keep_factor(self, system: "NormalEquations", factor: "SchurFactor | None" = None):
+        """The undamped factor of ``system``, the latest linearization, kept for
+        the next one: refactored from the first pose slot whose rows changed
+        since the kept factor, or ``factor`` when one is given."""
+        batch = self._batch
+        if factor is None:
+            factor = self._factorize(system, kept=self._factor, first=batch.changed_from)
+        self._factor = factor
+        batch.changed_from = batch.num_poses
+        return factor
+
     @staticmethod
-    def _factorize(system: "NormalEquations", lam: float = 0.0) -> "SchurFactor":
-        """Factor the system, adding lam * max(diag, 1e-12) to the diagonals of A and C."""
-        band, landmark = system.band.copy(order="F"), system.landmark
+    def _factorize(system: "NormalEquations", lam: float = 0.0,
+                   kept: "SchurFactor | None" = None, first: int = 0) -> "SchurFactor":
+        """Factor the system, adding lam * max(diag, 1e-12) to the diagonals of A and C.
+
+        ``kept`` is an undamped factor of an earlier system with as many band
+        rows, whose A and B equal this system's in every pose column before
+        pose slot ``first``. An undamped factorization then keeps those
+        columns of L_A and the rows of W = L_A^-1 B above them, and factors
+        only the trailing band: its corner first loses the product of the
+        kept L_A[c0:c0 + w, c0 - w:c0] with itself (c0 the first changed
+        column, w the band's off-diagonals), and the trailing rows of B lose
+        that corner times the kept rows of W above it. W^T W is the kept one
+        less the kept trailing rows' part, plus the new trailing rows' part.
+        """
+        band, landmark = system.band, system.landmark
+        n_pose, rows = band.shape[1], len(band)
+        start = 0
+        if kept is not None and not lam and len(kept.band) == rows:
+            start = 6 * min(first, kept.band.shape[1] // 6)
+        trailing, border = band[:, start:].copy(order="F"), system.border[start:]
         if lam:
-            band[0] += lam * np.maximum(band[0], 1e-12)
+            trailing[0] += lam * np.maximum(trailing[0], 1e-12)
             landmark = landmark + np.diag(lam * np.maximum(np.diag(landmark), 1e-12))
+        if start:
+            corner = _corner(kept.band, start)
+            m, n_lm = len(corner), kept.border.shape[1]
+            trailing[:, :m] -= _lower_band(corner @ corner.T, rows)
+            border = border.copy()
+            border[:m, :n_lm] -= corner @ kept.border[start - corner.shape[1]:start]
         try:
-            band = sla.cholesky_banded(band, lower=True, overwrite_ab=True,
-                                       check_finite=False)
-            border = _band_solve(band, system.border, "N")
-            schur = sla.cholesky(landmark - border.T @ border, lower=True,
-                                 overwrite_a=True, check_finite=False)
+            trailing = sla.cholesky_banded(trailing, lower=True, overwrite_ab=True,
+                                           check_finite=False)
+            w_trailing = _band_solve(trailing, border, "N")
+            gram = w_trailing.T @ w_trailing
+            if start:  # the kept W^T W less its trailing rows' part
+                old = kept.border[start:]
+                gram[:n_lm, :n_lm] += kept.gram - old.T @ old
+                band = np.concatenate([kept.band[:, :start], trailing], axis=1)
+                w = np.empty((n_pose, border.shape[1]))
+                w[:start, :n_lm] = kept.border[:start]
+                w[:start, n_lm:] = 0.0  # landmarks added since: observed only further on
+                w[start:] = w_trailing
+            else:
+                band, w = trailing, w_trailing
+            schur = sla.cholesky(landmark - gram, lower=True, overwrite_a=True,
+                                 check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
-        return SchurFactor(band, border, schur)
+        return SchurFactor(band, w, schur, gram)
 
     def _validate_gauge(self) -> None:
         """Require a prior and full connectivity to an anchored component."""
@@ -336,25 +422,31 @@ class FactorGraph:
         """The one writer of observation weights: give the weighted observation
         factors at positions ``which`` of ``_BatchedFactors.weighted`` the
         ``weights``, write their rows' scale sqrt(w), and drop the kept final
-        system, which was linearized with the old scales."""
+        system, which was linearized with the old scales, and the kept factor."""
         batch = self._batched()
         for i, w in zip(which.tolist(), weights.tolist()):
             batch._weighted[i]._weight = w  # read-only everywhere else
         batch.observation["s"][batch.weighted["row"][which]] = np.sqrt(weights)
         self._final_system = None
+        batch.changed_from = 0
 
     # -- covariance recovery -------------------------------------------------
 
     def _information_factorization(self):
         """Undamped factor at the current estimate, and the storage; reuses
-        ``optimize``'s final system while its stamp matches."""
+        ``optimize``'s final system while its stamp matches. The factor is
+        always a full one; it is kept for the next solve when its system is
+        the latest linearization."""
         batch = self._batched()
         final = self._final_system
         if final is not None and final[0] == self._stamp():
             system = final[1]
         else:  # a variable, a factor or new weights came after the last optimize
             _, system = batch.linearize(batch.state(), fresh=True)
-        return self._factorize(system), batch
+        factor = self._factorize(system)
+        if system is batch._latest:
+            self._keep_factor(system, factor)
+        return factor, batch
 
     def joint_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
         """Joint (6 + 3M) covariance of the pose in the last slot and the
@@ -435,7 +527,10 @@ class NormalEquations:
     landmark: np.ndarray  # C, (3M, 3M)
     grad: np.ndarray      # J^T r, (6N + 3M,)
     fresh: bool           # every row is linearized at the estimate grad is taken at
-    relinearized: int     # prior, between and observation rows linearized anew for it
+    relinearized: int     # between and observation rows linearized anew for it
+    error: float          # total error at that estimate
+    flat: np.ndarray      # the scatter buffer the four arrays above view
+    rows: tuple           # rows of each factor table binned into it
 
 
 class SchurFactor:
@@ -446,10 +541,12 @@ class SchurFactor:
     with A = L_A L_A^T, W = L_A^-1 B and S = C - W^T W = L_S L_S^T.
     """
 
-    def __init__(self, band: np.ndarray, border: np.ndarray, schur: np.ndarray):
+    def __init__(self, band: np.ndarray, border: np.ndarray, schur: np.ndarray,
+                 gram: np.ndarray):
         self.band = band      # L_A in the lower band storage of NormalEquations
         self.border = border  # W, dense
         self.schur = schur    # L_S, dense lower
+        self.gram = gram      # W^T W, kept for a later factor that reuses W's rows
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n_pose = self.band.shape[1]
@@ -510,6 +607,24 @@ class SchurFactor:
 _TRIL6 = np.tril_indices(6)
 
 
+def _corner(band: np.ndarray, start: int) -> np.ndarray:
+    """L[start:start + m, start - k:start] of the lower band factor L, dense,
+    where k = min(w, start), m = min(w, n - start) and w = len(band) - 1: all
+    of L's non-zeros left of column ``start`` in rows from ``start`` on."""
+    rows, n = band.shape
+    k, m = min(rows - 1, start), min(rows - 1, n - start)
+    diagonal = np.arange(m)[:, None] + k - np.arange(k)  # r - c of each entry
+    cols = start - k + np.arange(k)
+    return np.where(diagonal < rows, band[np.minimum(diagonal, rows - 1), cols], 0.0)
+
+
+def _lower_band(a: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, m) lower band storage of the symmetric m x m matrix ``a``."""
+    m = len(a)
+    r = np.arange(rows)[:, None] + np.arange(m)
+    return np.where(r < m, a[np.minimum(r, m - 1), np.arange(m)], 0.0)
+
+
 def _nonzeros(a: np.ndarray):
     """The non-zero entries of a 2-D array and their row and column indices."""
     mask = a != 0
@@ -561,9 +676,11 @@ class _Table:
 class _Block(NamedTuple):
     """Which entries of one factor's J^T J block are scattered, and into which part.
 
-    The factor's d system columns hold its pose columns first. Of its d x d
-    block the upper triangle is kept (it holds every A and B entry once) plus
-    the lower landmark-landmark part, since C is stored whole.
+    The factor's d system columns are offsets 0-5 of its first variable, a
+    pose, then those of its second: a pose (between) or a landmark
+    (observation). Of its d x d block the upper triangle is kept (it holds
+    every A and B entry once) plus the lower landmark-landmark part, since C
+    is stored whole.
     """
 
     kept: np.ndarray      # positions of the kept entries in the flattened d x d J^T J
@@ -600,28 +717,33 @@ def _relinearize_points(table: "_Table", x: np.ndarray, threshold: float):
     return moved, moved | (gap == 0.0)
 
 
-_PRIOR_BLOCK, _BETWEEN_BLOCK, _OBSERVATION_BLOCK = _block(6, 6), _block(12, 12), _block(9, 6)
-
-
-def _pose_cols(slots: np.ndarray) -> np.ndarray:
-    return 6 * slots[:, None] + np.arange(6)
-
-
-def _observation_cols(pose_slots: np.ndarray, lm_slots: np.ndarray) -> np.ndarray:
-    """Pose system columns, then landmark columns counted from the first landmark one."""
-    return np.concatenate([_pose_cols(pose_slots), 3 * lm_slots[:, None] + np.arange(3)], axis=1)
+_BETWEEN_BLOCK, _OBSERVATION_BLOCK = _block(12, 12), _block(9, 6)
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _table(block: _Block, **columns) -> _Table:
-    d = len(block.lm_col)
-    return _Table(cols=((d,), np.intp), index=((len(block.kept) + d,), np.intp), **columns)
+    return _Table(index=((len(block.kept) + len(block.lm_col),), np.intp), **columns)
+
+
+class _IndexForm(NamedTuple):
+    """Scatter index of a block's entries: ``const`` plus ``first`` and
+    ``second`` times the slots of the factor's two variables, then the
+    correction of the ``cross`` band entries (see ``_scatter_index``)."""
+
+    const: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    cross: np.ndarray         # band entries coupling a between's two poses
+    cross_offset: np.ndarray  # their column offset minus their row offset
+    cross_scale: int
 
 
 class _Residuals(NamedTuple):
-    """Every factor row's whitened residual at one estimate, and the total error."""
+    """Whitened residuals of every factor row from a first row on, at one
+    estimate, and their total error."""
 
     error: float
-    whitened: tuple        # prior (n, 6), between (n, 6), observation (n, 3) times scale
+    whitened: tuple        # between (n, 6), observation (n, 3) times scale
     terms: tuple           # per table the residual kernel's output, for its Jacobians
     scale: np.ndarray      # each observation row's scale at this estimate
 
@@ -633,21 +755,25 @@ class _BatchedFactors:
     Variables: ``pose_ids`` / ``lm_ids`` in insertion order, their slots, and
     per variable the estimate ``x`` ((N, 7) poses, (M, 3) landmarks) and its
     linearization point ``lin`` (NaN until the first linearization). Factors:
-    the tables ``prior``, ``between`` and ``observation``, one row per plain
-    or weighted observation and per mixture component, with ``s`` =
-    sqrt(weight) (1 if not weighted; only ``FactorGraph._set_weights``
+    the tables ``between`` and ``observation``. A prior is a between row from
+    the origin: ``anchored``, with the identity as its first pose, a zero
+    Jacobian on that side and both slots its own pose's. ``observation`` has
+    one row per plain or weighted observation and per mixture component, with
+    ``s`` = sqrt(weight) (1 if not weighted; only ``FactorGraph._set_weights``
     rewrites it) and ``jac_s``, the scale of the stored Jacobian. Side
     indexes: ``components`` (each component's row and -log w, mixture by
     mixture), ``mixtures`` (each mixture's first component) and ``weighted``
     (each weighted row and its group number). Each factor row keeps its
-    system columns ``cols``, its scatter ``index`` into the flat system
-    buffer (see the module docstring) and its whitened Jacobian ``jac`` at
-    the linearization points of its variables, or at the estimate for a row
-    of a mixture of two or more components; the kept J^T J entries of those
-    Jacobians sit in the buffer that ``linearize`` bins (``_binned``).
-    ``sync`` appends the factors queued since the last sync, and recomputes
-    every scatter index only when the layout changes: when the landmark
-    capacity doubles or a between widens the band.
+    scatter ``index`` into the flat system buffer (see the module docstring)
+    and its whitened Jacobian ``jac`` at the linearization points of its
+    variables, or at the estimate for a row of a mixture of two or more
+    components; the kept J^T J entries of those Jacobians sit in the buffer
+    that ``linearize`` bins (``_binned``). ``sync`` appends the factors
+    queued since the last sync, and recomputes every scatter index only when
+    the layout changes: when the landmark capacity doubles or a between
+    widens the band. ``changed_from`` is the first pose slot whose J^T J
+    entries changed since the graph's kept factor was taken; ``linearize``
+    lowers it, a layout change sets it to 0.
     """
 
     def __init__(self):
@@ -657,11 +783,9 @@ class _BatchedFactors:
         self.lm_slot: dict = {}
         self.poses = _Table(x=((7,), float), lin=((7,), float))
         self.landmarks = _Table(x=((3,), float), lin=((3,), float))
-        self.prior = _table(_PRIOR_BLOCK, slot=((), np.intp), q=((4,), float),
-                            t=((3,), float), w=((6, 6), float), jac=((6, 6), float))
         self.between = _table(_BETWEEN_BLOCK, i=((), np.intp), j=((), np.intp),
-                              q=((4,), float), t=((3,), float), w=((6, 6), float),
-                              jac=((6, 12), float))
+                              anchored=((), bool), q=((4,), float), t=((3,), float),
+                              w=((6, 6), float), jac=((6, 12), float))
         self.observation = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
                                   z=((3,), float), w=((3, 3), float), s=((), float),
                                   jac_s=((), float), jac=((3, 9), float))
@@ -671,7 +795,9 @@ class _BatchedFactors:
         self._weighted: list = []       # the weighted observation factors, as in ``weighted``
         self._groups: dict = {}         # group_id, or (row,) for none, -> group number
         self._synced = 0                # factors appended so far
-        self._linearized = (0, 0, 0)    # prior, between, observation rows with a Jacobian
+        self._linearized = (0, 0)       # between and observation rows with a Jacobian
+        self._latest = None             # the latest system linearize returned, until a relayout
+        self.changed_from = 0
         self._bins = None               # see _binned
         self._rebin = True
         self._buffers = self._spare = (np.empty(0, dtype=np.intp), np.empty(0))
@@ -706,12 +832,10 @@ class _BatchedFactors:
 
     def sync(self, factors: list) -> None:
         """Append ``factors[synced:]``."""
-        priors, betweens, observations, mixtures = [], [], [], []
+        poses, observations, mixtures = [], [], []
         for f in factors[self._synced:]:
-            if isinstance(f, PriorFactor):
-                priors.append(f)
-            elif isinstance(f, BetweenFactor):
-                betweens.append(f)
+            if isinstance(f, (PriorFactor, BetweenFactor)):
+                poses.append(f)
             elif isinstance(f, MixtureObservationFactor):
                 mixtures.append(f)
             else:  # ObservationFactor, including weighted
@@ -721,28 +845,26 @@ class _BatchedFactors:
         self._synced = len(factors)
 
         slot, lm_slot = self.pose_slot, self.lm_slot
-        bt_i = np.array([slot[f.key_i] for f in betweens], dtype=np.intp)
-        bt_j = np.array([slot[f.key_j] for f in betweens], dtype=np.intp)
-        gap = int(np.abs(bt_i - bt_j).max()) if betweens else 0
+        ends = [(f.pose_key,) * 2 if isinstance(f, PriorFactor) else (f.key_i, f.key_j)
+                for f in poses]
+        bt_i, bt_j = np.array([[slot[a], slot[b]] for a, b in ends], dtype=np.intp).reshape(-1, 2).T
+        anchored = np.array([isinstance(f, PriorFactor) for f in poses], dtype=bool)
+        gap = int(np.abs(bt_i - bt_j).max()) if poses else 0
         band_rows = max(self.band_rows, 6 * (gap + 1))
         if (band_rows, self.landmarks.capacity) != self.layout:
             self._set_layout(band_rows, self.landmarks.capacity)
             self._rebin = True
-            for table, block in self._tables():
-                table["index"][:] = self._scatter_index(block, table["cols"])
+            self._latest = None
+            self.changed_from = 0
+            for (table, _), form, variables in zip(self._tables(), self._forms,
+                                                   self._row_variables()):
+                table["index"][:] = self._scatter_index(form, *(slots for _, slots in variables))
 
-        if priors:
-            p = np.array([slot[f.pose_key] for f in priors], dtype=np.intp)
-            self._append(self.prior, _PRIOR_BLOCK, _pose_cols(p), slot=p,
-                         q=[f.mean.rotation for f in priors],
-                         t=[f.mean.translation for f in priors],
-                         w=[f.sqrt_info for f in priors])
-        if betweens:
-            self._append(self.between, _BETWEEN_BLOCK,
-                         np.concatenate([_pose_cols(bt_i), _pose_cols(bt_j)], axis=1),
-                         i=bt_i, j=bt_j, q=[f.relative.rotation for f in betweens],
-                         t=[f.relative.translation for f in betweens],
-                         w=[f.sqrt_info for f in betweens])
+        if poses:
+            means = [f.mean if a else f.relative for f, a in zip(poses, anchored)]
+            self._append(self.between, self._forms[0], bt_i, bt_j, i=bt_i, j=bt_j,
+                         anchored=anchored, q=[m.rotation for m in means],
+                         t=[m.translation for m in means], w=[f.sqrt_info for f in poses])
         if observations or mixtures:
             # a row per plain or weighted observation, then per mixture component
             rows = ([(f, f.landmark_key) for f in observations]
@@ -750,7 +872,7 @@ class _BatchedFactors:
             p = np.array([slot[f.pose_key] for f, _ in rows], dtype=np.intp)
             l = np.array([lm_slot[key] for _, key in rows], dtype=np.intp)
             first = len(self.observation)
-            self._append(self.observation, _OBSERVATION_BLOCK, _observation_cols(p, l),
+            self._append(self.observation, self._forms[1], p, l,
                          p=p, l=l, z=[f.point for f, _ in rows],
                          w=[f.sqrt_info for f, _ in rows],
                          s=np.sqrt([getattr(f, "weight", 1.0) for f, _ in rows]))
@@ -770,11 +892,10 @@ class _BatchedFactors:
 
     def _tables(self):
         """The factor tables, in the order they are binned."""
-        return ((self.prior, _PRIOR_BLOCK), (self.between, _BETWEEN_BLOCK),
-                (self.observation, _OBSERVATION_BLOCK))
+        return (self.between, _BETWEEN_BLOCK), (self.observation, _OBSERVATION_BLOCK)
 
-    def _append(self, table: _Table, block: _Block, cols: np.ndarray, **rows) -> None:
-        table.extend(len(cols), cols=cols, index=self._scatter_index(block, cols), **rows)
+    def _append(self, table: _Table, form: "_IndexForm", first, second, **rows) -> None:
+        table.extend(len(first), index=self._scatter_index(form, first, second), **rows)
 
     def _set_layout(self, band_rows: int, lm_capacity: int) -> None:
         """Offsets of the flat buffer: C, the landmark gradient, then per pose
@@ -786,22 +907,50 @@ class _BatchedFactors:
         self._lm_grad_at = lm_width * lm_width
         self._records_at = self._lm_grad_at + lm_width
         self._stride = band_rows + lm_width + 1
+        self._forms = tuple(self._index_form(block) for _, block in self._tables())
 
-    def _scatter_index(self, block: _Block, cols: np.ndarray) -> np.ndarray:
+    def _index_form(self, block: _Block) -> "_IndexForm":
+        """The closed form of the scatter index of ``block``'s entries in this
+        layout. A band entry A[b, a] (a <= b) sits at records + a * stride +
+        b - a, a border entry B[a, c] at records + a * stride + band_rows + c,
+        a C entry C[c, e] at c * 3K + e, and the J^T r entries in the pose
+        records and the landmark gradient. With a and b on the factor's first
+        and second variable, each is a per-entry constant plus per-entry
+        multiples of the two slots, as long as the band entries that couple a
+        between's two poses have a <= b: as if its first pose came first."""
+        stride, records = self._stride, self._records_at
+        lm_width = 3 * self.lm_capacity
+        ra, rb = block.rows % 6, block.cols % 6  # offsets in their variables
+        sa, sb = block.rows >= 6, block.cols >= 6  # on the second variable
+        kinds = [block.band, block.border, block.landmark]
+        local = np.arange(len(block.lm_col))
+        offset, on_second = local % 6, local >= 6
+        const = np.concatenate([
+            np.select(kinds, [records + ra * (stride - 1) + rb,
+                              records + ra * stride + self.band_rows + rb,
+                              ra * lm_width + rb]),
+            np.where(block.lm_col, self._lm_grad_at + offset, records + (offset + 1) * stride - 1)])
+        first = np.concatenate([np.select(kinds, [(6 * stride - 6) * ~sa + 6 * ~sb, 6 * stride, 0]),
+                                np.where(on_second, 0, 6 * stride)])
+        second = np.concatenate([
+            np.select(kinds, [(6 * stride - 6) * sa + 6 * sb, 3, 3 * lm_width + 3]),
+            np.where(on_second, np.where(block.lm_col, 3, 6 * stride), 0)])
+        cross = np.flatnonzero(block.band & ~sa & sb)
+        return _IndexForm(const, first, second, cross, (rb - ra)[cross], stride - 2)
+
+    @staticmethod
+    def _scatter_index(form: "_IndexForm", first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Flat-buffer index (n, kept + d) of each kept J^T J entry and each J^T r
-        entry of factors with system columns ``cols`` (n, d)."""
-        a, b = cols[:, block.rows], cols[:, block.cols]
-        index = np.empty(a.shape, dtype=np.intp)
-        m = block.band
-        lo, hi = np.minimum(a[:, m], b[:, m]), np.maximum(a[:, m], b[:, m])
-        index[:, m] = self._records_at + lo * self._stride + (hi - lo)
-        m = block.border
-        index[:, m] = self._records_at + a[:, m] * self._stride + self.band_rows + b[:, m]
-        m = block.landmark
-        index[:, m] = a[:, m] * (3 * self.lm_capacity) + b[:, m]
-        grad = np.where(block.lm_col, self._lm_grad_at + cols,
-                        self._records_at + (cols + 1) * self._stride - 1)
-        return np.concatenate([index, grad], axis=1)
+        entry of the factors whose variables sit in slots ``first`` and
+        ``second``. A band entry that couples a between's two poses where the
+        first pose's column a is the larger one moves by (stride - 2) * (b - a),
+        from where the form puts it to A[a, b]."""
+        index = form.const + first[:, None] * form.first + second[:, None] * form.second
+        flip = np.flatnonzero(first >= second) if len(form.cross) else ()
+        if len(flip):
+            gap = 6 * (second[flip] - first[flip])[:, None] + form.cross_offset
+            index[flip[:, None], form.cross] += form.cross_scale * np.minimum(gap, 0)
+        return index
 
     # -- state handling ------------------------------------------------------
 
@@ -825,20 +974,16 @@ class _BatchedFactors:
         return out, lms + delta[n_pose:].reshape(-1, 3)
 
     # -- residuals -----------------------------------------------------------
-    # The residual kernels of the tables that keep a Jacobian run over the
-    # rows ``rows`` (a slice or an index array) at the pose estimates ``x``
-    # and landmark estimates ``lms``; what they return is what the matching
-    # Jacobian kernel takes.
-
-    def _prior_residuals(self, x, lms, rows):
-        pr = self.prior
-        slot = pr["slot"][rows]
-        return (pose_residuals(pr["q"][rows], pr["t"][rows], x[slot, :4], x[slot, 4:]),)
+    # The residual kernels run over the rows ``rows`` (a slice or an index
+    # array) at the pose estimates ``x`` and landmark estimates ``lms``; what
+    # they return is what the matching Jacobian kernel takes.
 
     def _between_residuals(self, x, lms, rows):
         bt = self.between
-        i, j = bt["i"][rows], bt["j"][rows]
-        q_ij, t_ij = relative_pose(x[i, :4], x[i, 4:], x[j, :4], x[j, 4:])
+        xi = x[bt["i"][rows]]
+        xi[bt["anchored"][rows]] = _IDENTITY  # a prior: a between from the origin
+        xj = x[bt["j"][rows]]
+        q_ij, t_ij = relative_pose(xi[:, :4], xi[:, 4:], xj[:, :4], xj[:, 4:])
         return pose_residuals(bt["q"][rows], bt["t"][rows], q_ij, t_ij), q_ij, t_ij
 
     def _observation_residuals(self, x, lms, rows):
@@ -847,14 +992,19 @@ class _BatchedFactors:
         q = x[p, :4]
         return (*observation_residuals(q, x[p, 4:], lms[ob["l"][rows]], ob["z"][rows]), q)
 
-    def _observation_scale(self, rw):
-        """Each observation row's scale at the unscaled whitened residuals
-        ``rw`` (see the module docstring), and the -log w total of the active
-        mixture components: NaN when a mixture has a NaN cost."""
-        scale = self.observation["s"].copy()
-        if not len(self.mixtures):
-            return scale, 0.0
+    def _observation_scale(self, rw, start: int = 0):
+        """The scale of each observation row from ``start`` on at their
+        unscaled whitened residuals ``rw`` (see the module docstring), and the
+        -log w total of the active components of the mixtures among them:
+        NaN when a mixture has a NaN cost."""
+        scale = self.observation["s"][start:].copy()
         rows, nlw, starts = self.components["row"], self.components["nlw"], self.mixtures["start"]
+        if start and len(starts):  # the mixtures appended from ``start`` on
+            first = np.searchsorted(rows[starts], start)
+            at = starts[first] if first < len(starts) else len(rows)
+            rows, nlw, starts = rows[at:] - start, nlw[at:], starts[first:] - at
+        if not len(starts):
+            return scale, 0.0
         mixed = rw[rows]
         costs = 0.5 * np.sum(mixed * mixed, axis=1) + nlw
         n = len(costs)
@@ -870,15 +1020,15 @@ class _BatchedFactors:
         """The whitened residuals and the total error at ``state``."""
         return self._residuals(state)
 
-    def _residuals(self, state) -> _Residuals:
+    def _residuals(self, state, start: tuple = (0, 0)) -> _Residuals:
+        """Residuals of each table's rows from its entry of ``start`` on."""
         x, lms = state
-        rows = slice(None)
-        terms = (self._prior_residuals(x, lms, rows), self._between_residuals(x, lms, rows),
-                 self._observation_residuals(x, lms, rows))
-        whitened = [np.einsum("nij,nj->ni", table["w"], r[0])
-                    for (table, _), r in zip(self._tables(), terms)]
-        scale, log_weights = self._observation_scale(whitened[2])
-        whitened[2] *= scale[:, None]
+        terms = (self._between_residuals(x, lms, slice(start[0], None)),
+                 self._observation_residuals(x, lms, slice(start[1], None)))
+        whitened = [np.einsum("nij,nj->ni", table["w"][first:], r[0])
+                    for (table, _), first, r in zip(self._tables(), start, terms)]
+        scale, log_weights = self._observation_scale(whitened[1], start[1])
+        whitened[1] *= scale[:, None]
         total = 0.5 * sum(float(np.sum(rw * rw)) for rw in whitened) + log_weights
         return _Residuals(total, tuple(whitened), terms, scale)
 
@@ -886,12 +1036,11 @@ class _BatchedFactors:
     # The Jacobian kernels give the whitened Jacobians of the rows ``rows``
     # from their residual kernel's output at the rows' linearization points.
 
-    def _prior_jacobians(self, rows, r):
-        return self.prior["w"][rows] @ se3_jr_inv(r)
-
     def _between_jacobians(self, rows, r, q_ij, t_ij):
         j_i, j_j = between_jacobians(r, q_ij, t_ij)
-        w = self.between["w"][rows]
+        bt = self.between
+        j_i[bt["anchored"][rows]] = 0.0
+        w = bt["w"][rows]
         return np.concatenate([w @ j_i, w @ j_j], axis=2)
 
     def _observation_jacobians(self, rows, r, h, q):
@@ -899,7 +1048,8 @@ class _BatchedFactors:
         jac = ob["w"][rows] @ np.concatenate(observation_jacobians(q, h), axis=2)
         return ob["jac_s"][rows, None, None] * jac
 
-    def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False):
+    def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False,
+                  base: "NormalEquations | None" = None):
         """Total error and the Gauss-Newton system at ``state``.
 
         Only these rows get a new Jacobian: rows appended since the last
@@ -913,36 +1063,47 @@ class _BatchedFactors:
         kept J^T J entry is then binned with the gradient J^T r, whose
         whitened residuals r are taken at ``state``: ``residuals`` when given
         (``error_only``'s result at ``state``), else computed here.
+
+        ``base`` is a system at ``state``. While it is the latest
+        linearization (no other linearization and no relayout since), only the
+        rows appended since it are linearized, from their residuals on, and
+        binned; they are added to its error and its buffer.
         """
-        if residuals is None:
-            residuals = self._residuals(state)
+        append = base is not None and base is self._latest and not fresh
+        start = base.rows if append else (0, 0)
+        if append or residuals is None:
+            residuals = self._residuals(state, start)
         x, lms = state
         threshold = 0.0 if fresh else RELINEARIZE_THRESHOLD
         # per kind of variable (poses, landmarks): moved now, and at the estimate
         moved, at = zip(_relinearize_points(self.poses, x, threshold),
                         _relinearize_points(self.landmarks, lms, threshold))
         bins = self._binned()
-        kernels = ((self._prior_residuals, self._prior_jacobians),
-                   (self._between_residuals, self._between_jacobians),
+        kernels = ((self._between_residuals, self._between_jacobians),
                    (self._observation_residuals, self._observation_jacobians))
-        relinearized = 0
-        for (table, block), (residual_kernel, jacobian_kernel), variables, done, terms, part, \
-                rw in zip(self._tables(), kernels, self._row_variables(),
-                          self._linearized, residuals.terms, bins.parts, residuals.whitened):
+        relinearized, changed_from = 0, self.changed_from
+        for (table, block), (residual_kernel, jacobian_kernel), variables, done, first, terms, \
+                part, rw in zip(self._tables(), kernels, self._row_variables(), self._linearized,
+                                start, residuals.terms, bins.parts, residuals.whitened):
+            variables = [(kind, slots[first:]) for kind, slots in variables]
             redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
-            redo[done:] = True  # appended since the last linearization
-            current = np.zeros(len(table), dtype=bool)  # rows linearized at the estimate
+            redo[done - first:] = True  # appended since the last linearization
+            current = np.zeros(len(redo), dtype=bool)  # rows linearized at the estimate
             if table is self.observation:  # components that may switch, and rows whose scale changed
                 sizes = np.diff(self.mixtures["start"], append=len(self.components))
-                current[self.components["row"][np.repeat(sizes > 1, sizes)]] = True
-                redo |= current | (residuals.scale != table["jac_s"])
-                table["jac_s"][:] = residuals.scale
+                switching = self.components["row"][np.repeat(sizes > 1, sizes)] - first
+                current[switching[switching >= 0]] = True
+                redo |= current | (residuals.scale != table["jac_s"][first:])
+                table["jac_s"][first:] = residuals.scale
             rows = np.flatnonzero(redo)
             k = len(block.kept)
             if len(rows):
                 terms = [a[rows] for a in terms]
                 lagged = ~(current[rows] | np.logical_and.reduce([at[kind][slots[rows]]
                                                                   for kind, slots in variables]))
+                changed_from = min([changed_from] + [int(slots[rows].min())
+                                                     for kind, slots in variables if kind == 0])
+                rows += first
                 if lagged.any():  # rows with a point away from the estimate
                     for a, b in zip(terms, residual_kernel(
                             self.poses["lin"], self.landmarks["lin"], rows[lagged])):
@@ -952,28 +1113,39 @@ class _BatchedFactors:
                 table["jac"][rows] = jac = jacobian_kernel(rows, *terms)
                 part[rows, :k] = _kept_products(jac, block)
                 relinearized += len(jac)
-            np.einsum("nij,ni->nj", table["jac"], rw, out=part[:, k:])
+            np.einsum("nij,ni->nj", table["jac"][first:], rw, out=part[first:, k:])
         self._linearized = tuple(len(table) for table, _ in self._tables())
+        self.changed_from = changed_from
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
-        flat = np.bincount(bins.index, bins.values,
-                           minlength=self._records_at + n_pose * self._stride)
-        flat = flat.astype(float, copy=False)  # bincount of nothing is an integer array
+        size = self._records_at + n_pose * self._stride
+        if append:  # bin the appended rows only, onto the base's buffer
+            flat = np.bincount(np.concatenate([a[first:].ravel() for a, first in
+                                               zip(bins.index_parts, start)]),
+                               np.concatenate([a[first:].ravel() for a, first in
+                                               zip(bins.parts, start)]), minlength=size)
+            flat = flat.astype(float, copy=False)  # bincount of nothing is an integer array
+            flat[:len(base.flat)] += base.flat
+            error = base.error + residuals.error
+        else:
+            flat = np.bincount(bins.index, bins.values, minlength=size).astype(float, copy=False)
+            error = residuals.error
         lm_width = 3 * self.lm_capacity
         records = flat[self._records_at:].reshape(n_pose, self._stride)
-        return residuals.error, NormalEquations(
+        self._latest = system = NormalEquations(
             band=records[:, :self.band_rows].T,
             border=records[:, self.band_rows:self.band_rows + n_lm],
             landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([records[:, -1],
                                  flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
-            fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized)
+            fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized,
+            error=error, flat=flat, rows=self._linearized)
+        return error, system
 
     def _row_variables(self):
         """Per table of ``_tables``, its rows' variables as (0 for a pose
         or 1 for a landmark, slot column) pairs."""
-        return (((0, self.prior["slot"]),),
-                ((0, self.between["i"]), (0, self.between["j"])),
+        return (((0, self.between["i"]), (0, self.between["j"])),
                 ((0, self.observation["p"]), (1, self.observation["l"])))
 
     def _binned(self) -> "_Bins":
@@ -983,22 +1155,25 @@ class _BatchedFactors:
         buffers take turns, so a rebuild writes into memory already mapped."""
         if self._rebin:
             self._rebin = False
-            old = self._bins.parts if self._bins else (None,) * 3
+            old = self._bins.parts if self._bins else (None,) * 2
             sizes = [table["index"].size for table, _ in self._tables()]
             total = sum(sizes)
             if len(self._spare[1]) < total:
                 self._spare = (np.empty(2 * total, dtype=np.intp), np.empty(2 * total))
             index, values = self._spare[0][:total], self._spare[1][:total]
             self._spare, self._buffers = self._buffers, self._spare
-            parts, at = [], 0
+            index_parts, parts, at = [], [], 0
             for (table, _), size, kept in zip(self._tables(), sizes, old):
-                index[at:at + size] = table["index"].ravel()
-                part = values[at:at + size].reshape(table["index"].shape)
+                shape = table["index"].shape
+                index_part = index[at:at + size].reshape(shape)
+                index_part[:] = table["index"]
+                part = values[at:at + size].reshape(shape)
                 if kept is not None:
                     part[:len(kept)] = kept
+                index_parts.append(index_part)
                 parts.append(part)
                 at += size
-            self._bins = _Bins(index, values, tuple(parts))
+            self._bins = _Bins(index, values, tuple(index_parts), tuple(parts))
         return self._bins
 
 
@@ -1009,7 +1184,8 @@ class _Bins(NamedTuple):
 
     index: np.ndarray        # scatter index of every entry
     values: np.ndarray
-    parts: tuple             # views of values
+    index_parts: tuple       # views of index and of values, per table
+    parts: tuple
 
 
 def em_reweight(graph: FactorGraph, lm_config: LMConfig | None = None) -> OptimizeReport:

@@ -283,9 +283,3 @@ def load_map(path) -> list[Landmark]:
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return out
-
-
-def save_decision_log(path, decision_log: list[dict]) -> None:
-    with open(path, "w") as f:
-        for record in decision_log:
-            f.write(json.dumps(record) + "\n")

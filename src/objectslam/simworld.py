@@ -32,7 +32,6 @@ from .geometry import (
     quat_normalize,
     quat_rotate,
     se3_exp,
-    so3_exp_quat,
 )
 from .segmentation import FeatureGrid, ObjectDetection
 
@@ -175,10 +174,6 @@ def _sample_background(prototypes: np.ndarray, min_angle: float, rng) -> np.ndar
         if prototypes.shape[0] == 0 or np.max(prototypes @ v) <= cos_limit:
             return v
     raise NumericalError("could not place a background prototype")
-
-
-def pose_from_yaw(yaw: float, translation) -> Pose3:
-    return Pose3(so3_exp_quat(np.array([0.0, 0.0, yaw])), np.asarray(translation, float))
 
 
 def generate_trajectory(loops: int, waypoints_per_loop: int, path_length: float = 21.7,

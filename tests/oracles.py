@@ -42,6 +42,25 @@ def graph_summary(graph) -> dict:
     }
 
 
+def scatter_index_reference(batch, block, cols):
+    """Flat-buffer index (n, kept + d) of each kept J^T J entry and each J^T r
+    entry of factors with system columns ``cols`` (n, d; landmark columns
+    counted from the first landmark one) in ``batch``'s layout, built part by
+    part with masks over ``block``'s entries."""
+    records, stride = batch._records_at, batch._stride
+    a, b = cols[:, block.rows], cols[:, block.cols]
+    index = np.empty(a.shape, dtype=np.intp)
+    m = block.band
+    lo, hi = np.minimum(a[:, m], b[:, m]), np.maximum(a[:, m], b[:, m])
+    index[:, m] = records + lo * stride + (hi - lo)
+    m = block.border
+    index[:, m] = records + a[:, m] * stride + batch.band_rows + b[:, m]
+    m = block.landmark
+    index[:, m] = a[:, m] * (3 * batch.lm_capacity) + b[:, m]
+    grad = np.where(block.lm_col, batch._lm_grad_at + cols, records + (cols + 1) * stride - 1)
+    return np.concatenate([index, grad], axis=1)
+
+
 def measurement_jacobians(pose: Pose3, landmark: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of measurement_model_h w.r.t. a right pose perturbation and the point,
     for one pair: (H_pose 3x6 in (r, t) tangent order, H_landmark 3x3)."""

@@ -8,7 +8,7 @@ from objectslam import factors as fx
 from objectslam import graph as gr
 from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3, compose, inverse, local, retract
-from oracles import Values, graph_error, graph_summary, graph_values
+from oracles import Values, graph_error, graph_summary, graph_values, scatter_index_reference
 
 from test_geometry import random_pose
 
@@ -382,17 +382,46 @@ def test_maintained_storage_matches_scratch_assembly():
     assert g._batched().lm_capacity == 8 > len(g.landmarks) > 4
 
 
+def check_scatter_index(g):
+    """Every stored scatter index equals the mask-built reference."""
+    batch = g._batched()
+    bt, ob = batch.between, batch.observation
+    offsets = np.arange(6)
+    cols = np.concatenate([6 * bt["i"][:, None] + offsets, 6 * bt["j"][:, None] + offsets], axis=1)
+    assert np.array_equal(bt["index"], scatter_index_reference(batch, gr._BETWEEN_BLOCK, cols))
+    cols = np.concatenate([6 * ob["p"][:, None] + offsets, 3 * ob["l"][:, None] + offsets[:3]],
+                          axis=1)
+    assert np.array_equal(ob["index"],
+                          scatter_index_reference(batch, gr._OBSERVATION_BLOCK, cols))
+
+
+def test_closed_form_scatter_index_matches_mask_reference():
+    # Over every layout of the scripted run (band widenings, landmark
+    # capacity doublings) and the structured graph, whose betweens include
+    # priors (both slots the same) and one whose first pose is the later one.
+    g = gr.FactorGraph()
+    layouts = set()
+    for _ in scripted_run(g):
+        check_scatter_index(g)
+        layouts.add(g._batch.layout)
+    assert layouts == {(6, 0), (12, 0), (12, 1), (12, 2), (12, 4), (48, 4), (48, 8)}
+    g = structured_graph(np.random.default_rng(9))
+    check_scatter_index(g)
+    bt = g._batch.between
+    assert (bt["i"] > bt["j"]).any() and (bt["anchored"] & (bt["i"] == bt["j"])).sum() == 2
+
+
 def count_linearize(monkeypatch):
-    """Record (state, whether every prior, between and observation row got a
+    """Record (state, whether every between (priors included) and observation row got a
     new Jacobian, error, system, the linearization points after the call) of
     every linearize call, as copies: ``optimize`` passes views of the stored
     estimates, which it overwrites when it returns."""
     calls = []
     original = gr._BatchedFactors.linearize
 
-    def counting(self, state, residuals=None, fresh=False):
-        err, system = original(self, state, residuals, fresh)
-        rows = len(self.prior) + len(self.between) + len(self.observation)
+    def counting(self, state, residuals=None, fresh=False, base=None):
+        err, system = original(self, state, residuals, fresh, base)
+        rows = len(self.between) + len(self.observation)
         lin = (self.poses["lin"].copy(), self.landmarks["lin"].copy())
         calls.append((tuple(a.copy() for a in state), system.relinearized == rows, err,
                       system, lin))
@@ -508,6 +537,50 @@ def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
     assert converged >= 2
     if threshold is None:  # the threshold leaves stale rows in most solves
         assert stale > 20
+
+
+def test_kept_factor_matches_a_full_factorization(monkeypatch):
+    # A 2-iteration optimize after every change of the scripted run, then a
+    # between from a later pose that widens the band again. Every undamped
+    # factor optimize keeps, refactored only from the first pose column that
+    # changed since the factor before it, solves fixed random right-hand
+    # sides and gives the trailing covariance of a from-scratch
+    # factorization of the same system.
+    factorize = gr.FactorGraph._factorize
+    made = []
+
+    def recording(system, lam=0.0, kept=None, first=0):
+        factor = factorize(system, lam, kept, first)
+        made.append((system, lam, kept, first, factor))
+        return factor
+
+    monkeypatch.setattr(gr.FactorGraph, "_factorize", staticmethod(recording))
+    rng = np.random.default_rng(23)
+    g = gr.FactorGraph()
+    prefixes = []
+
+    def optimize_and_check():
+        before = len(made)
+        g.optimize(gr.LMConfig(max_iterations=2))
+        for system, lam, kept, first, factor in made[before:]:
+            if lam:
+                continue
+            if kept is not None and len(kept.band) == len(system.band):
+                prefixes.append(min(first, kept.band.shape[1] // 6))
+            full = factorize(system)
+            rhs = rng.normal(size=len(system.grad))
+            assert rel_err(factor.solve(rhs), full.solve(rhs)) < 1e-9
+            assert rel_err(factor.trailing_covariance(), full.trailing_covariance()) < 1e-9
+
+    for _, event in scripted_run(g):
+        if event != "landmark":  # a landmark with no factor yet leaves a gauge freedom
+            optimize_and_check()
+    band_rows = g._batch.band_rows
+    g.add_factor(fx.BetweenFactor(4, 30, compose(inverse(g.poses[4]), g.poses[30]),
+                                  np.eye(6) * 1e-4))
+    optimize_and_check()
+    assert g._batch.band_rows > band_rows
+    assert sum(p > 0 for p in prefixes) >= 15  # factors that kept a prefix
 
 
 def test_mixture_switch_relinearizes_the_switched_rows():
@@ -655,10 +728,10 @@ def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
     accepted = []  # the true error at each linearization an accepted step makes
     original = gr._BatchedFactors.linearize
 
-    def recording(self, state, residuals=None, fresh=False):
+    def recording(self, state, residuals=None, fresh=False, base=None):
         if residuals is not None and not fresh:
             accepted.append(sum(f.error(values_at(self, *state)) for f in g.factors))
-        return original(self, state, residuals, fresh)
+        return original(self, state, residuals, fresh, base)
 
     gr._BatchedFactors.linearize = recording
     try:

@@ -17,15 +17,20 @@ or more checkouts, ``comparison`` sets each later checkout against the first:
 pairs won on each end-to-end metric (ties count for neither) and the median
 change next to the first checkout's interquartile range.
 
-``--run-slam`` also records, per checkout, the end-to-end ``run_slam`` rows on
-the 1500-frame scenario: the default ``WorldConfig`` (3 loops of 500
-keyframes), odometry noise multiplier 3, seed 0: the ``ml`` strategy with
-``optimize_every`` 1 and 10, and the ``mm`` and ``em`` strategies with
-``optimize_every`` 10, since only these build max-mixture and EM-weighted
-observation rows and no perfbench workload does. Each row runs ``--pairs``
+``--run-slam`` also records, per checkout, end-to-end ``run_slam`` rows, all
+with odometry noise multiplier 3 and seed 0. Four run the 1500-frame desk
+scene, the default ``WorldConfig`` (12 objects, 3 loops of 500 keyframes):
+the ``ml`` strategy with ``optimize_every`` 1 and 10, and the ``mm`` and
+``em`` strategies with ``optimize_every`` 10, since only these build
+max-mixture and EM-weighted observation rows and no perfbench workload does.
+A fifth runs ``ml`` with ``optimize_every`` 10 on the many-object scene: 300
+objects on a field 5 times as wide (25 times the area, so the same object
+density) with a path 5 times as long, 3 loops of 200 keyframes. Its border
+to the landmarks is far wider than the desk scene's, which is where the
+factorization's cost per keyframe grows with N. Each row runs ``--pairs``
 times per checkout, in the same alternating order as the workloads, each run
 in its own process from the checkout's root. A row records ms per frame
-(every value, median and quartiles) and the median per third of 500 frames
+(every value, median and quartiles) and the median per third of its frames
 (``finalize`` counts in the last frame), then the APE RMSE, landmark count and
 map precision/recall of the first run, and whether every repeat gave the same
 four.
@@ -44,7 +49,14 @@ from pathlib import Path
 
 # lower is better for every gated metric (see BENCHMARK.json)
 END_TO_END = ("setup_s", "cost_per_op", "peak_rss_mb", "quality_loss")
-SLAM_ROWS = (("ml", 1), ("ml", 10), ("mm", 10), ("em", 10))  # (strategy, optimize_every)
+# scene name -> WorldConfig fields that differ from the default
+SLAM_SCENES = {
+    "desk": {},
+    "many_objects": {"object_count": 300, "extent": 5 * 3.0, "path_length": 5 * 21.7,
+                     "keyframes_per_loop": 200},
+}
+SLAM_ROWS = (("desk", "ml", 1), ("desk", "ml", 10), ("desk", "mm", 10), ("desk", "em", 10),
+             ("many_objects", "ml", 10))  # (scene, strategy, optimize_every)
 SLAM_NOISE_MULTIPLIER = 3.0
 SLAM_SEED = 0
 SLAM_ROW = "--slam-row"  # internal: run one run_slam row in this process
@@ -62,7 +74,7 @@ def parse_args(argv):
                              "per checkout of each run_slam row")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--run-slam", action="store_true",
-                        help="also record the 1500-frame run_slam rows of each checkout")
+                        help="also record the run_slam rows of each checkout")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if not args.workloads and not args.run_slam:
@@ -127,8 +139,8 @@ def compare(base: dict, other: dict) -> dict:
     return out
 
 
-def slam_row(strategy: str, optimize_every: int) -> dict:
-    """One run_slam row on the 1500-frame scenario, with the package from the
+def slam_row(scene: str, strategy: str, optimize_every: int) -> dict:
+    """One run_slam row on a scene of ``SLAM_SCENES``, with the package from the
     working directory's src/; frame times come from timing each keyframe."""
     src = Path.cwd() / "src"
     sys.path.insert(0, str(src))
@@ -138,7 +150,8 @@ def slam_row(strategy: str, optimize_every: int) -> dict:
     if Path(pipeline.__file__).resolve().parent != (src / "objectslam").resolve():
         raise SystemExit(f"error: objectslam imported from {pipeline.__file__}, not {src}")
     world, trajectory, dataset = simworld.simulate(
-        simworld.WorldConfig(), simworld.NoiseModel(multiplier=SLAM_NOISE_MULTIPLIER), SLAM_SEED)
+        simworld.WorldConfig(**SLAM_SCENES[scene]),
+        simworld.NoiseModel(multiplier=SLAM_NOISE_MULTIPLIER), SLAM_SEED)
     system = pipeline.SlamSystem(pipeline.SlamConfig(da=DAConfig(strategy=strategy),
                                                      optimize_every=optimize_every))
     keyframes = dataset.keyframes
@@ -153,7 +166,8 @@ def slam_row(strategy: str, optimize_every: int) -> dict:
     landmarks = system.landmarks()
     report = evaluation.map_report(landmarks, world)
     ape = evaluation.ape(system.trajectory([kf.t for kf in keyframes]), trajectory)
-    return {"frames": len(frame_s), "optimize_every": optimize_every, "strategy": strategy,
+    return {"scene": scene, "objects": len(world.objects), "frames": len(frame_s),
+            "optimize_every": optimize_every, "strategy": strategy,
             "noise_multiplier": SLAM_NOISE_MULTIPLIER, "seed": SLAM_SEED,
             "wall_s": sum(frame_s), "ms_per_frame": 1e3 * sum(frame_s) / len(frame_s),
             "ms_per_frame_thirds": [1e3 * sum(t) / len(t) for t in thirds],
@@ -173,14 +187,14 @@ def summarize_slam(runs: list) -> dict:
     return row
 
 
-def run_slam_row(root: Path, strategy: str, optimize_every: int) -> dict:
+def run_slam_row(root: Path, scene: str, strategy: str, optimize_every: int) -> dict:
     """One run_slam row of a checkout, in its own process."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW, strategy,
-                           str(optimize_every)], cwd=root, env=env, capture_output=True,
-                          text=True, check=False)
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW, scene,
+                           strategy, str(optimize_every)], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    row = f"{strategy} optimize_every={optimize_every}"
+    row = f"{scene} {strategy} optimize_every={optimize_every}"
     if proc.returncode or not lines:
         raise RuntimeError(f"{root}: run_slam {row} failed:\n{proc.stderr[-2000:]}")
     print(f"run_slam {root} {row}: {lines[-1]}", flush=True)
@@ -190,7 +204,7 @@ def run_slam_row(root: Path, strategy: str, optimize_every: int) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == [SLAM_ROW]:
-        print(json.dumps(slam_row(argv[1], int(argv[2]))))
+        print(json.dumps(slam_row(argv[1], argv[2], int(argv[3]))))
         return 0
     args = parse_args(argv)
     raw = {label: {} for label, _ in args.checkout}
@@ -211,11 +225,11 @@ def main(argv=None) -> int:
                 raw[label][key] = summarize(*runs[label])
             machine = machine or runs[args.checkout[0][0]][0][0]["environment"]
     slam = {label: [] for label, _ in args.checkout} if args.run_slam else {}
-    for strategy, every in SLAM_ROWS if args.run_slam else ():
+    for scene, strategy, every in SLAM_ROWS if args.run_slam else ():
         runs = {label: [] for label, _ in args.checkout}
         for i in range(args.pairs):
             for label, root in args.checkout if i % 2 == 0 else args.checkout[::-1]:
-                runs[label].append(run_slam_row(Path(root), strategy, every))
+                runs[label].append(run_slam_row(Path(root), scene, strategy, every))
         for label, _ in args.checkout:
             slam[label].append(summarize_slam(runs[label]))
     first = args.checkout[0][0]
