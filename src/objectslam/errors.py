@@ -1,4 +1,9 @@
-"""Error types mapped to CLI exit codes (data/format -> 2, numerical -> 3)."""
+"""Error types the package raises for bad input and for numerical failure.
+
+No command-line entry point exists yet; the planned ``objectslam`` CLI
+(ROADMAP item 5) is to exit with code 2 on a DataFormatError and 3 on a
+NumericalError.
+"""
 
 
 class DataFormatError(Exception):

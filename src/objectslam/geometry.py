@@ -375,6 +375,14 @@ def load_trajectory(path) -> list[tuple[float, Pose3]]:
             fields = line.split()
             if len(fields) != 8:
                 raise DataFormatError(f"{path}:{lineno}: expected 8 fields, got {len(fields)}")
-            t, tx, ty, tz, x, y, z, w = map(float, fields)
+            try:
+                values = [float(v) for v in fields]
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            t, tx, ty, tz, x, y, z, w = values
+            if not np.isfinite(values).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
+            if w == x == y == z == 0.0:
+                raise DataFormatError(f"{path}:{lineno}: zero quaternion")
             out.append((t, Pose3(np.array([w, x, y, z]), np.array([tx, ty, tz]))))
     return out

@@ -81,13 +81,13 @@ differs from the one its stored Jacobian was taken with, after
 ``em_reweight`` set new weights. The rows of a mixture of two or more
 components are linearized anew every time, at the estimate, where
 the active component is chosen; a one-component mixture cannot switch and
-is kept like a plain row. One ``np.bincount`` then bins every stored J^T J
-entry together with each row's J^T r, whose residual r is always taken at
-the estimate: the residuals the LM acceptance test just computed
-(``error_only``), so one residual pass serves both. The error is therefore
-exact, and the system is exact wherever the points sit at the estimate; a
-system whose every point does is "fresh". A wider band or a doubled
-landmark capacity only re-indexes the stored rows.
+is kept like a plain row. ``linearize`` bins each row's kept J^T J entries
+with its J^T r, whose residual r is always taken at the estimate: the
+residuals the LM acceptance test just computed (``error_only``), so one
+residual pass serves both. The error is therefore exact, and the system is
+exact wherever the points sit at the estimate; a system whose every point
+does is "fresh". A wider band or a doubled landmark capacity only re-indexes
+the stored rows.
 
 ``optimize`` ends fresh whenever it converges: before a solve stops as
 converged it relinearizes every stale row and checks again, and a rejected
@@ -113,15 +113,15 @@ solve over the other 6(N - 1) pose rows. That one matrix,
 cross-covariances included; ``joint_marginals`` returns its 9x9
 pose-landmark blocks. Both serve the pose in the last slot only.
 
-Scatter layout. The ``np.bincount`` assembles the system into a flat buffer
-laid out as C (3K x 3K, K the landmark capacity), the landmark gradient
-(3K), then one record per pose column c: band column c of A (6(w + 1)
-entries), row c of B (3K entries) and the gradient entry. A scatter index
-therefore depends on the band width and K only, never on N: it is
-recomputed, for every stored factor at once, only when K doubles or a
-between spans more pose slots than any before it, and a kept buffer stays
-a prefix of the next one as poses are added. Each entry's index is a
-constant plus multiples of its factor's two slots (``_index_form``).
+Scatter layout. ``linearize`` bins the system into a flat buffer laid out
+as C (3K x 3K, K the landmark capacity), the landmark gradient (3K), then
+one record per pose column c: band column c of A (6(w + 1) entries), row c
+of B (3K entries) and the gradient entry. A scatter index therefore
+depends on the band width and K only, never on N: it is recomputed, for
+every stored factor at once, only when K doubles or a between spans more
+pose slots than any before it, and a kept buffer stays a prefix of the next
+one as poses are added. Each entry's index is a constant plus multiples of
+its factor's two slots (``_index_form``).
 
 Gauge. A union-find over the variables counts the components that hold no
 prior as variables and factors arrive, so ``optimize`` checks the gauge in
@@ -722,7 +722,8 @@ _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _table(block: _Block, **columns) -> _Table:
-    return _Table(index=((len(block.kept) + len(block.lm_col),), np.intp), **columns)
+    width = (len(block.kept) + len(block.lm_col),)
+    return _Table(index=(width, np.intp), value=(width, float), **columns)
 
 
 class _IndexForm(NamedTuple):
@@ -767,13 +768,14 @@ class _BatchedFactors:
     scatter ``index`` into the flat system buffer (see the module docstring)
     and its whitened Jacobian ``jac`` at the linearization points of its
     variables, or at the estimate for a row of a mixture of two or more
-    components; the kept J^T J entries of those Jacobians sit in the buffer
-    that ``linearize`` bins (``_binned``). ``sync`` appends the factors
-    queued since the last sync, and recomputes every scatter index only when
-    the layout changes: when the landmark capacity doubles or a between
-    widens the band. ``changed_from`` is the first pose slot whose J^T J
-    entries changed since the graph's kept factor was taken; ``linearize``
-    lowers it, a layout change sets it to 0.
+    components. ``value`` holds the row's kept J^T J entries, then its J^T r
+    entries: what ``linearize`` bins to the positions in ``index``, the only
+    copy of either. ``sync`` appends the factors queued since the last sync,
+    and recomputes every scatter index only when the layout changes: when
+    the landmark capacity doubles or a between widens the band.
+    ``changed_from`` is the first pose slot whose J^T J entries changed
+    since the graph's kept factor was taken; ``linearize`` lowers it, a
+    layout change sets it to 0.
     """
 
     def __init__(self):
@@ -798,9 +800,6 @@ class _BatchedFactors:
         self._linearized = (0, 0)       # between and observation rows with a Jacobian
         self._latest = None             # the latest system linearize returned, until a relayout
         self.changed_from = 0
-        self._bins = None               # see _binned
-        self._rebin = True
-        self._buffers = self._spare = (np.empty(0, dtype=np.intp), np.empty(0))
         self._set_layout(band_rows=6, lm_capacity=0)
 
     # -- variables -----------------------------------------------------------
@@ -840,8 +839,6 @@ class _BatchedFactors:
                 mixtures.append(f)
             else:  # ObservationFactor, including weighted
                 observations.append(f)
-        if len(factors) != self._synced:
-            self._rebin = True
         self._synced = len(factors)
 
         slot, lm_slot = self.pose_slot, self.lm_slot
@@ -853,7 +850,6 @@ class _BatchedFactors:
         band_rows = max(self.band_rows, 6 * (gap + 1))
         if (band_rows, self.landmarks.capacity) != self.layout:
             self._set_layout(band_rows, self.landmarks.capacity)
-            self._rebin = True
             self._latest = None
             self.changed_from = 0
             for (table, _), form, variables in zip(self._tables(), self._forms,
@@ -1059,15 +1055,18 @@ class _BatchedFactors:
         differs from the one their Jacobian was taken with. Such a
         variable's point first moves to its estimate; every Jacobian is taken
         at the points of its row's variables. The rows of a mixture of two or
-        more components get a new Jacobian every time, at ``state``. Every
-        kept J^T J entry is then binned with the gradient J^T r, whose
-        whitened residuals r are taken at ``state``: ``residuals`` when given
-        (``error_only``'s result at ``state``), else computed here.
+        more components get a new Jacobian every time, at ``state``. Each
+        row's ``value`` then takes its J^T r entries, whose whitened
+        residuals r are taken at ``state``: ``residuals`` when given
+        (``error_only``'s result at ``state``), else computed here. Every
+        row's values are added at its ``index`` into a zeroed buffer, in row
+        order, between rows first, as one ``np.bincount`` over both tables
+        would add them.
 
         ``base`` is a system at ``state``. While it is the latest
         linearization (no other linearization and no relayout since), only the
         rows appended since it are linearized, from their residuals on, and
-        binned; they are added to its error and its buffer.
+        binned onto a copy of its buffer; its error is added to theirs.
         """
         append = base is not None and base is self._latest and not fresh
         start = base.rows if append else (0, 0)
@@ -1078,13 +1077,12 @@ class _BatchedFactors:
         # per kind of variable (poses, landmarks): moved now, and at the estimate
         moved, at = zip(_relinearize_points(self.poses, x, threshold),
                         _relinearize_points(self.landmarks, lms, threshold))
-        bins = self._binned()
         kernels = ((self._between_residuals, self._between_jacobians),
                    (self._observation_residuals, self._observation_jacobians))
         relinearized, changed_from = 0, self.changed_from
         for (table, block), (residual_kernel, jacobian_kernel), variables, done, first, terms, \
-                part, rw in zip(self._tables(), kernels, self._row_variables(), self._linearized,
-                                start, residuals.terms, bins.parts, residuals.whitened):
+                rw in zip(self._tables(), kernels, self._row_variables(), self._linearized,
+                          start, residuals.terms, residuals.whitened):
             variables = [(kind, slots[first:]) for kind, slots in variables]
             redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
             redo[done - first:] = True  # appended since the last linearization
@@ -1096,7 +1094,7 @@ class _BatchedFactors:
                 redo |= current | (residuals.scale != table["jac_s"][first:])
                 table["jac_s"][first:] = residuals.scale
             rows = np.flatnonzero(redo)
-            k = len(block.kept)
+            k, value = len(block.kept), table["value"]
             if len(rows):
                 terms = [a[rows] for a in terms]
                 lagged = ~(current[rows] | np.logical_and.reduce([at[kind][slots[rows]]
@@ -1111,25 +1109,20 @@ class _BatchedFactors:
                 if len(rows) == len(table):  # every row: views rather than copies
                     rows = slice(None)
                 table["jac"][rows] = jac = jacobian_kernel(rows, *terms)
-                part[rows, :k] = _kept_products(jac, block)
+                value[rows, :k] = _kept_products(jac, block)
                 relinearized += len(jac)
-            np.einsum("nij,ni->nj", table["jac"][first:], rw, out=part[first:, k:])
+            np.einsum("nij,ni->nj", table["jac"][first:], rw, out=value[first:, k:])
         self._linearized = tuple(len(table) for table, _ in self._tables())
         self.changed_from = changed_from
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
-        size = self._records_at + n_pose * self._stride
-        if append:  # bin the appended rows only, onto the base's buffer
-            flat = np.bincount(np.concatenate([a[first:].ravel() for a, first in
-                                               zip(bins.index_parts, start)]),
-                               np.concatenate([a[first:].ravel() for a, first in
-                                               zip(bins.parts, start)]), minlength=size)
-            flat = flat.astype(float, copy=False)  # bincount of nothing is an integer array
-            flat[:len(base.flat)] += base.flat
-            error = base.error + residuals.error
-        else:
-            flat = np.bincount(bins.index, bins.values, minlength=size).astype(float, copy=False)
-            error = residuals.error
+        flat = np.zeros(self._records_at + n_pose * self._stride)
+        error = residuals.error
+        if append:  # the appended rows only, onto the base's buffer
+            flat[:len(base.flat)] = base.flat
+            error += base.error
+        for (table, _), first in zip(self._tables(), start):
+            np.add.at(flat, table["index"][first:].ravel(), table["value"][first:].ravel())
         lm_width = 3 * self.lm_capacity
         records = flat[self._records_at:].reshape(n_pose, self._stride)
         self._latest = system = NormalEquations(
@@ -1147,45 +1140,6 @@ class _BatchedFactors:
         or 1 for a landmark, slot column) pairs."""
         return (((0, self.between["i"]), (0, self.between["j"])),
                 ((0, self.observation["p"]), (1, self.observation["l"])))
-
-    def _binned(self) -> "_Bins":
-        """The scatter index of every binned entry and the buffer of their
-        values; rebuilt after rows are appended or re-indexed, carrying over
-        the kept J^T J entries of the rows already linearized. Two pairs of
-        buffers take turns, so a rebuild writes into memory already mapped."""
-        if self._rebin:
-            self._rebin = False
-            old = self._bins.parts if self._bins else (None,) * 2
-            sizes = [table["index"].size for table, _ in self._tables()]
-            total = sum(sizes)
-            if len(self._spare[1]) < total:
-                self._spare = (np.empty(2 * total, dtype=np.intp), np.empty(2 * total))
-            index, values = self._spare[0][:total], self._spare[1][:total]
-            self._spare, self._buffers = self._buffers, self._spare
-            index_parts, parts, at = [], [], 0
-            for (table, _), size, kept in zip(self._tables(), sizes, old):
-                shape = table["index"].shape
-                index_part = index[at:at + size].reshape(shape)
-                index_part[:] = table["index"]
-                part = values[at:at + size].reshape(shape)
-                if kept is not None:
-                    part[:len(kept)] = kept
-                index_parts.append(index_part)
-                parts.append(part)
-                at += size
-            self._bins = _Bins(index, values, tuple(index_parts), tuple(parts))
-        return self._bins
-
-
-class _Bins(NamedTuple):
-    """What ``_BatchedFactors.linearize`` bins, in one buffer: per table of
-    ``_tables`` a (rows, kept + d) part holding each row's kept J^T J
-    entries, then its J^T r entries."""
-
-    index: np.ndarray        # scatter index of every entry
-    values: np.ndarray
-    index_parts: tuple       # views of index and of values, per table
-    parts: tuple
 
 
 def em_reweight(graph: FactorGraph, lm_config: LMConfig | None = None) -> OptimizeReport:

@@ -276,10 +276,12 @@ def load_map(path) -> list[Landmark]:
                 continue
             try:
                 rec = json.loads(line)
-                out.append(Landmark(int(rec["id"]),
-                                    np.asarray(rec["position"], dtype=float),
+                landmark = Landmark(int(rec["id"]), np.asarray(rec["position"], dtype=float),
                                     np.asarray(rec["embedding"], dtype=float),
-                                    int(rec.get("count", 1))))
+                                    int(rec.get("count", 1)))
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (np.isfinite(landmark.position).all() and np.isfinite(landmark.embedding).all()):
+                raise DataFormatError(f"{path}:{lineno}: non-finite position or embedding")
+            out.append(landmark)
     return out

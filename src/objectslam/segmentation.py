@@ -467,5 +467,5 @@ def detection_from_json(obj: dict) -> ObjectDetection:
             point_covariance=np.array(obj["cov"], dtype=float).reshape(3, 3),
             area=int(obj.get("area", 0)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise DataFormatError(f"bad detection record: {exc}") from exc

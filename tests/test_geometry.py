@@ -257,10 +257,14 @@ def test_trajectory_round_trip(tmp_path):
                    np.linalg.norm(p0.rotation + p1.rotation)) < 1e-8
 
 
-def test_trajectory_rejects_malformed(tmp_path):
+@pytest.mark.parametrize("line", ["1.0 2.0 3.0", "0.0 1 2 3 0 0 0 abc", "0.0 1 2 nan 0 0 0 1",
+                                  "0.0 1 2 3 0 0 0 0"],
+                         ids=["short", "not-a-number", "not-finite", "zero-quaternion"])
+def test_trajectory_rejects_malformed(tmp_path, line):
     from objectslam.errors import DataFormatError
 
     path = tmp_path / "bad.txt"
-    path.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(DataFormatError):
+    path.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n")
+    with pytest.raises(DataFormatError) as raised:
         geo.load_trajectory(path)
+    assert str(raised.value).startswith(f"{path}:2: ")

@@ -367,6 +367,23 @@ def scripted_run(g):
             yield step, "weight flip"
 
 
+def test_table_extend_keeps_every_row_across_a_capacity_doubling():
+    table = gr._Table(a=((), np.intp), b=((2, 3), float))
+    rows = [(np.arange(n), np.random.default_rng(n).normal(size=(n, 2, 3))) for n in (3, 1, 5)]
+    kept_a, kept_b = [], []
+    for a, b in rows:
+        views = table["a"], table["b"]
+        table.extend(len(a), a=a)  # b is left for the caller, as linearize fills it
+        table["b"][-len(a):] = b
+        assert np.array_equal(table["a"][:len(views[0])], views[0])  # row numbers stable
+        assert np.array_equal(table["b"][:len(views[1])], views[1])
+        kept_a.append(a)
+        kept_b.append(b)
+    assert len(table) == 9 and table.capacity >= 9
+    assert np.array_equal(table["a"], np.concatenate(kept_a))
+    assert np.array_equal(table["b"], np.concatenate(kept_b))
+
+
 def test_maintained_storage_matches_scratch_assembly():
     # The storage is checked after every step of the scripted run, with an
     # optimize at the end of every third step.

@@ -6,7 +6,7 @@ import pytest
 from objectslam import factors as fx
 from objectslam import pipeline as pl
 from objectslam import simworld as sw
-from objectslam.association import DAConfig
+from objectslam.association import DAConfig, Landmark
 from objectslam.errors import DataFormatError
 from objectslam.evaluation import ape
 from objectslam.geometry import Pose3, compose, inverse, local
@@ -249,3 +249,15 @@ def test_map_round_trip(tmp_path):
     for a, b in zip(result.landmarks, back):
         assert a.id == b.id and a.count == b.count
         assert np.allclose(a.position, b.position, atol=1e-6)
+
+
+@pytest.mark.parametrize("position, embedding", [([np.nan, 0.0, 0.0], [1.0, 0.0]),
+                                                 ([0.0, 0.0, 0.0], [1.0, np.inf])],
+                         ids=["nan-position", "inf-embedding"])
+def test_load_map_rejects_non_finite_landmark(tmp_path, position, embedding):
+    path = tmp_path / "map.jsonl"
+    pl.save_map(path, [Landmark(1, np.zeros(3), np.array([1.0, 0.0])),
+                       Landmark(2, np.array(position), np.array(embedding))])
+    with pytest.raises(DataFormatError) as raised:
+        pl.load_map(path)
+    assert str(raised.value).startswith(f"{path}:2: ")

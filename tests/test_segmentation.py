@@ -486,3 +486,11 @@ def test_detections_jsonl_round_trip(tmp_path):
     back = seg.detection_from_json(rows[0])
     assert np.allclose(back.point, det.point)
     assert np.allclose(back.point_covariance, det.point_covariance)
+
+
+def test_detection_from_json_rejects_wrong_types():
+    record = seg.detection_to_json(
+        seg.ObjectDetection(np.array([0.1, 0.9]), np.zeros(3), np.eye(3), area=9))
+    for bad in ({**record, "area": None}, list(record.values())):
+        with pytest.raises(DataFormatError):
+            seg.detection_from_json(bad)
