@@ -2,11 +2,11 @@
 
 The batched residual/Jacobian kernels below are what the optimizer runs: the
 graph stores each factor type as stacked arrays and calls them once per type
-(see graph._BatchedFactors). The factor classes hold one measurement each,
-validated at construction, and are what callers add to a graph. Their scalar
-error(values) and linearize(values) methods apply the same kernels to a
-single factor; the optimizer never calls them, and the tests use them as the
-per-factor reference for the batched assembly.
+(see graph._BatchedFactors), and they are the only implementation of the
+factor model in the library. The factor classes hold one measurement each,
+validated at construction, and are what callers add to a graph. The tests'
+per-factor reference (tests/oracles.py: factor_error, factor_linearize)
+applies the same kernels to one factor at a time.
 
 Residual conventions (rotation-first right-perturbation tangents):
   prior        r = Log(mean^-1 x)
@@ -125,20 +125,6 @@ class PriorFactor:
     def keys(self):
         return [("x", self.pose_key)]
 
-    def residual(self, values):
-        pose = values.poses[self.pose_key]
-        return pose_residuals(self.mean.rotation, self.mean.translation,
-                              pose.rotation, pose.translation)
-
-    def error(self, values) -> float:
-        r = self.sqrt_info @ self.residual(values)
-        return 0.5 * float(r @ r)
-
-    def linearize(self, values):
-        r = self.residual(values)
-        j = se3_jr_inv(r)
-        return self.sqrt_info @ r, {("x", self.pose_key): self.sqrt_info @ j}
-
 
 class BetweenFactor:
     def __init__(self, key_i: int, key_j: int, relative: Pose3, sigma: np.ndarray):
@@ -151,23 +137,6 @@ class BetweenFactor:
     def keys(self):
         return [("x", self.key_i), ("x", self.key_j)]
 
-    def _relative_estimate(self, values):
-        pi = values.poses[self.key_i]
-        pj = values.poses[self.key_j]
-        return relative_pose(pi.rotation, pi.translation, pj.rotation, pj.translation)
-
-    def error(self, values) -> float:
-        q_ij, t_ij = self._relative_estimate(values)
-        r = self.sqrt_info @ pose_residuals(self.relative.rotation, self.relative.translation, q_ij, t_ij)
-        return 0.5 * float(r @ r)
-
-    def linearize(self, values):
-        q_ij, t_ij = self._relative_estimate(values)
-        r = pose_residuals(self.relative.rotation, self.relative.translation, q_ij, t_ij)
-        j_i, j_j = between_jacobians(r, q_ij, t_ij)
-        w = self.sqrt_info
-        return w @ r, {("x", self.key_i): w @ j_i, ("x", self.key_j): w @ j_j}
-
 
 class ObservationFactor:
     def __init__(self, pose_key: int, landmark_key: int, point: np.ndarray, gamma: np.ndarray):
@@ -179,24 +148,6 @@ class ObservationFactor:
 
     def keys(self):
         return [("x", self.pose_key), ("l", self.landmark_key)]
-
-    def residual(self, values):
-        pose = values.poses[self.pose_key]
-        lm = values.landmarks[self.landmark_key]
-        r, _ = observation_residuals(pose.rotation, pose.translation, lm, self.point)
-        return r
-
-    def error(self, values) -> float:
-        r = self.sqrt_info @ self.residual(values)
-        return 0.5 * float(r @ r)
-
-    def linearize(self, values):
-        pose = values.poses[self.pose_key]
-        lm = values.landmarks[self.landmark_key]
-        r, h = observation_residuals(pose.rotation, pose.translation, lm, self.point)
-        j_pose, j_lm = observation_jacobians(pose.rotation, h)
-        w = self.sqrt_info
-        return w @ r, {("x", self.pose_key): w @ j_pose, ("l", self.landmark_key): w @ j_lm}
 
 
 class WeightedObservationFactor(ObservationFactor):
@@ -218,14 +169,6 @@ class WeightedObservationFactor(ObservationFactor):
         together with the graph's own copy."""
         return self._weight
 
-    def error(self, values) -> float:
-        return self.weight * super().error(values)
-
-    def linearize(self, values):
-        r, jacobians = super().linearize(values)
-        s = np.sqrt(self.weight)
-        return s * r, {k: s * j for k, j in jacobians.items()}
-
 
 class MixtureObservationFactor:
     """Max-mixture over candidate landmarks: error = min_j (cost_j - log w_j)."""
@@ -246,34 +189,3 @@ class MixtureObservationFactor:
 
     def keys(self):
         return [("x", self.pose_key)] + [("l", k) for k in self.landmark_keys]
-
-    def component_costs(self, values) -> np.ndarray:
-        pose = values.poses[self.pose_key]
-        costs = np.empty(len(self.landmark_keys))
-        for idx, key in enumerate(self.landmark_keys):
-            r, _ = observation_residuals(pose.rotation, pose.translation,
-                                         values.landmarks[key], self.point)
-            rw = self.sqrt_info @ r
-            costs[idx] = 0.5 * float(rw @ rw) + self.neg_log_weights[idx]
-        return costs
-
-    def active_component(self, values) -> int:
-        return int(np.argmin(self.component_costs(values)))
-
-    def error(self, values) -> float:
-        return float(self.component_costs(values).min())
-
-    def linearize(self, values):
-        """Whitened residual and Jacobians of the active component.
-
-        The -log w offset of the active component is constant under the
-        perturbation, so it contributes to the error but not to the system.
-        """
-        active = self.active_component(values)
-        key = self.landmark_keys[active]
-        pose = values.poses[self.pose_key]
-        r, h = observation_residuals(pose.rotation, pose.translation,
-                                     values.landmarks[key], self.point)
-        j_pose, j_lm = observation_jacobians(pose.rotation, h)
-        w = self.sqrt_info
-        return w @ r, {("x", self.pose_key): w @ j_pose, ("l", key): w @ j_lm}

@@ -202,8 +202,8 @@ class FactorGraph:
     def __init__(self):
         self.factors: list = []
         self._batch = batch = _BatchedFactors()
-        self.poses = _Estimates(batch.pose_ids, batch.pose_slot, batch.poses, _pose_from_row)
-        self.landmarks = _Estimates(batch.lm_ids, batch.lm_slot, batch.landmarks, _frozen_copy)
+        self.poses = _Estimates(batch.pose_slot, batch.poses, _pose_from_row)
+        self.landmarks = _Estimates(batch.lm_slot, batch.landmarks, _frozen_copy)
         # (stamp, system): the system optimize ended with, at the stored
         # estimate; the marginals reuse it while the stamp matches, and the
         # next optimize appends to it while it is the latest linearization
@@ -473,8 +473,8 @@ class FactorGraph:
 class _Estimates(Mapping):
     """Variable estimates by key, read from the stored rows as read-only copies."""
 
-    def __init__(self, ids: list, slot: dict, table: "_Table", read):
-        self._ids, self._slot, self._table = ids, slot, table
+    def __init__(self, slot: dict, table: "_Table", read):
+        self._slot, self._table = slot, table
         self._read = read
 
     def __getitem__(self, key):
@@ -484,10 +484,10 @@ class _Estimates(Mapping):
         return key in self._slot
 
     def __iter__(self):
-        return iter(self._ids)
+        return iter(self._slot)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._slot)
 
 
 def _frozen_copy(row: np.ndarray) -> np.ndarray:
@@ -753,7 +753,7 @@ class _BatchedFactors:
     """Growable struct-of-arrays storage of a FactorGraph, its per-row
     linearization store, and the vectorized kernels that run over them.
 
-    Variables: ``pose_ids`` / ``lm_ids`` in insertion order, their slots, and
+    Variables: ``pose_slot`` / ``lm_slot`` (key to slot, insertion order), and
     per variable the estimate ``x`` ((N, 7) poses, (M, 3) landmarks) and its
     linearization point ``lin`` (NaN until the first linearization). Factors:
     the tables ``between`` and ``observation``. A prior is a between row from
@@ -779,8 +779,6 @@ class _BatchedFactors:
     """
 
     def __init__(self):
-        self.pose_ids: list = []
-        self.lm_ids: list = []
         self.pose_slot: dict = {}
         self.lm_slot: dict = {}
         self.poses = _Table(x=((7,), float), lin=((7,), float))
@@ -805,13 +803,11 @@ class _BatchedFactors:
     # -- variables -----------------------------------------------------------
 
     def add_pose(self, key, pose: Pose3) -> None:
-        self.pose_slot[key] = len(self.pose_ids)
-        self.pose_ids.append(key)
+        self.pose_slot[key] = len(self.pose_slot)
         self.poses.extend(1, x=_row_from_pose(pose), lin=np.nan)
 
     def add_landmark(self, key, point: np.ndarray) -> None:
-        self.lm_slot[key] = len(self.lm_ids)
-        self.lm_ids.append(key)
+        self.lm_slot[key] = len(self.lm_slot)
         self.landmarks.extend(1, x=point, lin=np.nan)
 
     @property
@@ -821,11 +817,11 @@ class _BatchedFactors:
 
     @property
     def num_poses(self) -> int:
-        return len(self.pose_ids)
+        return len(self.pose_slot)
 
     @property
     def num_lms(self) -> int:
-        return len(self.lm_ids)
+        return len(self.lm_slot)
 
     # -- factors -------------------------------------------------------------
 

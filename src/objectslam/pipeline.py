@@ -98,9 +98,10 @@ class SlamSystem:
         """Add keyframe ``frame``: its pose, odometry factor and detections.
 
         Atomic under malformed input: the odometry factor is built (which
-        validates it) and every detection point is checked before the graph,
-        the registry or the gate covariance change, so a DataFormatError
-        leaves the system as it was and the keyframe can be retried.
+        validates it), and every detection's point, covariance and embedding
+        length are checked, before the graph, the registry or the gate
+        covariance change. So a DataFormatError leaves the system as it was
+        and the keyframe can be retried.
         """
         k = self.frame
         if k == 0:
@@ -119,9 +120,17 @@ class SlamSystem:
             gate_cov[:6] = adj @ gate_cov[:6]
             gate_cov[:, :6] = gate_cov[:, :6] @ adj.T
             gate_cov[:6, :6] += cov
-        for det in detections:
+        shapes = {det.embedding.shape for det in detections}
+        if self.registry:
+            shapes.add(next(iter(self.registry.values())).embedding.shape)
+        if len(shapes) > 1:
+            raise DataFormatError(f"keyframe {k}: detection embeddings must share the map's "
+                                  f"length, got shapes {sorted(shapes)}")
+        for det in detections:  # the dataclass fields can be changed after construction
             if not np.all(np.isfinite(det.point)):
                 raise DataFormatError(f"keyframe {k}: detection point must be finite")
+            if not np.all(np.isfinite(det.point_covariance)):
+                raise DataFormatError(f"keyframe {k}: detection covariance must be finite")
 
         self.graph.add_pose(k, pose)
         self.graph.add_factor(factor)

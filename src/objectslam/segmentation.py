@@ -124,6 +124,8 @@ class ObjectDetection:
         if not all(map(math.isfinite, self.point.tolist())):  # a fifth of np.isfinite's cost
             raise ValueError("point must be finite")
         cov = self.point_covariance
+        if not all(map(math.isfinite, cov.ravel().tolist())):  # NaN passes both checks below
+            raise ValueError("point covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-9:
             raise ValueError("point covariance must be symmetric")
         try:

@@ -2,22 +2,100 @@
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from objectslam import factors as fx
 from objectslam.errors import NumericalError
-from objectslam.geometry import Pose3, measurement_model_h, skew
+from objectslam.geometry import Pose3, measurement_model_h, se3_jr_inv, skew
 
 
 @dataclass
 class Values:
-    """Estimates by key, as the factors' scalar methods read them."""
+    """Estimates by key, as the per-factor reference below reads them."""
 
     poses: Mapping
     landmarks: Mapping
+
+
+# -- per-factor reference for the batched assembly in graph._BatchedFactors:
+# the same kernels, applied to one factor at a time ------------------------
+
+def _between_estimate(f, values):
+    """inv(x_i) * x_j of a between factor's two pose estimates."""
+    pi, pj = values.poses[f.key_i], values.poses[f.key_j]
+    return fx.relative_pose(pi.rotation, pi.translation, pj.rotation, pj.translation)
+
+
+def factor_residual(f, values, landmark_key=None):
+    """Unwhitened residual of one prior, between or observation factor (of a
+    mixture's component on ``landmark_key``): the reference for that
+    factor's residual rows in the batched pass."""
+    if isinstance(f, fx.PriorFactor):
+        pose = values.poses[f.pose_key]
+        return fx.pose_residuals(f.mean.rotation, f.mean.translation,
+                                 pose.rotation, pose.translation)
+    if isinstance(f, fx.BetweenFactor):
+        return fx.pose_residuals(f.relative.rotation, f.relative.translation,
+                                 *_between_estimate(f, values))
+    pose = values.poses[f.pose_key]
+    lm = values.landmarks[f.landmark_key if landmark_key is None else landmark_key]
+    return fx.observation_residuals(pose.rotation, pose.translation, lm, f.point)[0]
+
+
+def mixture_costs(f, values) -> np.ndarray:
+    """Whitened cost minus log weight of each component of a max-mixture
+    observation; its error is their min, its active component their argmin.
+    The reference for the batched pass's choice of component."""
+    costs = np.empty(len(f.landmark_keys))
+    for idx, key in enumerate(f.landmark_keys):
+        rw = f.sqrt_info @ factor_residual(f, values, key)
+        costs[idx] = 0.5 * float(rw @ rw) + f.neg_log_weights[idx]
+    return costs
+
+
+def factor_error(f, values) -> float:
+    """One factor's error: 0.5 |W r|^2, times the weight of a weighted
+    observation; the min over components of a mixture. The reference for
+    that factor's share of the batched error."""
+    if isinstance(f, fx.MixtureObservationFactor):
+        return float(mixture_costs(f, values).min())
+    r = f.sqrt_info @ factor_residual(f, values)
+    error = 0.5 * float(r @ r)
+    return f.weight * error if isinstance(f, fx.WeightedObservationFactor) else error
+
+
+def factor_linearize(f, values):
+    """One factor's whitened residual and whitened Jacobians by variable,
+    {("x" | "l", key): J}; a mixture's of its active component (whose -log w
+    offset is constant under the perturbation), a weighted observation's
+    scaled by sqrt(weight). The reference for that factor's rows of the
+    batched normal equations, and what the finite-difference checks of the
+    Jacobian kernels differentiate."""
+    w = f.sqrt_info
+    if isinstance(f, fx.PriorFactor):
+        r = factor_residual(f, values)
+        return w @ r, {("x", f.pose_key): w @ se3_jr_inv(r)}
+    if isinstance(f, fx.BetweenFactor):
+        q_ij, t_ij = _between_estimate(f, values)
+        r = fx.pose_residuals(f.relative.rotation, f.relative.translation, q_ij, t_ij)
+        j_i, j_j = fx.between_jacobians(r, q_ij, t_ij)
+        return w @ r, {("x", f.key_i): w @ j_i, ("x", f.key_j): w @ j_j}
+    if isinstance(f, fx.MixtureObservationFactor):
+        key = f.landmark_keys[int(np.argmin(mixture_costs(f, values)))]
+    else:
+        key = f.landmark_key
+    pose = values.poses[f.pose_key]
+    r, h = fx.observation_residuals(pose.rotation, pose.translation, values.landmarks[key], f.point)
+    j_pose, j_lm = fx.observation_jacobians(pose.rotation, h)
+    r, jacobians = w @ r, {("x", f.pose_key): w @ j_pose, ("l", key): w @ j_lm}
+    if isinstance(f, fx.WeightedObservationFactor):
+        s = np.sqrt(f.weight)
+        return s * r, {k: s * j for k, j in jacobians.items()}
+    return r, jacobians
 
 
 def graph_values(graph) -> Values:
@@ -40,6 +118,35 @@ def graph_summary(graph) -> dict:
         "factor_counts": Counter(type(f).__name__ for f in graph.factors),
         "total_error": graph_error(graph),
     }
+
+
+def unanchored_groups(graph) -> int:
+    """Reference for FactorGraph's gauge check: the number of groups of
+    variables linked through shared factors (a mixture links all of its
+    landmarks) that hold no prior, by breadth-first search."""
+    neighbours = {("x", k): set() for k in graph.poses}
+    neighbours.update({("l", k): set() for k in graph.landmarks})
+    anchored = set()
+    for f in graph.factors:
+        keys = f.keys()
+        for key in keys:
+            neighbours[key].update(keys)
+        if isinstance(f, fx.PriorFactor):
+            anchored.update(keys)
+    seen, count = set(), 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, anchor = deque([start]), False
+        while queue:
+            key = queue.popleft()
+            anchor |= key in anchored
+            for other in neighbours[key] - seen:
+                seen.add(other)
+                queue.append(other)
+        count += not anchor
+    return count
 
 
 def scatter_index_reference(batch, block, cols):

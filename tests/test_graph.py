@@ -8,7 +8,8 @@ from objectslam import factors as fx
 from objectslam import graph as gr
 from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3, compose, inverse, local, retract
-from oracles import Values, graph_error, graph_summary, graph_values, scatter_index_reference
+from oracles import (Values, factor_error, factor_linearize, graph_error, graph_summary,
+                     graph_values, scatter_index_reference, unanchored_groups)
 
 from test_geometry import random_pose
 
@@ -107,6 +108,66 @@ def test_optimize_requires_connectivity():
         g.optimize()
 
 
+def test_gauge_check_counts_the_groups_without_a_prior():
+    # 6 poses, a prior on 0, a between 2-3 and a one-component mixture from
+    # pose 4 to landmark 7: {1}, {2, 3}, {4, l7} and {5} hold no prior
+    g = gr.FactorGraph()
+    for k in range(6):
+        g.add_pose(k, Pose3.identity())
+    g.add_landmark(7, np.ones(3))
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    g.add_factor(fx.BetweenFactor(2, 3, Pose3.identity(), np.eye(6) * 0.01))
+    g.add_factor(fx.MixtureObservationFactor(4, [7], np.ones(3), np.eye(3) * 0.01, [1.0]))
+    assert unanchored_groups(g) == 4
+    with pytest.raises(NumericalError, match=r"^4 group\(s\) of variables"):
+        g.optimize()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(1, 6), n_landmarks=st.integers(0, 4))
+def test_gauge_check_matches_breadth_first_oracle(seed, n_poses, n_landmarks):
+    # Random small graphs: variables with and without factors, priors on some
+    # poses only, betweens, and plain, weighted and mixture observations
+    # (a mixture of two or more components joins its landmarks' groups).
+    rng = np.random.default_rng(seed)
+    g = gr.FactorGraph()
+    for k in range(n_poses):
+        g.add_pose(k, random_pose(rng))
+    lms = list(range(10, 10 + n_landmarks))
+    for j in lms:
+        g.add_landmark(j, rng.normal(size=3))
+    for k in range(n_poses):
+        if rng.random() < 0.25:
+            g.add_factor(fx.PriorFactor(k, random_pose(rng), np.eye(6) * 0.01))
+    for _ in range(rng.integers(0, n_poses + 1)):
+        i, j = rng.integers(n_poses, size=2)
+        if i != j:
+            g.add_factor(fx.BetweenFactor(int(i), int(j), random_pose(rng), np.eye(6) * 0.01))
+    for _ in range(rng.integers(0, 2 * n_landmarks + 1)):
+        k, z, gamma = int(rng.integers(n_poses)), rng.normal(size=3), np.eye(3) * 0.01
+        kind = rng.choice(["plain", "weighted", "mixture"])
+        if kind == "mixture":
+            keys = rng.choice(lms, size=rng.integers(1, len(lms) + 1), replace=False)
+            g.add_factor(fx.MixtureObservationFactor(k, keys.tolist(), z, gamma,
+                                                     np.full(len(keys), 1.0 / len(keys))))
+        else:
+            j = int(rng.choice(lms))
+            g.add_factor(fx.ObservationFactor(k, j, z, gamma) if kind == "plain"
+                         else fx.WeightedObservationFactor(k, j, z, gamma, rng.uniform(0.1, 1.0)))
+    groups = unanchored_groups(g)
+    if not any(isinstance(f, fx.PriorFactor) for f in g.factors):
+        with pytest.raises(NumericalError, match="no prior"):
+            g.optimize()
+    elif groups:
+        with pytest.raises(NumericalError, match=rf"^{groups} group\(s\) of variables"):
+            g.optimize()
+    else:  # the gauge check passes; a rank-deficient system may still fail later
+        try:
+            g.optimize(gr.LMConfig(max_iterations=1))
+        except NumericalError as exc:
+            assert "prior" not in str(exc)
+
+
 def test_error_never_increases_random_suite():
     rng = np.random.default_rng(2)
     for trial in range(10):
@@ -189,7 +250,7 @@ def columns(batch, kind, key):
 
 
 def dense_normal_equations(g, batch, at=None, lin=None, absolute=False):
-    """Dense J^T J and J^T r stacked from each factor's scalar linearize(): the
+    """Dense J^T J and J^T r stacked from each factor's factor_linearize(): the
     residuals at the estimates ``at`` and the Jacobians at ``lin`` (Values;
     both default to the graph's estimates). A mixture of two or more
     components is linearized at ``at``.
@@ -200,9 +261,9 @@ def dense_normal_equations(g, batch, at=None, lin=None, absolute=False):
     info = np.zeros((n, n))
     grad = np.zeros(n)
     for f in g.factors:
-        r, _ = f.linearize(at)
+        r, _ = factor_linearize(f, at)
         switches = isinstance(f, fx.MixtureObservationFactor) and len(f.landmark_keys) > 1
-        _, jacobians = f.linearize(at if switches else lin)
+        _, jacobians = factor_linearize(f, at if switches else lin)
         jac = np.zeros((len(r), n))
         for (kind, key), block in jacobians.items():
             jac[:, columns(batch, kind, key)] += block
@@ -295,18 +356,18 @@ def test_assembly_matches_scalar_factor_oracle():
 def test_error_matches_scalar_factor_sum():
     g = structured_graph(np.random.default_rng(16))
     values = graph_values(g)
-    want = sum(f.error(values) for f in g.factors)
+    want = sum(factor_error(f, values) for f in g.factors)
     assert graph_error(g) == pytest.approx(want, rel=1e-12)
     assert graph_summary(g)["total_error"] == pytest.approx(want, rel=1e-12)
 
 
 def check_storage(g):
     """The system assembled from the graph's maintained storage equals the
-    dense one stacked from each factor's scalar linearize()."""
+    dense one stacked from each factor's factor_linearize()."""
     batch = g._batched()
     err, system = batch.linearize(batch.state(), fresh=True)
     info, grad = dense_normal_equations(g, batch)
-    assert err == pytest.approx(sum(f.error(graph_values(g)) for f in g.factors), rel=1e-12)
+    assert err == pytest.approx(sum(factor_error(f, graph_values(g)) for f in g.factors), rel=1e-12)
     assert rel_err(dense_system(system), info) < 1e-12
     assert rel_err(system.grad, grad) < 1e-12
 
@@ -450,12 +511,12 @@ def count_linearize(monkeypatch):
 
 def lagged_oracle(g, state, lin):
     """Error, dense system and gradient at the estimates ``state``, stacked from
-    each factor's scalar linearize() with the Jacobians at the linearization
+    each factor's factor_linearize() with the Jacobians at the linearization
     points ``lin``."""
     batch = g._batch
     at = values_at(batch, *state)
     info, grad = dense_normal_equations(g, batch, at, values_at(batch, *lin))
-    return sum(f.error(at) for f in g.factors), info, grad
+    return sum(factor_error(f, at) for f in g.factors), info, grad
 
 
 def test_optimize_appends_to_the_kept_system(monkeypatch):
@@ -640,7 +701,7 @@ def test_mixture_switch_relinearizes_the_switched_rows():
     assert system.relinearized == len(poses) + 2  # landmark 0's plain rows, the mixture of two
     lin = (batch.poses["lin"], batch.landmarks["lin"])
     check_against_oracle(g, state, lin, err, system, from_scratch=False)
-    assert err == pytest.approx(sum(f.error(values_at(batch, *state)) for f in g.factors),
+    assert err == pytest.approx(sum(factor_error(f, values_at(batch, *state)) for f in g.factors),
                                 rel=1e-12)
 
     report = g.optimize()
@@ -747,7 +808,7 @@ def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
 
     def recording(self, state, residuals=None, fresh=False, base=None):
         if residuals is not None and not fresh:
-            accepted.append(sum(f.error(values_at(self, *state)) for f in g.factors))
+            accepted.append(sum(factor_error(f, values_at(self, *state)) for f in g.factors))
         return original(self, state, residuals, fresh, base)
 
     gr._BatchedFactors.linearize = recording

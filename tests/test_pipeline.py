@@ -94,6 +94,41 @@ def test_add_keyframe_rejects_non_finite_detection_without_mutation():
     assert graph_counts(system) == (1, 1, 1, 2, 1)
 
 
+@pytest.mark.parametrize("case", ["embedding-length", "non-finite-covariance"])
+def test_add_keyframe_rejects_malformed_detection_on_a_mapped_keyframe(case):
+    # keyframe 0 maps one landmark with a 4-D embedding; keyframe 1 then
+    # brings a 5-D embedding, or a covariance made NaN after construction,
+    # which would raise only after pose 1 and its between were added
+    system = pl.SlamSystem(slam_config())
+    system.add_keyframe(None, [ObjectDetection(np.array([1.0, 0.0, 0.0, 0.0]),
+                                               np.array([1.5, 0.3, 0.0]), np.eye(3) * 0.01)])
+    rel = Pose3(np.array([1, 0, 0, 0.0]), np.array([0.1, 0.0, 0.0]))
+    good = ObjectDetection(np.array([0.0, 1.0, 0.0, 0.0]), np.array([-1.4, 0.3, 0.0]),
+                           np.eye(3) * 0.01)
+    if case == "embedding-length":
+        bad = ObjectDetection(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), good.point, np.eye(3) * 0.01)
+    else:
+        bad = ObjectDetection(good.embedding, good.point, np.eye(3) * 0.01)
+        bad.point_covariance[1, 1] = np.nan  # bypasses the constructor's check
+    before = graph_counts(system)
+    registry = {j: (lm.position.copy(), lm.embedding.copy(), lm.count)
+                for j, lm in system.registry.items()}
+    gate_cov = system._gate_cov.copy()
+    for _ in range(2):  # a second attempt meets the same, untouched system
+        with pytest.raises(DataFormatError):
+            system.add_keyframe((rel, np.full(6, 1e-3)), [good, bad])
+        assert graph_counts(system) == before
+        assert system.next_landmark_id == 1
+        assert registry.keys() == system.registry.keys()
+        for j, (position, embedding, count) in registry.items():
+            assert np.array_equal(system.registry[j].position, position)
+            assert np.array_equal(system.registry[j].embedding, embedding)
+            assert system.registry[j].count == count
+        assert np.array_equal(system._gate_cov, gate_cov)
+    system.add_keyframe((rel, np.full(6, 1e-3)), [good])  # the retry succeeds
+    assert graph_counts(system) == (2, 2, 2, 4, 2)
+
+
 @pytest.mark.parametrize("bad", [-1e-4, 0.0, np.nan, np.inf])
 def test_slam_config_rejects_bad_prior_sigma(bad):
     # a sigma is squared, so a negative one would pass as its absolute value

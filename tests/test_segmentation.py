@@ -494,3 +494,26 @@ def test_detection_from_json_rejects_wrong_types():
     for bad in ({**record, "area": None}, list(record.values())):
         with pytest.raises(DataFormatError):
             seg.detection_from_json(bad)
+
+
+NON_FINITE_COVS = {"nan-diagonal": np.diag([1e-2, np.nan, 1e-2]),
+                   "all-nan": np.full((3, 3), np.nan),
+                   "inf-diagonal": np.diag([1e-2, np.inf, 1e-2])}
+
+
+@pytest.mark.parametrize("cov", NON_FINITE_COVS.values(), ids=NON_FINITE_COVS.keys())
+def test_object_detection_rejects_non_finite_covariance(cov):
+    # NaN fails no comparison in the symmetry check, and np.linalg.cholesky
+    # returns NaN for it instead of raising
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        seg.ObjectDetection(np.ones(3), np.zeros(3), cov)
+
+
+@pytest.mark.parametrize("cov", NON_FINITE_COVS.values(), ids=NON_FINITE_COVS.keys())
+def test_detection_from_json_rejects_non_finite_covariance(cov):
+    import json
+
+    record = json.loads(json.dumps({"embedding": [1.0, 1.0, 1.0], "point": [0.0, 0.0, 0.0],
+                                    "cov": cov.ravel().tolist(), "area": 9}))
+    with pytest.raises(DataFormatError, match="covariance must be finite"):
+        seg.detection_from_json(record)

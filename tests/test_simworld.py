@@ -264,6 +264,17 @@ def test_dataset_rejects_non_finite_detection_point(tmp_path, point):
         sw.load_dataset(path)
 
 
+@pytest.mark.parametrize("cov", ["[0.01, 0, 0, 0, NaN, 0, 0, 0, 0.01]", "[" + ", ".join(["NaN"] * 9) + "]",
+                                 "[0.01, 0, 0, 0, Infinity, 0, 0, 0, 0.01]"],
+                         ids=["nan-diagonal", "all-nan", "inf-diagonal"])
+def test_dataset_rejects_non_finite_detection_covariance(tmp_path, cov):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 1.0, "odom": null, "detections": [{"point": [0.0, 0.0, 1.0], '
+                    '"cov": ' + cov + ', "embedding": [1.0, 0.0]}]}\n')
+    with pytest.raises(DataFormatError, match=f"{path.name}:1: point covariance must be finite"):
+        sw.load_dataset(path)
+
+
 @pytest.mark.parametrize("sigma", ["NaN", "Infinity", "0.0", "-1.0"])
 def test_dataset_rejects_bad_odometry_sigma(tmp_path, sigma):
     path = tmp_path / "bad.jsonl"
