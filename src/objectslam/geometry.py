@@ -142,42 +142,20 @@ def so3_log_quat(q: np.ndarray) -> np.ndarray:
     return scale * v
 
 
-def _v_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    small = theta < 1e-4
-    safe = np.where(small, 1.0, theta)
-    t2 = theta * theta
-    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
-    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / (safe ** 3))
-    return a, b
-
-
 def _v_matrix(omega: np.ndarray) -> np.ndarray:
+    """V = I + a W + b W^2 of se3_exp, W = skew(omega)."""
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    a, b = _v_coeffs(theta)
+    coeffs = _se3_coeffs(np.linalg.norm(omega, axis=-1))
     s = skew(omega)
-    s2 = s @ s
-    eye = np.broadcast_to(np.eye(3), s.shape)
-    return eye + a[..., None, None] * s + b[..., None, None] * s2
+    return np.eye(3) + coeffs[..., 4, None, None] * s + coeffs[..., 1, None, None] * (s @ s)
 
 
 def _v_inv_matrix(omega: np.ndarray) -> np.ndarray:
+    """V^-1 = I - W / 2 + c W^2 of se3_log, W = skew(omega)."""
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    small = theta < 1e-4
-    safe = np.where(small, 1.0, theta)
-    t2 = theta * theta
-    # (1 - (theta/2) cot(theta/2)) / theta^2, stable for theta in [0, pi]
-    half = 0.5 * safe
-    c = np.where(
-        small,
-        1.0 / 12.0 + t2 / 720.0,
-        (1.0 - half * np.cos(half) / np.sin(half)) / (safe * safe),
-    )
+    c = _se3_coeffs(np.linalg.norm(omega, axis=-1))[..., 0, None, None]
     s = skew(omega)
-    s2 = s @ s
-    eye = np.broadcast_to(np.eye(3), s.shape)
-    return eye - 0.5 * s + c[..., None, None] * s2
+    return np.eye(3) - 0.5 * s + c * (s @ s)
 
 
 def se3_exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +185,8 @@ def se3_adjoint(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jr_inv_series() -> np.ndarray:
-    """(8, 4) Taylor coefficients in theta^2 of the four _jr_inv_coeffs."""
+def _se3_series() -> np.ndarray:
+    """(8, 5) Taylor coefficients in theta^2 of the five _se3_coeffs."""
     from fractions import Fraction
     from math import factorial
 
@@ -217,25 +195,27 @@ def _jr_inv_series() -> np.ndarray:
     return np.array([[float(abs(bernoulli[j]) / factorial(2 * j + 2)),
                       (-1) ** j / factorial(2 * j + 3),
                       (-1) ** j / factorial(2 * j + 4),
-                      (-1) ** j * (j + 1) / factorial(2 * j + 5)] for j in range(8)])
+                      (-1) ** j * (j + 1) / factorial(2 * j + 5),
+                      (-1) ** j / factorial(2 * j + 2)] for j in range(8)])
 
 
-_JR_INV_SERIES = _jr_inv_series()
+_SE3_SERIES = _se3_series()
 # Below this angle the coefficients come from their series, whose eight terms
 # are exact to rounding there; above it the closed forms lose at most about
 # 360 eps / theta^4 to cancellation.
-_JR_INV_SERIES_ANGLE = 0.5
+_SE3_SERIES_ANGLE = 0.5
 
 
-def _jr_inv_coeffs(theta: np.ndarray) -> np.ndarray:
-    """(..., 4) coefficients of se3_jr_inv at rotation angle theta:
+def _se3_coeffs(theta: np.ndarray) -> np.ndarray:
+    """(..., 5) coefficients of se3_jr_inv, V and V^-1 at rotation angle theta:
     (1 - (theta/2) cot(theta/2)) / theta^2, (theta - sin) / theta^3,
-    (theta^2 + 2 cos - 2) / (2 theta^4) and (2 theta - 3 sin + theta cos) / (2 theta^5)."""
+    (theta^2 + 2 cos - 2) / (2 theta^4), (2 theta - 3 sin + theta cos) / (2 theta^5)
+    and (1 - cos) / theta^2."""
     powers = np.empty(theta.shape + (8,))
     powers[..., 0] = 1.0
     powers[..., 1:] = (theta * theta)[..., None]
-    out = np.cumprod(powers, axis=-1) @ _JR_INV_SERIES
-    big = theta >= _JR_INV_SERIES_ANGLE
+    out = np.cumprod(powers, axis=-1) @ _SE3_SERIES
+    big = theta >= _SE3_SERIES_ANGLE
     if np.any(big):
         t = theta[big]
         sh, ch = np.sin(0.5 * t), np.cos(0.5 * t)
@@ -243,7 +223,8 @@ def _jr_inv_coeffs(theta: np.ndarray) -> np.ndarray:
         t2 = t * t
         out[big] = np.stack([(1.0 - 0.5 * t * ch / sh) / t2, (t - sin) / (t2 * t),
                              (t2 + 2.0 * cos - 2.0) / (2.0 * t2 * t2),
-                             (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t2 * t2 * t)], axis=-1)
+                             (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t2 * t2 * t),
+                             2.0 * sh * sh / t2], axis=-1)
     return out
 
 
@@ -258,8 +239,8 @@ def se3_jr_inv(xi: np.ndarray) -> np.ndarray:
     Q = -R / 2 + a1 (WR + RW - WRW) - a2 (WWR + RWW - 3 WRW) + a3 (WRWW + WWRW).
     """
     xi = np.asarray(xi, dtype=float)
-    c, a1, a2, a3 = np.moveaxis(
-        _jr_inv_coeffs(np.linalg.norm(xi[..., :3], axis=-1))[..., None, None], -3, 0)
+    c, a1, a2, a3, _ = np.moveaxis(
+        _se3_coeffs(np.linalg.norm(xi[..., :3], axis=-1))[..., None, None], -3, 0)
     hats = skew(xi.reshape(xi.shape[:-1] + (2, 3)))
     w, r = hats[..., 0, :, :], hats[..., 1, :, :]
     ww, wr, rw = w @ w, w @ r, r @ w

@@ -123,9 +123,11 @@ pose slots than any before it, and a kept buffer stays a prefix of the next
 one as poses are added. Each entry's index is a constant plus multiples of
 its factor's two slots (``_index_form``).
 
-Gauge. A union-find over the variables counts the components that hold no
-prior as variables and factors arrive, so ``optimize`` checks the gauge in
-O(1).
+Gauge. ``optimize`` reads the gauge off the factor tables: the between
+slots (i, j) and the observation slots (p, l) are the edges of a graph over
+the N + M variables, and one connected-components pass over it (O(N + M +
+rows)) counts the components that hold no anchored row. Adding a variable
+or a factor keeps no connectivity state.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs, dtrtri
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DataFormatError, NumericalError
 from .factors import (
@@ -209,10 +212,6 @@ class FactorGraph:
         # next optimize appends to it while it is the latest linearization
         self._final_system = None
         self._factor = None  # the latest undamped factor; see _keep_factor
-        self._uf_parent: dict = {}
-        self._uf_anchored: set = set()
-        self._num_priors = 0
-        self._unanchored = 0  # union-find components that hold no prior
 
     # -- construction -------------------------------------------------------
 
@@ -220,7 +219,6 @@ class FactorGraph:
         if key in self.poses:
             raise ValueError(f"pose {key} already exists")
         self._batch.add_pose(key, pose)
-        self._unanchored += 1
 
     def add_landmark(self, key: int, point: np.ndarray) -> None:
         if key in self.landmarks:
@@ -229,52 +227,27 @@ class FactorGraph:
         if not np.isfinite(point).all():
             raise DataFormatError(f"landmark {key} must be finite, got {point}")
         self._batch.add_landmark(key, point)
-        self._unanchored += 1
 
     def add_factor(self, factor) -> None:
+        """Check that ``factor`` is of a supported type and that its variables
+        exist, and queue it on ``factors``; the next optimize or marginal call
+        appends the queued factors to the factor tables."""
         if not isinstance(factor, _FACTOR_TYPES):
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
-        keys = factor.keys()
-        for kind, key in keys:
+        for kind, key in factor.keys():
             slots = self._batch.pose_slot if kind == "x" else self._batch.lm_slot
             if key not in slots:
                 raise ValueError(f"factor references missing variable {kind}{key}")
         self.factors.append(factor)
-        for other in keys[1:]:
-            self._uf_union(keys[0], other)
-        if isinstance(factor, PriorFactor):
-            self._num_priors += 1
-            root = self._uf_find(keys[0])
-            if root not in self._uf_anchored:
-                self._uf_anchored.add(root)
-                self._unanchored -= 1
-
-    def _uf_find(self, a):
-        parent = self._uf_parent
-        root = a
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(a, a) != a:
-            parent[a], a = root, parent[a]
-        return root
-
-    def _uf_union(self, a, b) -> None:
-        ra, rb = self._uf_find(a), self._uf_find(b)
-        if ra == rb:
-            return
-        self._uf_parent[ra] = rb
-        if ra in self._uf_anchored:
-            self._uf_anchored.discard(ra)
-            if rb in self._uf_anchored:
-                return  # two anchored components: the unanchored count stands
-            self._uf_anchored.add(rb)
-        self._unanchored -= 1
 
     # -- optimization -------------------------------------------------------
 
     def optimize(self, config: LMConfig | None = None) -> OptimizeReport:
         """Levenberg-Marquardt from the current estimates.
 
+        It first appends the queued factors and checks the gauge (see
+        ``_validate_gauge``): NumericalError unless the graph has a prior and
+        every variable is linked through factors to a pose that holds one.
         The first linearization appends the rows added since the last solve
         to the system that solve ended with, when that system is still the
         latest one (see ``_BatchedFactors.linearize``). Each accepted step
@@ -292,8 +265,8 @@ class FactorGraph:
         since the kept factor (see ``_factorize``).
         """
         config = config or LMConfig()
-        self._validate_gauge()
         batch = self._batched()
+        self._validate_gauge(batch)
         state = batch.state()
         final = self._final_system
         err, system = batch.linearize(state, base=final and final[1])
@@ -402,13 +375,31 @@ class FactorGraph:
             raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
         return SchurFactor(band, w, schur, gram)
 
-    def _validate_gauge(self) -> None:
-        """Require a prior and full connectivity to an anchored component."""
-        if self._num_priors == 0:
+    @staticmethod
+    def _validate_gauge(batch: "_BatchedFactors") -> None:
+        """Require a prior, and every variable linked through the factor tables
+        to a pose that holds one: one connected-components pass over the
+        N + M variables, landmark slot l at vertex N + l. A mixture component
+        is an observation row, so a mixture links its pose to every candidate
+        landmark."""
+        bt, ob = batch.between, batch.observation
+        anchored = bt["anchored"]
+        if not anchored.any():
             raise NumericalError("graph has no prior: gauge freedom")
-        if self._unanchored:
-            raise NumericalError(
-                f"{self._unanchored} group(s) of variables are not connected to a prior")
+        n = batch.num_poses
+        size = n + batch.num_lms
+        rows = np.concatenate([bt["i"], ob["p"]])
+        cols = np.concatenate([bt["j"], n + ob["l"]]).astype(np.int32)
+        # CSR assembled here: scipy's COO-to-CSR conversion would cost more
+        # than the components pass itself
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        adjacency = sp.csr_matrix((np.ones(len(rows)), cols[np.argsort(rows)], indptr),
+                                  shape=(size, size))
+        count, labels = connected_components(adjacency, directed=False)
+        free = count - len(np.unique(labels[bt["i"][anchored]]))
+        if free:
+            raise NumericalError(f"{free} group(s) of variables are not connected to a prior")
 
     def _batched(self) -> "_BatchedFactors":
         """The graph's storage, with the factors queued since the last call appended."""

@@ -68,6 +68,7 @@ class SlamResult:
     landmarks: list[Landmark]
     report: OptimizeReport | None
     decision_log: list[dict]
+    dropped_ambiguous: int  # new-landmark decisions dropped as ambiguous
 
 
 def _sigmas_to_tangent_cov(sigmas_xyzrpy: np.ndarray) -> np.ndarray:
@@ -99,7 +100,7 @@ class SlamSystem:
 
         Atomic under malformed input: the odometry factor is built (which
         validates it), and every detection's point, covariance and embedding
-        length are checked, before the graph, the registry or the gate
+        shape are checked, before the graph, the registry or the gate
         covariance change. So a DataFormatError leaves the system as it was
         and the keyframe can be retried.
         """
@@ -123,9 +124,9 @@ class SlamSystem:
         shapes = {det.embedding.shape for det in detections}
         if self.registry:
             shapes.add(next(iter(self.registry.values())).embedding.shape)
-        if len(shapes) > 1:
-            raise DataFormatError(f"keyframe {k}: detection embeddings must share the map's "
-                                  f"length, got shapes {sorted(shapes)}")
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise DataFormatError(f"keyframe {k}: detection embeddings must be 1-D and share "
+                                  f"the map's length, got shapes {sorted(shapes)}")
         for det in detections:  # the dataclass fields can be changed after construction
             if not np.all(np.isfinite(det.point)):
                 raise DataFormatError(f"keyframe {k}: detection point must be finite")
@@ -233,7 +234,7 @@ def run_slam(dataset: Dataset, config: SlamConfig,
         poses = [Pose3.identity()]
         for kf in dataset.keyframes[1:]:
             poses.append(compose(poses[-1], kf.odom))
-        return SlamResult(list(zip(timestamps, poses)), [], None, [])
+        return SlamResult(list(zip(timestamps, poses)), [], None, [], 0)
 
     system = SlamSystem(config)
     for k, kf in enumerate(dataset.keyframes):
@@ -241,7 +242,7 @@ def run_slam(dataset: Dataset, config: SlamConfig,
         system.add_keyframe(odom, kf.detections)
     report = system.finalize()
     return SlamResult(system.trajectory(timestamps), system.landmarks(), report,
-                      system.decision_log)
+                      system.decision_log, system.dropped_ambiguous)
 
 
 def _inverse_qt(pose: Pose3):

@@ -117,6 +117,8 @@ class ObjectDetection:
 
     def __post_init__(self):
         self.embedding = np.asarray(self.embedding, dtype=float)
+        if self.embedding.ndim != 1:
+            raise ValueError(f"embedding must be 1-D, got shape {self.embedding.shape}")
         self.point = np.asarray(self.point, dtype=float).reshape(3)
         self.point_covariance = np.asarray(self.point_covariance, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(self.embedding)) or np.linalg.norm(self.embedding) == 0.0:

@@ -267,16 +267,21 @@ def se3_ad(xi):
     return out
 
 
+def _bernoulli(n):
+    """B_0..B_n (B_1 = -1/2) from the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    from fractions import Fraction
+
+    bern = [Fraction(1)]
+    for m in range(1, n + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return bern
+
+
 def se3_jr_inv_series(xi, terms=20):
     """Inverse right Jacobian of SE(3) as its Bernoulli series,
     sum_n B_n / n! (-ad xi)^n = I + ad / 2 + sum_k B_2k / (2k)! ad^2k;
     20 even terms reach machine precision up to a rotation of about pi."""
-    from fractions import Fraction
-
-    # Bernoulli numbers from the recurrence sum_{j<=m} C(m+1, j) B_j = 0
-    bern = [Fraction(1)]
-    for m in range(1, 2 * terms + 1):
-        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    bern = _bernoulli(2 * terms)
     ad = se3_ad(xi)
     ad2 = ad @ ad
     out = np.eye(6) + 0.5 * ad
@@ -284,6 +289,23 @@ def se3_jr_inv_series(xi, terms=20):
     for k in range(1, terms + 1):
         out += float(bern[2 * k] / math.factorial(2 * k)) * power
         power = power @ ad2
+    return out
+
+
+def se3_v_series(omega, inverse=False, terms=40):
+    """The matrix V of the SE(3) exponential, t = V rho, as its Taylor series
+    sum_n W^n / (n + 1)! in W = skew(omega), or V^-1 = W / (e^W - I) as its
+    Bernoulli series sum_n B_n / n! W^n; ``terms`` terms of either reach
+    machine precision well beyond the small rotations the tests use."""
+    w = skew(np.asarray(omega, dtype=float))
+    if inverse:
+        coeffs = [float(b / math.factorial(n)) for n, b in enumerate(_bernoulli(terms))]
+    else:
+        coeffs = [1.0 / math.factorial(n + 1) for n in range(terms + 1)]
+    out, power = np.zeros((3, 3)), np.eye(3)
+    for c in coeffs:
+        out += c * power
+        power = power @ w
     return out
 
 

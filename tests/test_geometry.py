@@ -5,7 +5,7 @@ from scipy.linalg import expm, logm
 from objectslam import geometry as geo
 from objectslam.geometry import Pose3, compose, inverse, local, measurement_model_h, retract
 
-from oracles import measurement_jacobians, se3_jr_inv_series
+from oracles import measurement_jacobians, se3_jr_inv_series, se3_v_series
 
 
 def random_pose(rng, max_angle=np.pi * 0.9, max_trans=5.0):
@@ -193,7 +193,7 @@ def test_jr_inv_matches_numeric_bch():
 
 def test_jr_inv_closed_form_matches_series_and_finite_differences():
     # from zero rotation through the series/closed-form switch up to pi - 1e-3
-    switch = geo._JR_INV_SERIES_ANGLE
+    switch = geo._SE3_SERIES_ANGLE
     angles = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, switch - 1e-9, switch,
                               switch + 1e-9, 1.0, 2.0, 3.0, np.pi - 1e-3],
                              np.linspace(0.0, np.pi - 1e-3, 60)])
@@ -208,6 +208,24 @@ def test_jr_inv_closed_form_matches_series_and_finite_differences():
         want = se3_jr_inv_series(xi)
         assert np.linalg.norm(jr - want) / np.linalg.norm(want) < 1e-10, xi
         assert np.allclose(jr, numeric_jr_inv(xi), atol=1e-5), xi
+
+
+def test_v_matrices_match_their_series_across_small_angles():
+    # V and V^-1 of se3_exp / se3_log read the coefficients se3_jr_inv reads;
+    # a closed form of (1 - cos) / theta^2 just above a small switch angle
+    # would lose digits (about 1e-13 in V at theta = 1e-4)
+    angles = np.concatenate([[0.0, 1e-12, 1e-8, 1e-4 - 1e-9, 1e-4, 1e-4 + 1e-8, 1.0001e-4],
+                             np.geomspace(1e-5, 1e-2, 40)])
+    rng = np.random.default_rng(13)
+    omegas = []
+    for theta in angles:
+        axis = rng.normal(size=3)
+        omegas.append(theta * axis / np.linalg.norm(axis))
+    v, v_inv = geo._v_matrix(np.array(omegas)), geo._v_inv_matrix(np.array(omegas))
+    for omega, got, got_inv in zip(omegas, v, v_inv):
+        assert np.abs(got - se3_v_series(omega)).max() < 2e-15, omega
+        assert np.abs(got_inv - se3_v_series(omega, inverse=True)).max() < 2e-15, omega
+        assert np.abs(got @ got_inv - np.eye(3)).max() < 2e-15, omega
 
 
 def test_adjoint_identity():

@@ -168,6 +168,38 @@ def test_gauge_check_matches_breadth_first_oracle(seed, n_poses, n_landmarks):
             assert "prior" not in str(exc)
 
 
+def test_gauge_check_passes_once_the_connecting_factors_arrive():
+    # the check reads the factors present at each call, not those of an
+    # earlier one: no prior, then pose 1 and landmark 3 left apart, then joined
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_pose(1, Pose3.identity())
+    g.add_landmark(3, np.ones(3))
+    g.add_factor(fx.ObservationFactor(1, 3, np.ones(3), np.eye(3) * 0.01))
+    with pytest.raises(NumericalError, match="no prior"):
+        g.optimize()
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    with pytest.raises(NumericalError, match=r"^1 group\(s\) of variables"):
+        g.optimize()
+    g.add_factor(fx.BetweenFactor(0, 1, Pose3.identity(), np.eye(6) * 0.01))
+    assert g.optimize().converged
+
+
+@pytest.mark.parametrize("kind", ["pose", "landmark"])
+def test_gauge_check_fails_once_an_unconnected_variable_arrives(kind):
+    g = build_chain_graph(chain_poses(np.random.default_rng(6), 3))
+    assert g.optimize().converged
+    if kind == "pose":
+        g.add_pose(3, Pose3.identity())
+    else:
+        g.add_landmark(0, np.ones(3))
+    with pytest.raises(NumericalError, match=r"^1 group\(s\) of variables"):
+        g.optimize()
+    g.add_landmark(1, np.ones(3))  # a second group, on its own
+    with pytest.raises(NumericalError, match=r"^2 group\(s\) of variables"):
+        g.optimize()
+
+
 def test_error_never_increases_random_suite():
     rng = np.random.default_rng(2)
     for trial in range(10):

@@ -6,7 +6,7 @@ import pytest
 from objectslam import factors as fx
 from objectslam import pipeline as pl
 from objectslam import simworld as sw
-from objectslam.association import DAConfig, Landmark
+from objectslam.association import DAConfig, Landmark, chi_square_quantile
 from objectslam.errors import DataFormatError
 from objectslam.evaluation import ape
 from objectslam.geometry import Pose3, compose, inverse, local
@@ -127,6 +127,56 @@ def test_add_keyframe_rejects_malformed_detection_on_a_mapped_keyframe(case):
         assert np.array_equal(system._gate_cov, gate_cov)
     system.add_keyframe((rel, np.full(6, 1e-3)), [good])  # the retry succeeds
     assert graph_counts(system) == (2, 2, 2, 4, 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2-d", "0-d"])
+def test_add_keyframe_rejects_a_non_1d_embedding_on_an_empty_map(shape):
+    # with no landmark to compare lengths against, a detection whose embedding
+    # was reshaped after construction would be mapped, and a later keyframe
+    # would fail inside association after its pose was added
+    system = pl.SlamSystem(slam_config())
+    det = ObjectDetection(np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.5, 0.3, 0.0]),
+                          np.eye(3) * 0.01)
+    embedding = det.embedding
+    det.embedding = np.ones(shape)  # bypasses the constructor's check
+    gate_cov = system._gate_cov.copy()
+    for _ in range(2):
+        with pytest.raises(DataFormatError, match="1-D"):
+            system.add_keyframe(None, [det])
+        assert graph_counts(system) == (0, 0, 0, 0, 0)
+        assert system.next_landmark_id == 0
+        assert np.array_equal(system._gate_cov, gate_cov)
+    det.embedding = embedding
+    system.add_keyframe(None, [det])  # the retry succeeds
+    assert graph_counts(system) == (1, 1, 1, 2, 1)
+
+
+def test_object_detection_rejects_a_non_1d_embedding():
+    for embedding in (np.ones((2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            ObjectDetection(embedding, np.array([1.0, 0.0, 0.0]), np.eye(3) * 0.01)
+
+
+def test_ambiguous_detection_is_dropped_counted_and_reported():
+    # Keyframe 0 maps a landmark; keyframe 1 sees a same-class detection whose
+    # D^2 lies between the beta and new_landmark_beta gates, so it is neither
+    # associated nor mapped. Pose uncertainty is negligible against the
+    # detections' sigma^2 I, so the innovation covariance is 2 sigma^2 I.
+    cfg = slam_config()
+    sigma, emb = 0.05, np.array([1.0, 0.0])
+    d2 = 0.5 * (cfg.da.chi2_threshold + chi_square_quantile(3, cfg.da.new_landmark_beta))
+    rel = Pose3(np.array([1, 0, 0, 0.0]), np.array([0.1, 0.0, 0.0]))
+    seen = np.array([1.5, 0.3, 0.0])
+    offset = np.array([np.sqrt(2.0 * sigma ** 2 * d2), 0.0, 0.0])
+    dataset = sw.Dataset([
+        sw.SimKeyframe(0.0, None, None, [ObjectDetection(emb, seen, np.eye(3) * sigma ** 2)]),
+        sw.SimKeyframe(1.0, rel, np.full(6, 1e-6), [ObjectDetection(
+            emb, inverse(rel).apply(seen) + offset, np.eye(3) * sigma ** 2)])], [[0], [0]])
+    result = pl.run_slam(dataset, cfg)
+    assert result.dropped_ambiguous == 1
+    assert [lm.id for lm in result.landmarks] == [0]
+    assert result.landmarks[0].count == 1
+    assert pl.run_slam(dataset, cfg, odometry_only=True).dropped_ambiguous == 0
 
 
 @pytest.mark.parametrize("bad", [-1e-4, 0.0, np.nan, np.inf])

@@ -275,6 +275,14 @@ def test_dataset_rejects_non_finite_detection_covariance(tmp_path, cov):
         sw.load_dataset(path)
 
 
+def test_dataset_rejects_a_non_1d_embedding(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 1.0, "odom": null, "detections": [{"point": [0.0, 0.0, 1.0], '
+                    '"cov": [0.01, 0, 0, 0, 0.01, 0, 0, 0, 0.01], "embedding": [[1.0, 0.0], [0.0, 1.0]]}]}\n')
+    with pytest.raises(DataFormatError, match=f"{path.name}:1: embedding must be 1-D"):
+        sw.load_dataset(path)
+
+
 @pytest.mark.parametrize("sigma", ["NaN", "Infinity", "0.0", "-1.0"])
 def test_dataset_rejects_bad_odometry_sigma(tmp_path, sigma):
     path = tmp_path / "bad.jsonl"
