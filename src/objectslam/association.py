@@ -45,6 +45,8 @@ class Landmark:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.embedding = np.asarray(self.embedding, dtype=float)
+        if self.embedding.ndim != 1:
+            raise ValueError(f"landmark embedding must be 1-D, got shape {self.embedding.shape}")
         if np.linalg.norm(self.embedding) == 0.0:
             raise ValueError("landmark embedding must be non-zero")
         if self.count < 1:

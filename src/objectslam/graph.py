@@ -46,15 +46,14 @@ Synthesis", 2000). A loop closure between poses w slots apart is exact but
 widens the band: storage grows as (6w + 6) * 6N and the factorization as
 (6w + 6)^2 * 6N.
 
-What carries across solves. ``optimize`` keeps the system it ended with,
-at the estimate it returns, with its error and its scatter buffer. The next
-``optimize`` starts at that estimate, so its first linearization only
-computes the residuals, Jacobians and J^T r of the rows appended since, bins
-them and adds them to the kept error and buffer; mixture and weighted rows
-take this path too. It linearizes every row instead when anything else
-linearized in between (a marginal call after new factors, say), when the
-layout changed (a wider band, a doubled landmark capacity) or when
-``em_reweight`` set new weights.
+What carries across solves. The graph keeps one current system, the latest
+linearization at the stored estimate, which ``optimize`` ends with and both
+``optimize`` and the marginals start from (``_current_system``). Once rows
+are added, only those get residuals, Jacobians and J^T r, binned onto a
+copy of its buffer with their error added to its own, mixture and weighted
+rows included, and the result is kept in its place. Every row is linearized
+only after ``em_reweight`` set new weights or a relayout (a wider band, a
+doubled landmark capacity).
 
 The graph also keeps its latest undamped factor, and each factorization
 records the first pose slot among the rows linearized anew since then: the
@@ -65,9 +64,10 @@ them and refactors only the trailing part, whose corner first loses its
 product with the kept L_A columns next to it, and updates a running W^T W
 by the changed rows of W (Kaess, Ranganathan & Dellaert, "iSAM", T-RO
 2008). A band widening, a landmark-capacity doubling or new weights force a
-full factorization. LM damping adds to every diagonal and so cannot reuse
-the factor; ``optimize`` therefore takes undamped Gauss-Newton steps until
-a step is rejected, and only then damps (see ``optimize``).
+full factorization. Every undamped factorization of the latest system, by
+``optimize`` or the marginals, goes this way. LM damping adds to every
+diagonal and so cannot reuse the factor; ``optimize`` therefore takes
+undamped Gauss-Newton steps until a step is rejected, and only then damps.
 
 Fluid relinearization (iSAM2; Kaess et al., IJRR 2012). Every variable has
 a linearization point, and every between and observation row stores its
@@ -95,21 +95,18 @@ step is retried on a fresh system. Only a solve cut off by
 ``max_iterations`` (the online pipeline's 2-iteration solves) may end with
 stale rows, linearized at points within the threshold of its estimate.
 
-Marginals come from a full undamped factor of the system ``optimize`` ended
-with, until a variable or a factor is added or ``em_reweight`` sets new
-weights; nothing else changes the estimates or the weights (Kaess &
-Dellaert, RAS 2009). After a converged solve that system is exact; after an
-iteration-capped one its stale rows are linearized at points up to
-RELINEARIZE_THRESHOLD from the returned estimate, and the gate covariance
-is the one at those points. Otherwise the marginals come from a fresh
-linearization at the current estimate. The factor becomes the kept one
-when its system is the latest linearization. There is one marginal path:
-the pose in the last slot is the last band column block, next to the
-landmark border, so the trailing (6 + 3M) block of the Cholesky factor L
-factors the Schur complement that eliminates every other pose. Its inverse
-is the joint (last pose, landmarks) covariance the gate needs, with no
-solve over the other 6(N - 1) pose rows. That one matrix,
-``joint_covariance``, is what the pipeline hands the gate, landmark
+Marginals come from the kept factor of the current system (Kaess &
+Dellaert, RAS 2009). After a converged solve every point sits at the
+estimate, so that system is exact, rows appended since included. After an
+iteration-capped one, its stale rows and the rows appended since to their
+variables are linearized at points up to RELINEARIZE_THRESHOLD from the
+returned estimate, and the gate covariance is the one at those points.
+There is one marginal path: the pose in the last slot is the last band
+column block, next to the landmark border, so the trailing (6 + 3M) block
+of the Cholesky factor L factors the Schur complement that eliminates every
+other pose. Its inverse is the joint (last pose, landmarks) covariance the
+gate needs, with no solve over the other 6(N - 1) pose rows. That one
+matrix, ``joint_covariance``, is what the pipeline hands the gate, landmark
 cross-covariances included; ``joint_marginals`` returns its 9x9
 pose-landmark blocks. Both serve the pose in the last slot only.
 
@@ -207,10 +204,9 @@ class FactorGraph:
         self._batch = batch = _BatchedFactors()
         self.poses = _Estimates(batch.pose_slot, batch.poses, _pose_from_row)
         self.landmarks = _Estimates(batch.lm_slot, batch.landmarks, _frozen_copy)
-        # (stamp, system): the system optimize ended with, at the stored
-        # estimate; the marginals reuse it while the stamp matches, and the
-        # next optimize appends to it while it is the latest linearization
-        self._final_system = None
+        # (stamp, system): the latest system at the stored estimate, and the
+        # graph size it was built for; see _current_system
+        self._kept_system = None
         self._factor = None  # the latest undamped factor; see _keep_factor
 
     # -- construction -------------------------------------------------------
@@ -248,9 +244,9 @@ class FactorGraph:
         It first appends the queued factors and checks the gauge (see
         ``_validate_gauge``): NumericalError unless the graph has a prior and
         every variable is linked through factors to a pose that holds one.
-        The first linearization appends the rows added since the last solve
-        to the system that solve ended with, when that system is still the
-        latest one (see ``_BatchedFactors.linearize``). Each accepted step
+        It starts from the current system (``_current_system``): the kept
+        one, with only the rows added since linearized, so after no change it
+        linearizes nothing before its first step. Each accepted step
         relinearizes only the rows whose variables moved, with its gradient
         taken at the residuals the acceptance test just computed. A rejected
         step makes the system fresh before the next factorization, and a
@@ -268,9 +264,8 @@ class FactorGraph:
         batch = self._batched()
         self._validate_gauge(batch)
         state = batch.state()
-        final = self._final_system
-        err, system = batch.linearize(state, base=final and final[1])
-        initial = err
+        system = self._current_system()
+        initial = err = system.error
         residuals = None  # error_only's result at state, once a step is accepted
 
         def stops(rel: float) -> bool:
@@ -281,7 +276,7 @@ class FactorGraph:
             if float(np.linalg.norm(system.grad)) >= GRADIENT_TOL and not small:
                 return False
             if not system.fresh:
-                _, system = batch.linearize(state, residuals, fresh=True)
+                system = batch.linearize(state, residuals, fresh=True)
             return float(np.linalg.norm(system.grad)) < GRADIENT_TOL or small
 
         lam = 0.0
@@ -299,30 +294,44 @@ class FactorGraph:
                     iterations += 1
                     stepped = True
                     lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
-                    _, system = batch.linearize(state, residuals)
+                    system = batch.linearize(state, residuals)
                     converged = stops(rel)
                     break
                 if not system.fresh:
-                    _, system = batch.linearize(state, residuals, fresh=True)
+                    system = batch.linearize(state, residuals, fresh=True)
                 lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
             if not stepped:
                 break
 
         batch.store(state)
-        self._final_system = (self._stamp(), system)  # system is linearized at state
+        self._kept_system = (self._stamp(), system)  # system is linearized at state
         return OptimizeReport(initial, err, iterations, converged,
                               float(np.linalg.norm(system.grad)))
 
-    def _keep_factor(self, system: "NormalEquations", factor: "SchurFactor | None" = None):
+    def _current_system(self) -> "NormalEquations":
+        """The system at the stored estimate, kept for the next call: the kept
+        one while nothing was added since it and it is still the latest
+        linearization, else the kept one with the rows added since appended
+        (see ``_BatchedFactors.linearize``). Every row is linearized only when
+        there is none or it is not the latest (after ``em_reweight`` or a
+        relayout)."""
+        batch = self._batched()
+        stamp, system = self._kept_system or (None, None)
+        if system is None or system is not batch._latest:
+            system = batch.linearize(batch.state())
+        elif stamp != self._stamp():
+            system = batch.linearize(batch.state(), base=system)
+        self._kept_system = (self._stamp(), system)
+        return system
+
+    def _keep_factor(self, system: "NormalEquations") -> "SchurFactor":
         """The undamped factor of ``system``, the latest linearization, kept for
         the next one: refactored from the first pose slot whose rows changed
-        since the kept factor, or ``factor`` when one is given."""
+        since the kept factor."""
         batch = self._batch
-        if factor is None:
-            factor = self._factorize(system, kept=self._factor, first=batch.changed_from)
-        self._factor = factor
+        self._factor = self._factorize(system, kept=self._factor, first=batch.changed_from)
         batch.changed_from = batch.num_poses
-        return factor
+        return self._factor
 
     @staticmethod
     def _factorize(system: "NormalEquations", lam: float = 0.0,
@@ -412,45 +421,30 @@ class FactorGraph:
     def _set_weights(self, which: np.ndarray, weights: np.ndarray) -> None:
         """The one writer of observation weights: give the weighted observation
         factors at positions ``which`` of ``_BatchedFactors.weighted`` the
-        ``weights``, write their rows' scale sqrt(w), and drop the kept final
+        ``weights``, write their rows' scale sqrt(w), and drop the kept
         system, which was linearized with the old scales, and the kept factor."""
         batch = self._batched()
         for i, w in zip(which.tolist(), weights.tolist()):
             batch._weighted[i]._weight = w  # read-only everywhere else
         batch.observation["s"][batch.weighted["row"][which]] = np.sqrt(weights)
-        self._final_system = None
+        self._kept_system = None
         batch.changed_from = 0
 
     # -- covariance recovery -------------------------------------------------
 
-    def _information_factorization(self):
-        """Undamped factor at the current estimate, and the storage; reuses
-        ``optimize``'s final system while its stamp matches. The factor is
-        always a full one; it is kept for the next solve when its system is
-        the latest linearization."""
-        batch = self._batched()
-        final = self._final_system
-        if final is not None and final[0] == self._stamp():
-            system = final[1]
-        else:  # a variable, a factor or new weights came after the last optimize
-            _, system = batch.linearize(batch.state(), fresh=True)
-        factor = self._factorize(system)
-        if system is batch._latest:
-            self._keep_factor(system, factor)
-        return factor, batch
-
     def joint_covariance(self, pose_key: int, landmark_keys) -> np.ndarray:
         """Joint (6 + 3M) covariance of the pose in the last slot and the
         landmarks, in that order: the inverse of the trailing block of the
-        factor of ``optimize``'s final system while it is current. Any other
-        pose raises ValueError."""
+        kept undamped factor of the current system (``_current_system``),
+        refactored only from the first pose column that changed since that
+        factor was taken. Any other pose raises ValueError."""
         if self._batch.pose_slot.get(pose_key) != len(self.poses) - 1:
             raise ValueError(f"pose {pose_key} is not the last pose of the graph")
         for k in landmark_keys:
             if k not in self.landmarks:
                 raise ValueError(f"landmark {k} not in graph")
-        factor, batch = self._information_factorization()
-        sel = np.concatenate([np.arange(6)] + [6 + 3 * batch.lm_slot[k] + np.arange(3)
+        factor = self._keep_factor(self._current_system())
+        sel = np.concatenate([np.arange(6)] + [6 + 3 * self._batch.lm_slot[k] + np.arange(3)
                                               for k in landmark_keys])
         return factor.trailing_covariance()[np.ix_(sel, sel)]
 
@@ -1032,8 +1026,8 @@ class _BatchedFactors:
         return ob["jac_s"][rows, None, None] * jac
 
     def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False,
-                  base: "NormalEquations | None" = None):
-        """Total error and the Gauss-Newton system at ``state``.
+                  base: "NormalEquations | None" = None) -> "NormalEquations":
+        """The Gauss-Newton system at ``state``, with its total error.
 
         Only these rows get a new Jacobian: rows appended since the last
         linearization, rows of a variable whose estimate moved more than
@@ -1050,14 +1044,12 @@ class _BatchedFactors:
         order, between rows first, as one ``np.bincount`` over both tables
         would add them.
 
-        ``base`` is a system at ``state``. While it is the latest
-        linearization (no other linearization and no relayout since), only the
-        rows appended since it are linearized, from their residuals on, and
-        binned onto a copy of its buffer; its error is added to theirs.
+        ``base`` is the latest system, at ``state``: then only the rows appended
+        since it are linearized, from their residuals on, and binned onto a copy
+        of its buffer; its error is added to theirs.
         """
-        append = base is not None and base is self._latest and not fresh
-        start = base.rows if append else (0, 0)
-        if append or residuals is None:
+        start = (0, 0) if base is None else base.rows
+        if base is not None or residuals is None:
             residuals = self._residuals(state, start)
         x, lms = state
         threshold = 0.0 if fresh else RELINEARIZE_THRESHOLD
@@ -1105,7 +1097,7 @@ class _BatchedFactors:
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
         flat = np.zeros(self._records_at + n_pose * self._stride)
         error = residuals.error
-        if append:  # the appended rows only, onto the base's buffer
+        if base is not None:  # the appended rows only, onto the base's buffer
             flat[:len(base.flat)] = base.flat
             error += base.error
         for (table, _), first in zip(self._tables(), start):
@@ -1120,7 +1112,7 @@ class _BatchedFactors:
                                  flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
             fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized,
             error=error, flat=flat, rows=self._linearized)
-        return error, system
+        return system
 
     def _row_variables(self):
         """Per table of ``_tables``, its rows' variables as (0 for a pose

@@ -266,7 +266,7 @@ def test_gauge_full_rank_with_single_prior():
     poses = chain_poses(rng, 6)
     g = build_chain_graph(poses, perturb=0.02, rng=rng)
     g.optimize()
-    _, batch = g._information_factorization()
+    batch = g._batched()
     # Cholesky of the dense information succeeds -> full rank at convergence
     info, _ = dense_normal_equations(g, batch)
     np.linalg.cholesky(info)
@@ -375,10 +375,10 @@ def test_assembly_matches_scalar_factor_oracle():
     g = structured_graph(np.random.default_rng(9))
     batch = g._batched()
     assert batch.band_rows == 36  # the (0, 11) loop closure spans five pose slots
-    err, system = batch.linearize(batch.state())
+    system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
     n_pose = 6 * len(g.poses)
-    assert err == pytest.approx(graph_error(g), rel=1e-12)
+    assert system.error == pytest.approx(graph_error(g), rel=1e-12)
     assert rel_err(band_to_dense(system.band), info[:n_pose, :n_pose]) < 1e-12
     assert rel_err(system.border, info[:n_pose, n_pose:]) < 1e-12
     assert rel_err(system.landmark, info[n_pose:, n_pose:]) < 1e-12
@@ -397,9 +397,10 @@ def check_storage(g):
     """The system assembled from the graph's maintained storage equals the
     dense one stacked from each factor's factor_linearize()."""
     batch = g._batched()
-    err, system = batch.linearize(batch.state(), fresh=True)
+    system = batch.linearize(batch.state(), fresh=True)
     info, grad = dense_normal_equations(g, batch)
-    assert err == pytest.approx(sum(factor_error(f, graph_values(g)) for f in g.factors), rel=1e-12)
+    want = sum(factor_error(f, graph_values(g)) for f in g.factors)
+    assert system.error == pytest.approx(want, rel=1e-12)
     assert rel_err(dense_system(system), info) < 1e-12
     assert rel_err(system.grad, grad) < 1e-12
 
@@ -530,12 +531,12 @@ def count_linearize(monkeypatch):
     original = gr._BatchedFactors.linearize
 
     def counting(self, state, residuals=None, fresh=False, base=None):
-        err, system = original(self, state, residuals, fresh, base)
+        system = original(self, state, residuals, fresh, base)
         rows = len(self.between) + len(self.observation)
         lin = (self.poses["lin"].copy(), self.landmarks["lin"].copy())
-        calls.append((tuple(a.copy() for a in state), system.relinearized == rows, err,
-                      system, lin))
-        return err, system
+        calls.append((tuple(a.copy() for a in state), system.relinearized == rows,
+                      system.error, system, lin))
+        return system
 
     monkeypatch.setattr(gr._BatchedFactors, "linearize", counting)
     return calls
@@ -558,8 +559,17 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
     # current estimate. Every row gets a new Jacobian only when no row
     # linearized before is left: at the first optimize, and when every old row
     # touches a variable that moved. A wider band or a doubled landmark
-    # capacity only re-indexes.
+    # capacity only re-indexes. After no change, optimize linearizes nothing
+    # before its first step: it starts from the kept system.
     calls = count_linearize(monkeypatch)
+    factored = []  # (linearize calls made so far, system) of each kept factorization
+    keep_factor = gr.FactorGraph._keep_factor
+
+    def recording(self, system):
+        factored.append((len(calls), system))
+        return keep_factor(self, system)
+
+    monkeypatch.setattr(gr.FactorGraph, "_keep_factor", recording)
     g = gr.FactorGraph()
     lm_config = gr.LMConfig(max_iterations=2)
     layout, runs = None, []
@@ -567,9 +577,19 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
     def optimize_and_check(step, event):
         nonlocal layout
         relaid, layout = g._batched().layout != layout, g._batched().layout
-        first = len(calls)
-        g.optimize(lm_config)
-        state, full, err, system, lin = calls[first]
+        first, steps = len(calls), len(factored)
+        if event == "no change":
+            batch = g._batch
+            _, system = g._kept_system
+            state = tuple(a.copy() for a in batch.state())
+            lin = (batch.poses["lin"].copy(), batch.landmarks["lin"].copy())
+            g.optimize(lm_config)
+            made, started_from = factored[steps]
+            assert made == first and started_from is system
+            err, full = system.error, False
+        else:
+            g.optimize(lm_config)
+            state, full, err, system, lin = calls[first]
         runs.append((step, event, relaid, full))
         want_err, want_info, want_grad = lagged_oracle(g, state, lin)
         assert err == pytest.approx(want_err, rel=1e-12)
@@ -631,7 +651,7 @@ def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
         report = g.optimize(config)
         state, _, err, system, lin = calls[first]
         check_against_oracle(g, state, lin, err, system, threshold == 0.0)
-        _, system = g._final_system
+        _, system = g._kept_system
         state = g._batch.state()
         lin = (g._batch.poses["lin"], g._batch.landmarks["lin"])
         check_against_oracle(g, state, lin, report.final_error, system,
@@ -651,11 +671,12 @@ def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
 
 def test_kept_factor_matches_a_full_factorization(monkeypatch):
     # A 2-iteration optimize after every change of the scripted run, then a
-    # between from a later pose that widens the band again. Every undamped
-    # factor optimize keeps, refactored only from the first pose column that
-    # changed since the factor before it, solves fixed random right-hand
-    # sides and gives the trailing covariance of a from-scratch
-    # factorization of the same system.
+    # between from a later pose that widens the band again; after each, the
+    # joint covariance of the last pose and every landmark. Every undamped
+    # factor that optimize or the marginal keeps, refactored only from the
+    # first pose column that changed since the factor before it, solves
+    # fixed random right-hand sides and gives the trailing covariance of a
+    # from-scratch factorization of the same system.
     factorize = gr.FactorGraph._factorize
     made = []
 
@@ -667,20 +688,30 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
     monkeypatch.setattr(gr.FactorGraph, "_factorize", staticmethod(recording))
     rng = np.random.default_rng(23)
     g = gr.FactorGraph()
-    prefixes = []
+    prefixes, marginal_prefixes = [], []
 
-    def optimize_and_check():
-        before = len(made)
-        g.optimize(gr.LMConfig(max_iterations=2))
-        for system, lam, kept, first, factor in made[before:]:
+    def check(factorizations):
+        """The kept prefix of each undamped factorization, after checking it."""
+        out = []
+        for system, lam, kept, first, factor in factorizations:
             if lam:
                 continue
             if kept is not None and len(kept.band) == len(system.band):
-                prefixes.append(min(first, kept.band.shape[1] // 6))
+                out.append(min(first, kept.band.shape[1] // 6))
             full = factorize(system)
             rhs = rng.normal(size=len(system.grad))
             assert rel_err(factor.solve(rhs), full.solve(rhs)) < 1e-9
             assert rel_err(factor.trailing_covariance(), full.trailing_covariance()) < 1e-9
+        return out
+
+    def optimize_and_check():
+        before = len(made)
+        g.optimize(gr.LMConfig(max_iterations=2))
+        prefixes.extend(check(made[before:]))
+        before = len(made)
+        g.joint_covariance(list(g.poses)[-1], list(g.landmarks))
+        assert len(made) == before + 1
+        marginal_prefixes.extend(check(made[before:]))
 
     for _, event in scripted_run(g):
         if event != "landmark":  # a landmark with no factor yet leaves a gauge freedom
@@ -691,6 +722,7 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
     optimize_and_check()
     assert g._batch.band_rows > band_rows
     assert sum(p > 0 for p in prefixes) >= 15  # factors that kept a prefix
+    assert sum(p > 0 for p in marginal_prefixes) >= 10  # marginal factors that kept one
 
 
 def test_mixture_switch_relinearizes_the_switched_rows():
@@ -726,18 +758,18 @@ def test_mixture_switch_relinearizes_the_switched_rows():
     batch = g._batched()
     state = tuple(a.copy() for a in batch.state())
     state[1][batch.lm_slot[0], 0] += 1.0
-    err, system = batch.linearize(state)
+    system = batch.linearize(state)
     assert np.array_equal(batch.observation["jac_s"][rows], [0.0, 1.0, 1.0])
     assert not batch.observation["jac"][rows[0]].any()
     assert batch.observation["jac"][rows[1]].any()
     assert system.relinearized == len(poses) + 2  # landmark 0's plain rows, the mixture of two
     lin = (batch.poses["lin"], batch.landmarks["lin"])
-    check_against_oracle(g, state, lin, err, system, from_scratch=False)
-    assert err == pytest.approx(sum(factor_error(f, values_at(batch, *state)) for f in g.factors),
-                                rel=1e-12)
+    check_against_oracle(g, state, lin, system.error, system, from_scratch=False)
+    want = sum(factor_error(f, values_at(batch, *state)) for f in g.factors)
+    assert system.error == pytest.approx(want, rel=1e-12)
 
     report = g.optimize()
-    _, system = g._final_system
+    _, system = g._kept_system
     state = batch.state()
     check_against_oracle(g, state, lin, report.final_error, system, report.converged)
 
@@ -769,7 +801,7 @@ def test_nan_trial_step_on_a_mixture_graph_is_rejected(monkeypatch):
 def test_solve_and_marginals_match_dense_oracle(with_landmarks):
     g = structured_graph(np.random.default_rng(10), with_landmarks)
     batch = g._batched()
-    _, system = batch.linearize(batch.state())
+    system = batch.linearize(batch.state())
     info, grad = dense_normal_equations(g, batch)
 
     lam = 1e-3
@@ -795,7 +827,7 @@ def test_fill_counter_matches_block_assembly(with_landmarks):
     # L once came from sp.bmat over the blocks; the direct build keeps its nnz
     g = structured_graph(np.random.default_rng(10), with_landmarks)
     batch = g._batched()
-    factor = gr.FactorGraph._factorize(batch.linearize(batch.state())[1])
+    factor = gr.FactorGraph._factorize(batch.linearize(batch.state()))
     n_pose, width = factor.band.shape[1], len(factor.band)
     l_pose = sp.dia_matrix((factor.band, -np.arange(width)), shape=(n_pose, n_pose))
     want = l_pose if not with_landmarks else sp.bmat(
@@ -877,7 +909,7 @@ def fresh_marginals(g, pose_key, landmark_keys):
     block of the factor of a new linearization at the current estimate."""
     batch = g._batched()
     assert batch.pose_slot[pose_key] == batch.num_poses - 1
-    _, system = batch.linearize(batch.state(), fresh=True)
+    system = batch.linearize(batch.state(), fresh=True)
     trailing = gr.FactorGraph._factorize(system).trailing_covariance()
     first = 6 * (batch.num_poses - 1)  # the trailing block starts at this system column
 
@@ -896,11 +928,13 @@ def fresh_marginals(g, pose_key, landmark_keys):
 
 def checked_marginals(g, pose_key, calls):
     """Check both marginals against fresh_marginals; return how many linearize
-    calls they made."""
+    calls each made, the joint one first."""
     lm_keys = sorted(g.landmarks)
     before = len(calls)
-    joints, pose = g.joint_marginals(pose_key, lm_keys), g.joint_covariance(pose_key, [])
-    made = len(calls) - before
+    joints = g.joint_marginals(pose_key, lm_keys)
+    between = len(calls)
+    pose = g.joint_covariance(pose_key, [])
+    made = between - before, len(calls) - between
     want_joints, want_pose = fresh_marginals(g, pose_key, lm_keys)
     assert np.array_equal(pose, want_pose)
     assert joints.keys() == want_joints.keys()
@@ -915,7 +949,7 @@ def test_marginals_after_optimize_reuse_its_system(monkeypatch, max_iterations):
     g = structured_graph(np.random.default_rng(12))
     g.optimize(gr.LMConfig(max_iterations=max_iterations))
     calls = count_linearize(monkeypatch)
-    assert checked_marginals(g, 11, calls) == 0  # the last pose: the trailing block
+    assert checked_marginals(g, 11, calls) == (0, 0)  # the last pose: the trailing block
     with pytest.raises(ValueError):  # any other pose has no marginal path
         g.joint_marginals(7, sorted(g.landmarks))
 
@@ -926,15 +960,17 @@ def test_marginals_never_served_from_a_stale_system(monkeypatch):
 
     g.optimize()
     z = inverse(g.poses[8]).apply(g.landmarks[4])
+    # the first marginal appends the new row to the kept system and keeps the
+    # result, which the second reuses
     g.add_factor(fx.ObservationFactor(8, 4, z + 0.01, np.eye(3) * 1e-2))
-    assert checked_marginals(g, 11, calls) == 2  # the last pose: the trailing block
+    assert checked_marginals(g, 11, calls) == (1, 0)  # the last pose: the trailing block
 
     g.optimize()
-    flip_weights(g)  # the kept system has the old weights
-    assert checked_marginals(g, 11, calls) == 2
+    flip_weights(g)  # the kept system has the old weights: linearized once anew
+    assert checked_marginals(g, 11, calls) == (1, 0)
 
     gr.em_reweight(g)  # ends in optimize: its system is current
-    assert checked_marginals(g, 11, calls) == 0
+    assert checked_marginals(g, 11, calls) == (0, 0)
 
 
 def test_pose_written_in_place_is_rejected_after_optimize():
@@ -993,7 +1029,7 @@ def test_add_landmark_rejects_non_finite_point_without_mutation(monkeypatch):
     assert 99 not in g.landmarks
     assert (g._stamp(), len(g._batch.landmarks)) == (stamp, stored)
     calls = count_linearize(monkeypatch)
-    assert checked_marginals(g, 11, calls) == 0  # optimize's system is still current
+    assert checked_marginals(g, 11, calls) == (0, 0)  # optimize's system is still current
     g.add_landmark(99, np.zeros(3))
 
 

@@ -346,3 +346,13 @@ def test_load_map_rejects_non_finite_landmark(tmp_path, position, embedding):
     with pytest.raises(DataFormatError) as raised:
         pl.load_map(path)
     assert str(raised.value).startswith(f"{path}:2: ")
+
+
+def test_load_map_rejects_non_vector_embedding(tmp_path):
+    # written by hand: save_map cannot write a 2-D embedding
+    path = tmp_path / "map.jsonl"
+    path.write_text('{"id": 1, "position": [0, 0, 0], "embedding": [1, 0]}\n'
+                    '{"id": 2, "position": [0, 0, 0], "embedding": [[1, 0], [0, 1]]}\n')
+    with pytest.raises(DataFormatError) as raised:
+        pl.load_map(path)
+    assert str(raised.value).startswith(f"{path}:2: ")
