@@ -155,13 +155,13 @@ class StateSnapshot:
         embeddings = (np.array([lm.embedding for lm in self.landmarks])
                       if n else np.zeros((0, 1)))
         emb_norms = np.linalg.norm(embeddings, axis=1)
-        q = self.pose.rotation
-        _, predicted = observation_residuals(q, self.pose.translation, positions, 0.0)
+        _, predicted, rot = observation_residuals(self.pose.rotation, self.pose.translation,
+                                                  positions, 0.0)
         if self.joint_cov is None:
             return predicted, np.zeros((n, 3, 3)), embeddings, emb_norms
         # each (pose, landmark) block through that pair's observation Jacobian
         joints = pose_landmark_blocks(self.joint_cov)
-        j_pose, j_lm = observation_jacobians(q, predicted)
+        j_pose, j_lm = observation_jacobians(rot, predicted)
         h = np.concatenate([j_pose, np.broadcast_to(j_lm, (n, 3, 3))], axis=-1)
         hsh = h @ joints @ np.swapaxes(h, 1, 2)
         return predicted, hsh, embeddings, emb_norms

@@ -15,6 +15,16 @@ Residual conventions (rotation-first right-perturbation tangents):
 Whitened errors are 0.5 ||W r||^2 with W^T W = Sigma^-1; a weighted
 observation scales the error by its weight, and a mixture observation takes
 the min over components of (cost - log weight).
+
+Kernel forms. A call costs a small fixed number of array operations,
+whatever its row count, since a batch holds a median of about ten rows in
+an online solve. Rotations are matrices: each row batch converts its pose
+quaternions to rotation matrices once, in ``relative_pose`` or
+``observation_residuals``, and the measurement rotation of a between or
+prior comes as a matrix. A residual kernel returns, next to the residual,
+the rotation its Jacobian kernel needs: R_ij of x_i^-1 x_j for a between,
+whose J_i = -J_r^-1(r) Ad(x_ij^-1) then needs no quaternion, and R_p of
+the pose for an observation, whose J_landmark is R_p^T.
 """
 
 from __future__ import annotations
@@ -24,17 +34,7 @@ import math
 import numpy as np
 
 from .errors import DataFormatError, NumericalError
-from .geometry import (
-    Pose3,
-    quat_conj,
-    quat_mul,
-    quat_rotate,
-    quat_to_matrix,
-    se3_adjoint,
-    se3_jr_inv,
-    se3_log,
-    skew,
-)
+from .geometry import Pose3, quat_to_matrix, se3_jr_inv, se3_log, skew
 
 
 _SQRT_INFO_CACHE: dict[bytes, np.ndarray] = {}
@@ -75,40 +75,47 @@ def sqrt_information(sigma: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def relative_pose(qi, ti, qj, tj):
-    """inv(T_i) * T_j on stacked arrays."""
-    qi_inv = quat_conj(qi)
-    q = quat_mul(qi_inv, qj)
-    t = quat_rotate(qi_inv, tj - ti)
-    return q, t
+    """inv(T_i) * T_j on stacked arrays: (R_ij, t_ij), the rotation as a
+    matrix; both sides' quaternions become matrices in one conversion."""
+    rot = quat_to_matrix(np.concatenate([qi, qj], axis=-1).reshape(np.shape(qi)[:-1] + (2, 4)))
+    rot_i = np.swapaxes(rot[..., 0, :, :], -1, -2)
+    return rot_i @ rot[..., 1, :, :], np.einsum("...ij,...j->...i", rot_i, tj - ti)
 
 
-def pose_residuals(ref_q, ref_t, q, t):
-    """Log(ref^-1 T), batched."""
-    rq, rt = relative_pose(ref_q, ref_t, q, t)
-    return se3_log(rq, rt)
+def pose_residuals(ref_rot, ref_t, rot, t):
+    """Log(ref^-1 T), batched, with both rotations as matrices."""
+    ref_inv = np.swapaxes(ref_rot, -1, -2)
+    return se3_log(ref_inv @ rot, np.einsum("...ij,...j->...i", ref_inv, t - ref_t))
 
 
-def between_jacobians(residual, q_ij, t_ij):
-    """(J_i, J_j) of the between residual w.r.t. right perturbations."""
+def between_jacobians(residual, rot_ij, t_ij):
+    """(J_i, J_j) of the between residual w.r.t. right perturbations:
+    J_j = J_r^-1(r) and J_i = -J_r^-1(r) Ad(T_ij^-1), where
+    Ad(T_ij^-1) = [[R^T, 0], [-R^T skew(t), R^T]] for T_ij = (R, t)."""
     jr = se3_jr_inv(residual)
-    q_inv = quat_conj(q_ij)
-    t_inv = -quat_rotate(q_inv, t_ij)
-    j_i = -jr @ se3_adjoint(q_inv, t_inv)
-    return j_i, jr
+    rot_inv = np.swapaxes(rot_ij, -1, -2)
+    adjoint = np.zeros(jr.shape)
+    adjoint[..., :3, :3] = rot_inv
+    adjoint[..., 3:, 3:] = rot_inv
+    adjoint[..., 3:, :3] = -rot_inv @ skew(t_ij)
+    return -(jr @ adjoint), jr
 
 
 def observation_residuals(qp, tp, lm, z):
-    """(residual, predicted point) of the sensor-frame point observation."""
-    h = quat_rotate(quat_conj(qp), lm - tp)
-    return h - z, h
+    """(residual, predicted point, R_p) of the sensor-frame point observation,
+    h = R_p^T (l - t_p); R_p is the pose's rotation matrix, which
+    ``observation_jacobians`` takes."""
+    rot = quat_to_matrix(qp)
+    h = np.einsum("...ji,...j->...i", rot, lm - tp)
+    return h - z, h, rot
 
 
-def observation_jacobians(qp, predicted):
-    """(J_pose 3x6, J_landmark 3x3), batched."""
+def observation_jacobians(rot, predicted):
+    """(J_pose 3x6, J_landmark 3x3), batched, from the pose's rotation matrix
+    and the predicted point."""
     n = predicted.shape[:-1]
     j_pose = np.concatenate([skew(predicted), -np.broadcast_to(np.eye(3), n + (3, 3))], axis=-1)
-    j_lm = np.swapaxes(quat_to_matrix(qp), -1, -2)
-    return j_pose, j_lm
+    return j_pose, np.swapaxes(rot, -1, -2)
 
 
 # ---------------------------------------------------------------------------

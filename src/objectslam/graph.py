@@ -6,8 +6,9 @@ warm-started from the current estimates.
 Storage. A FactorGraph keeps everything in one ``_BatchedFactors``: the pose
 estimates as (N, 7) rows (unit quaternion, translation), the landmark
 estimates as (M, 3), and two factor tables -- pose factors and observations
--- holding the measurement, the square-root information, the variables'
-slots and the factor's scatter index into the system below. A prior is a
+-- holding the measurement (a pose factor's rotation as the matrix the
+residual kernel takes), the square-root information, the variables' slots
+and the factor's scatter index into the system below. A prior is a
 between from the origin: an anchored row whose first pose is the identity,
 with a zero Jacobian on that side, both of whose slots are its own pose's.
 An observation row is a plain or EM-weighted observation or one component
@@ -65,7 +66,11 @@ product with the kept L_A columns next to it, and updates a running W^T W
 by the changed rows of W (Kaess, Ranganathan & Dellaert, "iSAM", T-RO
 2008). A band widening, a landmark-capacity doubling or new weights force a
 full factorization. Every undamped factorization of the latest system, by
-``optimize`` or the marginals, goes this way. LM damping adds to every
+``optimize`` or the marginals, goes this way, and when no row was
+linearized anew since the kept factor was taken and the graph has the same
+poses, landmarks and band rows, the kept factor is that system's factor and
+is reused as it is: a marginal right after a solve whose last linearization
+changed no Jacobian makes no factorization. LM damping adds to every
 diagonal and so cannot reuse the factor; ``optimize`` therefore takes
 undamped Gauss-Newton steps until a step is rejected, and only then damps.
 
@@ -153,7 +158,7 @@ from .factors import (
     pose_residuals,
     relative_pose,
 )
-from .geometry import Pose3, quat_mul, quat_normalize, quat_rotate, se3_exp
+from .geometry import Pose3, quat_mul, quat_normalize, quat_to_matrix, se3_exp
 from .geometry import se3_jr_inv  # noqa: F401  # perfbench's self-test reads it from here
 
 
@@ -327,9 +332,12 @@ class FactorGraph:
     def _keep_factor(self, system: "NormalEquations") -> "SchurFactor":
         """The undamped factor of ``system``, the latest linearization, kept for
         the next one: refactored from the first pose slot whose rows changed
-        since the kept factor."""
-        batch = self._batch
-        self._factor = self._factorize(system, kept=self._factor, first=batch.changed_from)
+        since the kept factor, or the kept factor itself when no row changed
+        and the graph has the same poses, landmarks and band rows."""
+        batch, kept = self._batch, self._factor
+        if (kept is None or batch.changed_from < batch.num_poses
+                or kept.band.shape != system.band.shape or len(kept.schur) != len(system.landmark)):
+            self._factor = self._factorize(system, kept=kept, first=batch.changed_from)
         batch.changed_from = batch.num_poses
         return self._factor
 
@@ -769,7 +777,7 @@ class _BatchedFactors:
         self.poses = _Table(x=((7,), float), lin=((7,), float))
         self.landmarks = _Table(x=((3,), float), lin=((3,), float))
         self.between = _table(_BETWEEN_BLOCK, i=((), np.intp), j=((), np.intp),
-                              anchored=((), bool), q=((4,), float), t=((3,), float),
+                              anchored=((), bool), r=((3, 3), float), t=((3,), float),
                               w=((6, 6), float), jac=((6, 12), float))
         self.observation = _table(_OBSERVATION_BLOCK, p=((), np.intp), l=((), np.intp),
                                   z=((3,), float), w=((3, 3), float), s=((), float),
@@ -840,7 +848,7 @@ class _BatchedFactors:
         if poses:
             means = [f.mean if a else f.relative for f, a in zip(poses, anchored)]
             self._append(self.between, self._forms[0], bt_i, bt_j, i=bt_i, j=bt_j,
-                         anchored=anchored, q=[m.rotation for m in means],
+                         anchored=anchored, r=quat_to_matrix([m.rotation for m in means]),
                          t=[m.translation for m in means], w=[f.sqrt_info for f in poses])
         if observations or mixtures:
             # a row per plain or weighted observation, then per mixture component
@@ -947,7 +955,7 @@ class _BatchedFactors:
         q = x[:, :4]
         out = np.empty_like(x)
         out[:, :4] = quat_normalize(quat_mul(q, dq))
-        out[:, 4:] = x[:, 4:] + quat_rotate(q, dt)
+        out[:, 4:] = x[:, 4:] + np.einsum("nij,nj->ni", quat_to_matrix(q), dt)
         return out, lms + delta[n_pose:].reshape(-1, 3)
 
     # -- residuals -----------------------------------------------------------
@@ -960,14 +968,13 @@ class _BatchedFactors:
         xi = x[bt["i"][rows]]
         xi[bt["anchored"][rows]] = _IDENTITY  # a prior: a between from the origin
         xj = x[bt["j"][rows]]
-        q_ij, t_ij = relative_pose(xi[:, :4], xi[:, 4:], xj[:, :4], xj[:, 4:])
-        return pose_residuals(bt["q"][rows], bt["t"][rows], q_ij, t_ij), q_ij, t_ij
+        rot_ij, t_ij = relative_pose(xi[:, :4], xi[:, 4:], xj[:, :4], xj[:, 4:])
+        return pose_residuals(bt["r"][rows], bt["t"][rows], rot_ij, t_ij), rot_ij, t_ij
 
     def _observation_residuals(self, x, lms, rows):
         ob = self.observation
         p = ob["p"][rows]
-        q = x[p, :4]
-        return (*observation_residuals(q, x[p, 4:], lms[ob["l"][rows]], ob["z"][rows]), q)
+        return observation_residuals(x[p, :4], x[p, 4:], lms[ob["l"][rows]], ob["z"][rows])
 
     def _observation_scale(self, rw, start: int = 0):
         """The scale of each observation row from ``start`` on at their
@@ -1013,16 +1020,15 @@ class _BatchedFactors:
     # The Jacobian kernels give the whitened Jacobians of the rows ``rows``
     # from their residual kernel's output at the rows' linearization points.
 
-    def _between_jacobians(self, rows, r, q_ij, t_ij):
-        j_i, j_j = between_jacobians(r, q_ij, t_ij)
+    def _between_jacobians(self, rows, r, rot_ij, t_ij):
         bt = self.between
-        j_i[bt["anchored"][rows]] = 0.0
-        w = bt["w"][rows]
-        return np.concatenate([w @ j_i, w @ j_j], axis=2)
+        jac = np.concatenate(between_jacobians(r, rot_ij, t_ij), axis=2)
+        jac[bt["anchored"][rows], :, :6] = 0.0
+        return bt["w"][rows] @ jac
 
-    def _observation_jacobians(self, rows, r, h, q):
+    def _observation_jacobians(self, rows, r, h, rot):
         ob = self.observation
-        jac = ob["w"][rows] @ np.concatenate(observation_jacobians(q, h), axis=2)
+        jac = ob["w"][rows] @ np.concatenate(observation_jacobians(rot, h), axis=2)
         return ob["jac_s"][rows, None, None] * jac
 
     def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False,

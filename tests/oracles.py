@@ -25,7 +25,7 @@ class Values:
 # the same kernels, applied to one factor at a time ------------------------
 
 def _between_estimate(f, values):
-    """inv(x_i) * x_j of a between factor's two pose estimates."""
+    """inv(x_i) * x_j of a between factor's two pose estimates, (R_ij, t_ij)."""
     pi, pj = values.poses[f.key_i], values.poses[f.key_j]
     return fx.relative_pose(pi.rotation, pi.translation, pj.rotation, pj.translation)
 
@@ -36,10 +36,10 @@ def factor_residual(f, values, landmark_key=None):
     factor's residual rows in the batched pass."""
     if isinstance(f, fx.PriorFactor):
         pose = values.poses[f.pose_key]
-        return fx.pose_residuals(f.mean.rotation, f.mean.translation,
-                                 pose.rotation, pose.translation)
+        return fx.pose_residuals(f.mean.rotation_matrix(), f.mean.translation,
+                                 pose.rotation_matrix(), pose.translation)
     if isinstance(f, fx.BetweenFactor):
-        return fx.pose_residuals(f.relative.rotation, f.relative.translation,
+        return fx.pose_residuals(f.relative.rotation_matrix(), f.relative.translation,
                                  *_between_estimate(f, values))
     pose = values.poses[f.pose_key]
     lm = values.landmarks[f.landmark_key if landmark_key is None else landmark_key]
@@ -80,17 +80,18 @@ def factor_linearize(f, values):
         r = factor_residual(f, values)
         return w @ r, {("x", f.pose_key): w @ se3_jr_inv(r)}
     if isinstance(f, fx.BetweenFactor):
-        q_ij, t_ij = _between_estimate(f, values)
-        r = fx.pose_residuals(f.relative.rotation, f.relative.translation, q_ij, t_ij)
-        j_i, j_j = fx.between_jacobians(r, q_ij, t_ij)
+        rot_ij, t_ij = _between_estimate(f, values)
+        r = fx.pose_residuals(f.relative.rotation_matrix(), f.relative.translation, rot_ij, t_ij)
+        j_i, j_j = fx.between_jacobians(r, rot_ij, t_ij)
         return w @ r, {("x", f.key_i): w @ j_i, ("x", f.key_j): w @ j_j}
     if isinstance(f, fx.MixtureObservationFactor):
         key = f.landmark_keys[int(np.argmin(mixture_costs(f, values)))]
     else:
         key = f.landmark_key
     pose = values.poses[f.pose_key]
-    r, h = fx.observation_residuals(pose.rotation, pose.translation, values.landmarks[key], f.point)
-    j_pose, j_lm = fx.observation_jacobians(pose.rotation, h)
+    r, h, rot = fx.observation_residuals(pose.rotation, pose.translation, values.landmarks[key],
+                                         f.point)
+    j_pose, j_lm = fx.observation_jacobians(rot, h)
     r, jacobians = w @ r, {("x", f.pose_key): w @ j_pose, ("l", key): w @ j_lm}
     if isinstance(f, fx.WeightedObservationFactor):
         s = np.sqrt(f.weight)
@@ -166,6 +167,17 @@ def scatter_index_reference(batch, block, cols):
     index[:, m] = a[:, m] * (3 * batch.lm_capacity) + b[:, m]
     grad = np.where(block.lm_col, batch._lm_grad_at + cols, records + (cols + 1) * stride - 1)
     return np.concatenate([index, grad], axis=1)
+
+
+def quat_matrix_entries(q):
+    """Rotation matrices of unit quaternions, entry by entry: the textbook
+    formulas, e.g. R_00 = 1 - 2 (y^2 + z^2) and R_01 = 2 (x y - w z)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    rows = [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def measurement_jacobians(pose: Pose3, landmark: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 from objectslam import factors as fx
 from objectslam.errors import DataFormatError, NumericalError
-from objectslam.geometry import Pose3, retract
+from objectslam.geometry import Pose3, compose, retract
 from oracles import Values, factor_error, factor_linearize, mixture_costs
 
 from test_geometry import random_pose
@@ -41,6 +42,34 @@ def random_values(rng, n_poses=2, n_landmarks=2):
     poses = {i: random_pose(rng, max_angle=1.2, max_trans=2.0) for i in range(n_poses)}
     landmarks = {j: rng.uniform(-3, 3, size=3) for j in range(n_landmarks)}
     return Values(poses, landmarks)
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 3.0, np.pi - 1e-3,
+                                   np.pi - 1e-6])
+def test_between_residual_matches_matrix_logarithm(angle):
+    # The kernels the graph runs on a between row, relative_pose then
+    # pose_residuals, against scipy's logm of the 4x4 matrix z^-1 x_i^-1 x_j,
+    # where x_j is composed so that the error rotates by ``angle``. A prior is
+    # a between from the origin, x_i = identity. logm loses digits as the
+    # rotation nears pi (about 1e-9 at pi - 1e-6) while the kernels stay
+    # within a few eps of the composed error, so the bound widens there.
+    rng = np.random.default_rng(24)
+    tol = 1e-13 / (np.pi - angle)
+    for prior in (False, True):
+        for _ in range(10):
+            pose_i = Pose3.identity() if prior else random_pose(rng)
+            z = random_pose(rng)
+            axis = rng.normal(size=3)
+            xi = np.concatenate([angle * axis / np.linalg.norm(axis), rng.uniform(-2, 2, 3)])
+            pose_j = compose(compose(pose_i, z), Pose3.from_tangent(xi))
+            rot_ij, t_ij = fx.relative_pose(pose_i.rotation, pose_i.translation,
+                                            pose_j.rotation, pose_j.translation)
+            r = fx.pose_residuals(z.rotation_matrix(), z.translation, rot_ij, t_ij)
+            m = np.real(logm(np.linalg.inv(z.matrix()) @ np.linalg.inv(pose_i.matrix())
+                             @ pose_j.matrix()))
+            want = np.concatenate([[m[2, 1], m[0, 2], m[1, 0]], m[:3, 3]])
+            assert np.abs(r - want).max() < tol, (prior, r, want)
+            assert np.abs(r - xi).max() < 1e-13
 
 
 def test_prior_jacobian_fd():

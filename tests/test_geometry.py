@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from objectslam import geometry as geo
 from objectslam.geometry import Pose3, compose, inverse, local, measurement_model_h, retract
 
-from oracles import measurement_jacobians, se3_jr_inv_series, se3_v_series
+from oracles import measurement_jacobians, quat_matrix_entries, se3_jr_inv_series, se3_v_series
 
 
 def random_pose(rng, max_angle=np.pi * 0.9, max_trans=5.0):
@@ -133,7 +135,7 @@ def test_log_matches_matrix_logarithm_oracle():
     rng = np.random.default_rng(6)
     for _ in range(20):
         p = random_pose(rng, max_angle=2.5)
-        xi = geo.se3_log(p.rotation, p.translation)
+        xi = geo.se3_log(p.rotation_matrix(), p.translation)
         m = logm(p.matrix())
         want = np.concatenate([[m[2, 1], m[0, 2], m[1, 0]], m[:3, 3]])
         assert np.allclose(xi, np.real(want), atol=1e-8)
@@ -158,6 +160,58 @@ def test_retract_local_random_suite():
         assert np.allclose(back, delta, atol=1e-8)
 
 
+def test_rotation_kernels_match_entrywise_formulas_in_any_batch():
+    # quat_to_matrix and quat_mul are one small matrix product over the
+    # products of the components, each output a sum of two of them, so the
+    # matrix equals the entrywise formulas bit for bit and a row gives the
+    # same bits alone as in a batch. The product is checked through what it
+    # means: R(p q) = R(p) R(q), and R(q) v = q (0, v) q^*.
+    rng = np.random.default_rng(14)
+    p = geo.quat_normalize(rng.normal(size=(300, 4)))
+    q = geo.quat_normalize(rng.normal(size=(300, 4)))
+    v = rng.normal(size=(300, 3))
+    rot, product = geo.quat_to_matrix(q), geo.quat_mul(p, q)
+    assert np.array_equal(rot, quat_matrix_entries(q))
+    for i in (0, 1, 150, 299):
+        assert np.array_equal(geo.quat_to_matrix(q[i]), rot[i])
+        assert np.array_equal(geo.quat_mul(p[i], q[i]), product[i])
+        assert np.array_equal(geo.quat_to_matrix(q[i:i + 2]), rot[i:i + 2])
+    assert np.allclose(geo.quat_to_matrix(product), geo.quat_to_matrix(p) @ rot, rtol=0, atol=1e-14)
+    assert np.allclose(np.swapaxes(rot, 1, 2) @ rot, np.eye(3), rtol=0, atol=1e-14)
+    pure = np.concatenate([np.zeros((300, 1)), v], axis=1)
+    sandwich = geo.quat_mul(geo.quat_mul(q, pure), geo.quat_conj(q))
+    assert np.allclose(sandwich[:, 0], 0.0, atol=1e-14)
+    assert np.allclose(sandwich[:, 1:], geo.quat_rotate(q, v), rtol=0, atol=1e-14)
+
+
+def unit_axis(components):
+    axis = np.array(components)
+    return axis / np.linalg.norm(axis)
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda c: np.linalg.norm(c) > 0.1)
+vectors = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(axis=axes, angle=st.floats(0.0, np.pi - 1e-6), rho=vectors)
+def test_log_inverts_exp(axis, angle, rho):
+    # se3_log(se3_exp(xi)) = xi for |omega| < pi, through the rotation matrix
+    # se3_log takes
+    xi = np.concatenate([angle * unit_axis(axis), rho])
+    q, t = geo.se3_exp(xi)
+    assert np.allclose(geo.se3_log(geo.quat_to_matrix(q), t), xi, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), axis=axes, angle=st.floats(0.0, np.pi - 1e-6),
+       rho=vectors)
+def test_local_inverts_retract(seed, axis, angle, rho):
+    a = random_pose(np.random.default_rng(seed))
+    d = np.concatenate([angle * unit_axis(axis), rho])
+    assert np.allclose(local(a, retract(a, d)), d, rtol=0, atol=1e-11)
+
+
 def test_quaternion_norm_preserved_under_many_compositions():
     rng = np.random.default_rng(9)
     p = Pose3.identity()
@@ -176,8 +230,8 @@ def numeric_jr_inv(xi, h=1e-6):
         d[k] = h
         plus = compose(base, Pose3.from_tangent(d))
         minus = compose(base, Pose3.from_tangent(-d))
-        num[:, k] = (geo.se3_log(plus.rotation, plus.translation)
-                     - geo.se3_log(minus.rotation, minus.translation)) / (2 * h)
+        num[:, k] = (geo.se3_log(plus.rotation_matrix(), plus.translation)
+                     - geo.se3_log(minus.rotation_matrix(), minus.translation)) / (2 * h)
     return num
 
 
@@ -210,6 +264,14 @@ def test_jr_inv_closed_form_matches_series_and_finite_differences():
         assert np.allclose(jr, numeric_jr_inv(xi), atol=1e-5), xi
 
 
+def v_matrices(omegas, inverse):
+    """V (or V^-1) of each rotation vector, column by column: the cross-product
+    kernel of se3_exp (se3_log) applied to the unit vectors."""
+    coeffs = geo._se3_coeffs(np.linalg.norm(omegas, axis=-1)[:, None])
+    columns = geo._v_times(omegas[:, None], coeffs, np.eye(3), inverse=inverse)
+    return np.swapaxes(columns, -1, -2)
+
+
 def test_v_matrices_match_their_series_across_small_angles():
     # V and V^-1 of se3_exp / se3_log read the coefficients se3_jr_inv reads;
     # a closed form of (1 - cos) / theta^2 just above a small switch angle
@@ -221,7 +283,7 @@ def test_v_matrices_match_their_series_across_small_angles():
     for theta in angles:
         axis = rng.normal(size=3)
         omegas.append(theta * axis / np.linalg.norm(axis))
-    v, v_inv = geo._v_matrix(np.array(omegas)), geo._v_inv_matrix(np.array(omegas))
+    v, v_inv = (v_matrices(np.array(omegas), inverse) for inverse in (False, True))
     for omega, got, got_inv in zip(omegas, v, v_inv):
         assert np.abs(got - se3_v_series(omega)).max() < 2e-15, omega
         assert np.abs(got_inv - se3_v_series(omega, inverse=True)).max() < 2e-15, omega

@@ -676,7 +676,9 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
     # factor that optimize or the marginal keeps, refactored only from the
     # first pose column that changed since the factor before it, solves
     # fixed random right-hand sides and gives the trailing covariance of a
-    # from-scratch factorization of the same system.
+    # from-scratch factorization of the same system. A marginal after which
+    # no row changed makes no factorization: it reads optimize's kept
+    # factor, bit for bit, and that factor is checked against its system.
     factorize = gr.FactorGraph._factorize
     made = []
 
@@ -689,6 +691,7 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
     rng = np.random.default_rng(23)
     g = gr.FactorGraph()
     prefixes, marginal_prefixes = [], []
+    reused = 0  # marginals that read optimize's kept factor
 
     def check(factorizations):
         """The kept prefix of each undamped factorization, after checking it."""
@@ -705,13 +708,20 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
         return out
 
     def optimize_and_check():
+        nonlocal reused
         before = len(made)
         g.optimize(gr.LMConfig(max_iterations=2))
         prefixes.extend(check(made[before:]))
-        before = len(made)
-        g.joint_covariance(list(g.poses)[-1], list(g.landmarks))
-        assert len(made) == before + 1
-        marginal_prefixes.extend(check(made[before:]))
+        before, kept = len(made), g._factor
+        cov = g.joint_covariance(list(g.poses)[-1], list(g.landmarks))
+        if len(made) == before:
+            reused += 1
+            assert g._factor is kept
+            assert np.array_equal(cov, kept.trailing_covariance())
+            check([(g._kept_system[1], 0.0, None, 0, kept)])
+        else:
+            assert len(made) == before + 1
+            marginal_prefixes.extend(check(made[before:]))
 
     for _, event in scripted_run(g):
         if event != "landmark":  # a landmark with no factor yet leaves a gauge freedom
@@ -723,6 +733,7 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
     assert g._batch.band_rows > band_rows
     assert sum(p > 0 for p in prefixes) >= 15  # factors that kept a prefix
     assert sum(p > 0 for p in marginal_prefixes) >= 10  # marginal factors that kept one
+    assert reused >= 3  # 4 of the 30 marginals
 
 
 def test_mixture_switch_relinearizes_the_switched_rows():
@@ -890,6 +901,17 @@ def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
         _, grad = dense_normal_equations(g, batch)
         _, scale = dense_normal_equations(g, batch, absolute=True)
         assert abs(report.gradient_norm - np.linalg.norm(grad)) <= 1e-12 * np.linalg.norm(scale)
+
+
+def test_landmark_without_information_raises_numerical_error():
+    # The marginal reads the kept factor only while the graph has the same
+    # landmarks: one added since, with no factor yet, leaves C singular
+    g = structured_graph(np.random.default_rng(15))
+    g.optimize()
+    g.joint_covariance(11, sorted(g.landmarks))
+    g.add_landmark(20, np.zeros(3))
+    with pytest.raises(NumericalError):
+        g.joint_covariance(11, [3])
 
 
 def test_last_pose_without_information_raises_numerical_error():
