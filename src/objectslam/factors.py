@@ -52,13 +52,15 @@ def sqrt_information(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular W with W^T W = Sigma^-1 (whitening matrix).
 
     Cached by value: measurement and odometry covariances repeat across
-    thousands of factors in a run.
+    thousands of factors in a run. The cache is looked up first, since only
+    a covariance that passed the checks below was stored.
     """
-    sigma = np.ascontiguousarray(_finite("covariance", sigma))
+    sigma = np.ascontiguousarray(sigma, dtype=float)
     key = sigma.tobytes()
     cached = _SQRT_INFO_CACHE.get(key)
     if cached is not None:
         return cached
+    sigma = _finite("covariance", sigma)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:

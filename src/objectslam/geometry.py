@@ -408,13 +408,39 @@ class Pose3:
         return out
 
 
+# compose and inverse run once per keyframe on single poses, where a numpy
+# call costs more than its arithmetic: they compute on Python floats in the
+# operation order of quat_mul and quat_rotate, so they give the same bits.
+
+def _scalar_quat_mul(a, b) -> list:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [aw * bw - ((ax * bx + ay * by) + az * bz),
+            (aw * bx + ax * bw) + (ay * bz - az * by),
+            (aw * by + ay * bw) + (az * bx - ax * bz),
+            (aw * bz + az * bw) + (ax * by - ay * bx)]
+
+
+def _scalar_quat_rotate(q, v) -> list:
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
+    return [(vx + w * tx) + (y * tz - z * ty),
+            (vy + w * ty) + (z * tx - x * tz),
+            (vz + w * tz) + (x * ty - y * tx)]
+
+
 def compose(a: Pose3, b: Pose3) -> Pose3:
-    return Pose3(quat_mul(a.rotation, b.rotation), a.apply(b.translation))
+    qa = a.rotation.tolist()
+    rotated = _scalar_quat_rotate(qa, b.translation.tolist())
+    return Pose3(_scalar_quat_mul(qa, b.rotation.tolist()),
+                 [r + t for r, t in zip(rotated, a.translation.tolist())])
 
 
 def inverse(p: Pose3) -> Pose3:
-    qinv = quat_conj(p.rotation)
-    return Pose3(qinv, -quat_rotate(qinv, p.translation))
+    w, x, y, z = p.rotation.tolist()
+    qinv = [w, -x, -y, -z]
+    return Pose3(qinv, [-v for v in _scalar_quat_rotate(qinv, p.translation.tolist())])
 
 
 def measurement_model_h(pose: Pose3, landmark: np.ndarray) -> np.ndarray:

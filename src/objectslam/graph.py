@@ -54,7 +54,11 @@ are added, only those get residuals, Jacobians and J^T r, binned onto a
 copy of its buffer with their error added to its own, mixture and weighted
 rows included, and the result is kept in its place. Every row is linearized
 only after ``em_reweight`` set new weights or a relayout (a wider band, a
-doubled landmark capacity).
+doubled landmark capacity). A linearization that gives no row a new
+Jacobian and appends none changes no J^T J entry: it keeps the A, B and C
+arrays of the latest system when that one was binned whole, and bins the
+J^T r entries alone, so a capped solve whose last step moved no variable
+past RELINEARIZE_THRESHOLD ends without rebinning its Hessian.
 
 The graph also keeps its latest undamped factor, and each factorization
 records the first pose slot among the rows linearized anew since then: the
@@ -118,8 +122,11 @@ pose-landmark blocks. Both serve the pose in the last slot only.
 Scatter layout. ``linearize`` bins the system into a flat buffer laid out
 as C (3K x 3K, K the landmark capacity), the landmark gradient (3K), then
 one record per pose column c: band column c of A (6(w + 1) entries), row c
-of B (3K entries) and the gradient entry. A scatter index therefore
-depends on the band width and K only, never on N: it is recomputed, for
+of B (3K entries) and the gradient entry. Each row also keeps the position
+of its J^T r entries in a compact gradient, the 3K landmark entries and
+then one per pose column, for a linearization that bins those alone. A
+scatter index therefore depends on the band width and K only, never on N:
+it is recomputed, for
 every stored factor at once, only when K doubles or a between spans more
 pose slots than any before it, and a kept buffer stays a prefix of the next
 one as poses are added. Each entry's index is a constant plus multiples of
@@ -127,9 +134,14 @@ its factor's two slots (``_index_form``).
 
 Gauge. ``optimize`` reads the gauge off the factor tables: the between
 slots (i, j) and the observation slots (p, l) are the edges of a graph over
-the N + M variables, and one connected-components pass over it (O(N + M +
-rows)) counts the components that hold no anchored row. Adding a variable
-or a factor keeps no connectivity state.
+the N + M variables, and a union-find pass over it counts the components
+that hold no anchored row. The graph keeps the counts of between rows,
+observation rows, poses and landmarks of its last passing check, and
+nothing when a check fails. The graph only grows and a factor only links
+variables that already exist, so every variable of that check stays
+anchored: the next check merges them into one anchored vertex and passes
+over the rows appended since only, O(new rows + new variables). Adding a
+variable or a factor keeps no connectivity state.
 """
 
 from __future__ import annotations
@@ -143,7 +155,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs, dtrtri
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DataFormatError, NumericalError
 from .factors import (
@@ -179,13 +190,24 @@ MAX_LAMBDA = 1e10
 class OptimizeReport:
     """``gradient_norm`` is that of the system the solve ended with. A solve
     cut off by ``max_iterations`` may end with stale rows, so its gradient is
-    the lagged model's, not the true gradient at the returned estimate."""
+    the lagged model's, not the true gradient at the returned estimate.
+
+    ``stop_reason`` is why the solve stopped: ``"gradient"`` (the fresh
+    gradient's norm fell below GRADIENT_TOL) or ``"relative decrease"`` (an
+    accepted step lowered the error by less than REL_DECREASE_TOL of it),
+    both converged, else ``"max_iterations"`` or ``"no acceptable step"``
+    (every step was rejected up to MAX_LAMBDA). ``final_lambda`` is the LM
+    damping the solve ended with (0 when undamped) and ``rejected_steps``
+    counts its rejected trial steps."""
 
     initial_error: float
     final_error: float
     iterations: int
     converged: bool
     gradient_norm: float
+    stop_reason: str
+    final_lambda: float
+    rejected_steps: int
 
 
 # A variable's rows are relinearized once any parameter of its estimate (unit
@@ -213,6 +235,9 @@ class FactorGraph:
         # graph size it was built for; see _current_system
         self._kept_system = None
         self._factor = None  # the latest undamped factor; see _keep_factor
+        # between rows, observation rows, poses and landmarks at the last
+        # passing gauge check; see _validate_gauge
+        self._gauge = (0, 0, 0, 0)
 
     # -- construction -------------------------------------------------------
 
@@ -273,21 +298,23 @@ class FactorGraph:
         initial = err = system.error
         residuals = None  # error_only's result at state, once a step is accepted
 
-        def stops(rel: float) -> bool:
-            """Whether the solve has converged at ``state``; a system that says
-            so is made fresh and asked again."""
+        def stops(rel: float) -> str | None:
+            """The stop reason if the solve has converged at ``state``, else
+            None; a system that says it has is made fresh and asked again."""
             nonlocal system
             small = rel < REL_DECREASE_TOL
             if float(np.linalg.norm(system.grad)) >= GRADIENT_TOL and not small:
-                return False
+                return None
             if not system.fresh:
                 system = batch.linearize(state, residuals, fresh=True)
-            return float(np.linalg.norm(system.grad)) < GRADIENT_TOL or small
+            if float(np.linalg.norm(system.grad)) < GRADIENT_TOL:
+                return "gradient"
+            return "relative decrease" if small else None
 
         lam = 0.0
-        iterations = 0
-        converged = stops(np.inf)
-        while not converged and iterations < config.max_iterations:
+        iterations = rejected = 0
+        stop = stops(np.inf)
+        while stop is None and iterations < config.max_iterations:
             stepped = False
             while lam <= MAX_LAMBDA:
                 factor = self._factorize(system, lam) if lam else self._keep_factor(system)
@@ -300,18 +327,20 @@ class FactorGraph:
                     stepped = True
                     lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
                     system = batch.linearize(state, residuals)
-                    converged = stops(rel)
+                    stop = stops(rel)
                     break
+                rejected += 1
                 if not system.fresh:
                     system = batch.linearize(state, residuals, fresh=True)
                 lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
             if not stepped:
-                break
+                stop = "no acceptable step"
 
         batch.store(state)
         self._kept_system = (self._stamp(), system)  # system is linearized at state
-        return OptimizeReport(initial, err, iterations, converged,
-                              float(np.linalg.norm(system.grad)))
+        return OptimizeReport(initial, err, iterations, stop in ("gradient", "relative decrease"),
+                              float(np.linalg.norm(system.grad)), stop or "max_iterations",
+                              lam, rejected)
 
     def _current_system(self) -> "NormalEquations":
         """The system at the stored estimate, kept for the next call: the kept
@@ -392,31 +421,48 @@ class FactorGraph:
             raise NumericalError(f"information matrix is not positive definite: {exc}") from exc
         return SchurFactor(band, w, schur, gram)
 
-    @staticmethod
-    def _validate_gauge(batch: "_BatchedFactors") -> None:
+    def _validate_gauge(self, batch: "_BatchedFactors") -> None:
         """Require a prior, and every variable linked through the factor tables
-        to a pose that holds one: one connected-components pass over the
-        N + M variables, landmark slot l at vertex N + l. A mixture component
-        is an observation row, so a mixture links its pose to every candidate
-        landmark."""
+        to a pose that holds one. Every variable of the last passing check
+        (``_gauge``) is still anchored, so one union-find pass runs over the
+        rows appended since, with those variables merged into vertex 0, which
+        counts as anchored, and the poses and then landmarks added since after
+        it. A mixture component is an observation row, so a mixture links its
+        pose to every candidate landmark."""
         bt, ob = batch.between, batch.observation
-        anchored = bt["anchored"]
-        if not anchored.any():
+        counts = (len(bt), len(ob), batch.num_poses, batch.num_lms)
+        if counts == self._gauge:
+            return
+        b0, o0, n0, m0 = self._gauge
+        anchored = bt["anchored"][b0:]
+        if not (b0 or anchored.any()):  # a passing check saw a prior
             raise NumericalError("graph has no prior: gauge freedom")
-        n = batch.num_poses
-        size = n + batch.num_lms
-        rows = np.concatenate([bt["i"], ob["p"]])
-        cols = np.concatenate([bt["j"], n + ob["l"]]).astype(np.int32)
-        # CSR assembled here: scipy's COO-to-CSR conversion would cost more
-        # than the components pass itself
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        adjacency = sp.csr_matrix((np.ones(len(rows)), cols[np.argsort(rows)], indptr),
-                                  shape=(size, size))
-        count, labels = connected_components(adjacency, directed=False)
-        free = count - len(np.unique(labels[bt["i"][anchored]]))
+        lm_shift = counts[2] - n0 + 1 - m0
+        size = lm_shift + counts[3]
+
+        def pose_vertex(slots):
+            return np.maximum(slots - (n0 - 1), 0)
+
+        rows = np.concatenate([pose_vertex(bt["i"][b0:]), pose_vertex(ob["p"][o0:])])
+        landmarks = ob["l"][o0:]
+        cols = np.concatenate([pose_vertex(bt["j"][b0:]),
+                               np.where(landmarks < m0, 0, landmarks + lm_shift)]).astype(np.int32)
+        parent = list(range(size))  # union-find forest, each tree under its least vertex
+
+        def root(v):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            a, b = root(a), root(b)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        anchored_roots = {root(v) for v in pose_vertex(bt["i"][b0:][anchored]).tolist()}
+        free = sum(v == p for v, p in enumerate(parent)) - len(anchored_roots | {0})
         if free:
             raise NumericalError(f"{free} group(s) of variables are not connected to a prior")
+        self._gauge = counts
 
     def _batched(self) -> "_BatchedFactors":
         """The graph's storage, with the factors queued since the last call appended."""
@@ -522,8 +568,9 @@ class NormalEquations:
     fresh: bool           # every row is linearized at the estimate grad is taken at
     relinearized: int     # between and observation rows linearized anew for it
     error: float          # total error at that estimate
-    flat: np.ndarray      # the scatter buffer the four arrays above view
+    flat: np.ndarray      # the scatter buffer band, border and landmark view
     rows: tuple           # rows of each factor table binned into it
+    whole: bool           # A, B and C binned from every row at once, not onto a base
 
 
 class SchurFactor:
@@ -716,7 +763,8 @@ _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 def _table(block: _Block, **columns) -> _Table:
     width = (len(block.kept) + len(block.lm_col),)
-    return _Table(index=(width, np.intp), value=(width, float), **columns)
+    return _Table(index=(width, np.intp), value=(width, float),
+                  grad_index=((len(block.lm_col),), np.intp), **columns)
 
 
 class _IndexForm(NamedTuple):
@@ -730,6 +778,7 @@ class _IndexForm(NamedTuple):
     cross: np.ndarray         # band entries coupling a between's two poses
     cross_offset: np.ndarray  # their column offset minus their row offset
     cross_scale: int
+    kept: int                 # J^T J entries, before the J^T r entries
 
 
 class _Residuals(NamedTuple):
@@ -763,7 +812,8 @@ class _BatchedFactors:
     variables, or at the estimate for a row of a mixture of two or more
     components. ``value`` holds the row's kept J^T J entries, then its J^T r
     entries: what ``linearize`` bins to the positions in ``index``, the only
-    copy of either. ``sync`` appends the factors queued since the last sync,
+    copy of either; ``grad_index`` places the J^T r entries in a compact
+    gradient. ``sync`` appends the factors queued since the last sync,
     and recomputes every scatter index only when the layout changes: when
     the landmark capacity doubles or a between widens the band.
     ``changed_from`` is the first pose slot whose J^T J entries changed
@@ -843,7 +893,8 @@ class _BatchedFactors:
             self.changed_from = 0
             for (table, _), form, variables in zip(self._tables(), self._forms,
                                                    self._row_variables()):
-                table["index"][:] = self._scatter_index(form, *(slots for _, slots in variables))
+                for name, index in self._indexes(form, *(slots for _, slots in variables)).items():
+                    table[name][:] = index
 
         if poses:
             means = [f.mean if a else f.relative for f, a in zip(poses, anchored)]
@@ -880,7 +931,19 @@ class _BatchedFactors:
         return (self.between, _BETWEEN_BLOCK), (self.observation, _OBSERVATION_BLOCK)
 
     def _append(self, table: _Table, form: "_IndexForm", first, second, **rows) -> None:
-        table.extend(len(first), index=self._scatter_index(form, first, second), **rows)
+        table.extend(len(first), **self._indexes(form, first, second), **rows)
+
+    def _indexes(self, form: "_IndexForm", first: np.ndarray, second: np.ndarray) -> dict:
+        """The ``index`` and ``grad_index`` columns of the factors whose
+        variables sit in slots ``first`` and ``second``: the scatter index, and
+        the position of each J^T r entry in a compact gradient of the landmark
+        entries (3K) followed by the pose entries."""
+        index = self._scatter_index(form, first, second)
+        grad = index[:, form.kept:]
+        grad = np.where(grad >= self._records_at,
+                        (grad - self._records_at) // self._stride + 3 * self.lm_capacity,
+                        grad - self._lm_grad_at)
+        return {"index": index, "grad_index": grad}
 
     def _set_layout(self, band_rows: int, lm_capacity: int) -> None:
         """Offsets of the flat buffer: C, the landmark gradient, then per pose
@@ -921,7 +984,8 @@ class _BatchedFactors:
             np.select(kinds, [(6 * stride - 6) * sa + 6 * sb, 3, 3 * lm_width + 3]),
             np.where(on_second, np.where(block.lm_col, 3, 6 * stride), 0)])
         cross = np.flatnonzero(block.band & ~sa & sb)
-        return _IndexForm(const, first, second, cross, (rb - ra)[cross], stride - 2)
+        return _IndexForm(const, first, second, cross, (rb - ra)[cross], stride - 2,
+                          len(block.kept))
 
     @staticmethod
     def _scatter_index(form: "_IndexForm", first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -1052,7 +1116,13 @@ class _BatchedFactors:
 
         ``base`` is the latest system, at ``state``: then only the rows appended
         since it are linearized, from their residuals on, and binned onto a copy
-        of its buffer; its error is added to theirs.
+        of its buffer with its gradient; its error is added to theirs.
+
+        Without ``base``, when no row gets a new Jacobian and the graph has the
+        poses and landmarks of the latest system, binned whole, that system's
+        A, B and C are kept as they are, and only the J^T r entries are binned,
+        through ``grad_index``, in the same row order: the same bits as a
+        binning of every entry.
         """
         start = (0, 0) if base is None else base.rows
         if base is not None or residuals is None:
@@ -1073,9 +1143,10 @@ class _BatchedFactors:
             redo[done - first:] = True  # appended since the last linearization
             current = np.zeros(len(redo), dtype=bool)  # rows linearized at the estimate
             if table is self.observation:  # components that may switch, and rows whose scale changed
-                sizes = np.diff(self.mixtures["start"], append=len(self.components))
-                switching = self.components["row"][np.repeat(sizes > 1, sizes)] - first
-                current[switching[switching >= 0]] = True
+                if len(self.mixtures):
+                    sizes = np.diff(self.mixtures["start"], append=len(self.components))
+                    switching = self.components["row"][np.repeat(sizes > 1, sizes)] - first
+                    current[switching[switching >= 0]] = True
                 redo |= current | (residuals.scale != table["jac_s"][first:])
                 table["jac_s"][first:] = residuals.scale
             rows = np.flatnonzero(redo)
@@ -1101,23 +1172,43 @@ class _BatchedFactors:
         self.changed_from = changed_from
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
+        lm_width = 3 * self.lm_capacity
+        fresh = bool(at[0].all() and at[1].all())
+        latest, error = self._latest, residuals.error
+        if (base is None and not relinearized and latest is not None and latest.whole
+                and latest.band.shape[1] == n_pose and len(latest.landmark) == n_lm):
+            # no J^T J entry changed since the latest system: keep its A, B and
+            # C, and bin the J^T r entries alone
+            grad = np.zeros(lm_width + n_pose)
+            for table, block in self._tables():
+                np.add.at(grad, table["grad_index"].ravel(),
+                          table["value"][:, len(block.kept):].ravel())
+            self._latest = system = NormalEquations(
+                latest.band, latest.border, latest.landmark,
+                np.concatenate([grad[lm_width:], grad[:n_lm]]), fresh, relinearized, error,
+                latest.flat, self._linearized, whole=True)
+            return system
+
         flat = np.zeros(self._records_at + n_pose * self._stride)
-        error = residuals.error
+        records = flat[self._records_at:].reshape(n_pose, self._stride)
         if base is not None:  # the appended rows only, onto the base's buffer
             flat[:len(base.flat)] = base.flat
+            # whose gradient entries are older than the base's own gradient
+            # when it kept an older system's A, B and C
+            base_pose = base.band.shape[1]
+            records[:base_pose, -1] = base.grad[:base_pose]
+            flat[self._lm_grad_at:self._lm_grad_at + len(base.landmark)] = base.grad[base_pose:]
             error += base.error
         for (table, _), first in zip(self._tables(), start):
             np.add.at(flat, table["index"][first:].ravel(), table["value"][first:].ravel())
-        lm_width = 3 * self.lm_capacity
-        records = flat[self._records_at:].reshape(n_pose, self._stride)
         self._latest = system = NormalEquations(
             band=records[:, :self.band_rows].T,
             border=records[:, self.band_rows:self.band_rows + n_lm],
             landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([records[:, -1],
                                  flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
-            fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized,
-            error=error, flat=flat, rows=self._linearized)
+            fresh=fresh, relinearized=relinearized, error=error, flat=flat,
+            rows=self._linearized, whole=base is None)
         return system
 
     def _row_variables(self):

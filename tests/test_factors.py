@@ -177,8 +177,21 @@ def test_mixture_validates_weights():
 
 
 def test_sqrt_information_rejects_non_spd():
-    with pytest.raises(NumericalError):
-        fx.sqrt_information(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for _ in range(2):  # and keeps rejecting it: a rejected covariance is not cached
+        with pytest.raises(NumericalError):
+            fx.sqrt_information(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_sqrt_information_validates_only_on_a_cache_miss(monkeypatch):
+    sigma = np.diag([0.011, 0.012, 0.013])
+    first = fx.sqrt_information(sigma)
+    checked = []
+    finite = fx._finite
+    monkeypatch.setattr(fx, "_finite",
+                        lambda name, value: checked.append(name) or finite(name, value))
+    assert fx.sqrt_information(sigma.copy()) is first and not checked
+    fx.sqrt_information(np.diag([0.021, 0.022, 0.023]))
+    assert checked == ["covariance"]
 
 
 def test_sqrt_information_whitens():

@@ -184,6 +184,35 @@ def test_rotation_kernels_match_entrywise_formulas_in_any_batch():
     assert np.allclose(sandwich[:, 1:], geo.quat_rotate(q, v), rtol=0, atol=1e-14)
 
 
+def test_scalar_compose_and_inverse_match_the_rotation_kernels():
+    # compose and inverse compute on Python floats in quat_mul's and
+    # quat_rotate's operation order: the same bits as those kernels, at the
+    # identity, near and at pi, and for poses built from non-unit quaternions
+    # (normalized by Pose3) or kept as given (Pose3._trusted).
+    rng = np.random.default_rng(15)
+    axes = geo.quat_normalize(rng.normal(size=(40, 3)))
+    angles = np.concatenate([[0.0, np.pi, np.pi - 1e-9, np.pi - 1e-15],
+                             rng.uniform(-np.pi, np.pi, 36)])
+    quats = np.concatenate([geo.so3_exp_quat(axes * angles[:, None]), [[0.0, 1.0, 0.0, 0.0]],
+                            rng.normal(size=(20, 4)) * rng.uniform(0.1, 10.0, (20, 1))])
+    poses = [Pose3(q, rng.normal(size=3)) for q in quats]
+    poses += [Pose3._trusted(q, t)
+              for q, t in zip(rng.normal(size=(10, 4)), rng.normal(size=(10, 3)))]
+    poses.append(Pose3.identity())
+    for a in poses:
+        conj = geo.quat_conj(a.rotation)
+        want = Pose3(conj, -geo.quat_rotate(conj, a.translation))
+        got = inverse(a)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+        for b in (poses[0], poses[1], poses[-1], poses[int(rng.integers(len(poses)))]):
+            want = Pose3(geo.quat_mul(a.rotation, b.rotation),
+                         geo.quat_rotate(a.rotation, b.translation) + a.translation)
+            got = compose(a, b)
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+
+
 def unit_axis(components):
     axis = np.array(components)
     return axis / np.linalg.norm(axis)

@@ -47,6 +47,44 @@ def test_prior_only_graph_at_mean():
     assert report.final_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_optimize_reports_why_it_stopped(monkeypatch):
+    # A graph at its prior's mean has no gradient. The structured graph's
+    # mixtures leave a gradient above GRADIENT_TOL at its optimum, so it stops
+    # when a step barely lowers the error. A 1-iteration solve of a perturbed
+    # chain is cut off. A solve whose every trial step is NaN finds no
+    # acceptable step before lambda passes MAX_LAMBDA.
+    g = gr.FactorGraph()
+    g.add_pose(0, Pose3.identity())
+    g.add_factor(fx.PriorFactor(0, Pose3.identity(), np.eye(6) * 0.01))
+    report = g.optimize()
+    assert (report.stop_reason, report.converged, report.iterations) == ("gradient", True, 0)
+
+    report = structured_graph(np.random.default_rng(0)).optimize()
+    assert (report.stop_reason, report.converged) == ("relative decrease", True)
+    assert report.gradient_norm >= gr.GRADIENT_TOL
+
+    rng = np.random.default_rng(3)
+    g = build_chain_graph(chain_poses(rng, 4), perturb=0.05, rng=rng)
+    report = g.optimize(gr.LMConfig(max_iterations=1))
+    assert (report.stop_reason, report.converged, report.iterations) == ("max_iterations", False, 1)
+    assert (report.final_lambda, report.rejected_steps) == (0.0, 0)
+
+    original = gr._BatchedFactors.retract
+
+    def nan_retract(self, state, delta):
+        x, lms = original(self, state, delta)
+        return np.full_like(x, np.nan), lms
+
+    monkeypatch.setattr(gr._BatchedFactors, "retract", nan_retract)
+    report = g.optimize()
+    assert (report.stop_reason, report.converged, report.iterations) == (
+        "no acceptable step", False, 0)
+    lam, tried = 0.0, 0  # the damping schedule, up to MAX_LAMBDA
+    while lam <= gr.MAX_LAMBDA:
+        lam, tried = lam * gr.LAMBDA_SCALE if lam else gr.INIT_LAMBDA, tried + 1
+    assert (report.final_lambda, report.rejected_steps) == (lam, tried)
+
+
 def test_chain_recovers_ground_truth():
     rng = np.random.default_rng(0)
     poses = chain_poses(rng, 3)
@@ -123,37 +161,9 @@ def test_gauge_check_counts_the_groups_without_a_prior():
         g.optimize()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(1, 6), n_landmarks=st.integers(0, 4))
-def test_gauge_check_matches_breadth_first_oracle(seed, n_poses, n_landmarks):
-    # Random small graphs: variables with and without factors, priors on some
-    # poses only, betweens, and plain, weighted and mixture observations
-    # (a mixture of two or more components joins its landmarks' groups).
-    rng = np.random.default_rng(seed)
-    g = gr.FactorGraph()
-    for k in range(n_poses):
-        g.add_pose(k, random_pose(rng))
-    lms = list(range(10, 10 + n_landmarks))
-    for j in lms:
-        g.add_landmark(j, rng.normal(size=3))
-    for k in range(n_poses):
-        if rng.random() < 0.25:
-            g.add_factor(fx.PriorFactor(k, random_pose(rng), np.eye(6) * 0.01))
-    for _ in range(rng.integers(0, n_poses + 1)):
-        i, j = rng.integers(n_poses, size=2)
-        if i != j:
-            g.add_factor(fx.BetweenFactor(int(i), int(j), random_pose(rng), np.eye(6) * 0.01))
-    for _ in range(rng.integers(0, 2 * n_landmarks + 1)):
-        k, z, gamma = int(rng.integers(n_poses)), rng.normal(size=3), np.eye(3) * 0.01
-        kind = rng.choice(["plain", "weighted", "mixture"])
-        if kind == "mixture":
-            keys = rng.choice(lms, size=rng.integers(1, len(lms) + 1), replace=False)
-            g.add_factor(fx.MixtureObservationFactor(k, keys.tolist(), z, gamma,
-                                                     np.full(len(keys), 1.0 / len(keys))))
-        else:
-            j = int(rng.choice(lms))
-            g.add_factor(fx.ObservationFactor(k, j, z, gamma) if kind == "plain"
-                         else fx.WeightedObservationFactor(k, j, z, gamma, rng.uniform(0.1, 1.0)))
+def check_gauge(g) -> int:
+    """The gauge check of an optimize against the breadth-first oracle; the
+    oracle's count of groups without a prior."""
     groups = unanchored_groups(g)
     if not any(isinstance(f, fx.PriorFactor) for f in g.factors):
         with pytest.raises(NumericalError, match="no prior"):
@@ -166,6 +176,86 @@ def test_gauge_check_matches_breadth_first_oracle(seed, n_poses, n_landmarks):
             g.optimize(gr.LMConfig(max_iterations=1))
         except NumericalError as exc:
             assert "prior" not in str(exc)
+    return groups
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(1, 6), n_landmarks=st.integers(0, 4))
+def test_gauge_check_matches_breadth_first_oracle(seed, n_poses, n_landmarks):
+    # Random small graphs: variables with and without factors, priors on some
+    # poses only, betweens, and plain, weighted and mixture observations
+    # (a mixture of two or more components joins its landmarks' groups).
+    # Each graph then grows across several checks, each of which passes only
+    # over the rows appended since the last passing one: anchored whole, then
+    # one or two unconnected poses or landmarks (a failing check), then those
+    # linked to each other and to the rest or given a prior (a passing one).
+    rng = np.random.default_rng(seed)
+    g = gr.FactorGraph()
+    poses, lms = list(range(n_poses)), list(range(10, 10 + n_landmarks))
+    for k in poses:
+        g.add_pose(k, random_pose(rng))
+    for j in lms:
+        g.add_landmark(j, rng.normal(size=3))
+    gamma = np.eye(3) * 0.01
+
+    def observe(k, j):
+        kind = rng.choice(["plain", "weighted", "mixture"])
+        if kind == "mixture":
+            others = [o for o in lms if o != j]
+            keys = [j] + rng.choice(others, size=rng.integers(0, len(others) + 1),
+                                    replace=False).tolist()
+            g.add_factor(fx.MixtureObservationFactor(k, keys, rng.normal(size=3), gamma,
+                                                     np.full(len(keys), 1.0 / len(keys))))
+        else:
+            g.add_factor(fx.ObservationFactor(k, j, rng.normal(size=3), gamma) if kind == "plain"
+                         else fx.WeightedObservationFactor(k, j, rng.normal(size=3), gamma,
+                                                           rng.uniform(0.1, 1.0)))
+
+    for k in poses:
+        if rng.random() < 0.25:
+            g.add_factor(fx.PriorFactor(k, random_pose(rng), np.eye(6) * 0.01))
+    for _ in range(rng.integers(0, n_poses + 1)):
+        i, j = rng.integers(n_poses, size=2)
+        if i != j:
+            g.add_factor(fx.BetweenFactor(int(i), int(j), random_pose(rng), np.eye(6) * 0.01))
+    for _ in range(rng.integers(0, 2 * n_landmarks + 1)):
+        observe(int(rng.integers(n_poses)), int(rng.choice(lms)))
+    if check_gauge(g):
+        for k in poses:
+            g.add_factor(fx.PriorFactor(k, random_pose(rng), np.eye(6) * 0.01))
+        for j in lms:
+            observe(0, j)
+        assert check_gauge(g) == 0
+
+    def link(a, b):
+        (kind_a, a), (kind_b, b) = sorted([a, b])  # "l" before "x"
+        if kind_a == kind_b == "x":
+            g.add_factor(fx.BetweenFactor(a, b, random_pose(rng), np.eye(6) * 0.01))
+        elif kind_b == "x":
+            observe(b, a)
+        else:  # two landmarks: one mixture from an anchored pose
+            g.add_factor(fx.MixtureObservationFactor(poses[0], [a, b], rng.normal(size=3),
+                                                     gamma, [0.5, 0.5]))
+
+    for first in (100, 102, 104):
+        new = []
+        for key in range(first, first + rng.integers(1, 3)):
+            if rng.random() < 0.5:
+                new.append(("x", key))
+                g.add_pose(key, random_pose(rng))
+            else:
+                new.append(("l", key))
+                g.add_landmark(key, rng.normal(size=3))
+        assert check_gauge(g) == len(new)
+        for a, b in zip(new, new[1:]):
+            link(a, b)
+        if new[0][0] == "x" and rng.random() < 0.3:
+            g.add_factor(fx.PriorFactor(new[0][1], random_pose(rng), np.eye(6) * 0.01))
+        else:
+            link(new[0], ("x", int(rng.choice(poses))))
+        assert check_gauge(g) == 0
+        poses += [key for kind, key in new if kind == "x"]
+        lms += [key for kind, key in new if kind == "l"]
 
 
 def test_gauge_check_passes_once_the_connecting_factors_arrive():
@@ -611,6 +701,51 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
     assert relaid == [(-1, "prior"), (0, "pose"), (0, "observations"), (2, "observations"),
                       (4, "observations"), (6, "loop closure"), (8, "observations")]
     assert len(runs) == 30  # the other 22 appended
+
+
+def test_closing_linearization_keeps_the_latest_hessian():
+    # A linearization that gives no row a new Jacobian and appends none, at
+    # an estimate moved within RELINEARIZE_THRESHOLD, keeps the A, B and C
+    # arrays of the latest system and bins only the gradient: bit-equal to a
+    # binning from scratch. The append that follows starts from that
+    # gradient, not from the older one in the buffer the kept arrays view;
+    # a system built by an append is not kept in turn, since its sums ran in
+    # another order.
+    rng = np.random.default_rng(21)
+    poses = chain_poses(rng, 6)
+    g = build_chain_graph(poses, perturb=0.05, rng=rng)
+    points = {j: rng.normal(size=3) for j in (1, 2)}
+    for j, point in points.items():
+        g.add_landmark(j, point + rng.normal(scale=0.05, size=3))
+        for k, pose in enumerate(poses):
+            z = inverse(pose).apply(point) + rng.normal(scale=0.01, size=3)
+            g.add_factor(fx.ObservationFactor(k, j, z, np.eye(3) * 1e-2) if k % 2 else
+                         fx.WeightedObservationFactor(k, j, z, np.eye(3) * 1e-2, 0.8))
+    g.optimize()
+    batch = g._batch
+    latest = batch._latest
+    batch.store(batch.retract(batch.state(), rng.normal(scale=1e-6, size=6 * 6 + 3 * 2)))
+    kept = batch.linearize(batch.state())
+    assert latest.whole and kept.relinearized == 0
+    assert kept.band is latest.band and kept.border is latest.border
+    assert kept.landmark is latest.landmark
+    batch._latest = None  # bin from scratch
+    scratch = batch.linearize(batch.state())
+    assert scratch.band is not latest.band and kept.error == scratch.error
+    assert not np.array_equal(kept.grad, latest.grad)
+    for name in ("band", "border", "landmark", "grad"):
+        assert np.array_equal(getattr(kept, name), getattr(scratch, name)), name
+
+    batch._latest = kept
+    g._kept_system = (g._stamp(), kept)
+    g.add_pose(6, retract(poses[5], rng.normal(scale=0.05, size=6)))
+    g.add_factor(fx.BetweenFactor(5, 6, Pose3.identity(), np.eye(6) * 1e-2))
+    g.add_factor(fx.ObservationFactor(6, 1, rng.normal(size=3), np.eye(3) * 1e-2))
+    appended = g._current_system()
+    whole = batch.linearize(batch.state())
+    assert not appended.whole and whole.relinearized == 0 and whole.band is not appended.band
+    assert rel_err(dense_system(appended), dense_system(whole)) < 1e-12
+    assert rel_err(appended.grad, whole.grad) < 1e-12
 
 
 def check_against_oracle(g, state, lin, err, system, from_scratch):

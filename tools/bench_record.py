@@ -34,6 +34,15 @@ in its own process from the checkout's root. A row records ms per frame
 (``finalize`` counts in the last frame), then the APE RMSE, landmark count and
 map precision/recall of the first run, and whether every repeat gave the same
 four.
+
+``--solve-cost`` also records, per checkout, what one capped solve costs on
+``graph_online`` traffic: each of ``--pairs`` processes per checkout, in the
+same alternating order, replays ``SOLVE_COST_ROUNDS`` rounds of the
+workload's keyframes (seed 0, every dataset) and times each 2-iteration
+solve plus the joint marginals that follow it, the first round only to warm
+up. Each process gives the median ms at ``SOLVE_COST_POSES``: few poses,
+where the cost is the fixed part of a solve, and near the end of a pass,
+where the per-pose part adds to it.
 """
 
 from __future__ import annotations
@@ -60,6 +69,9 @@ SLAM_ROWS = (("desk", "ml", 1), ("desk", "ml", 10), ("desk", "mm", 10), ("desk",
 SLAM_NOISE_MULTIPLIER = 3.0
 SLAM_SEED = 0
 SLAM_ROW = "--slam-row"  # internal: run one run_slam row in this process
+SOLVE_COST_POSES = (11, 291)  # graph sizes of the capped solves --solve-cost times
+SOLVE_COST_ROUNDS = 3
+SOLVE_COST_ROW = "--solve-cost-row"  # internal: time the solves in this process
 
 
 def parse_args(argv):
@@ -75,10 +87,12 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--run-slam", action="store_true",
                         help="also record the run_slam rows of each checkout")
+    parser.add_argument("--solve-cost", action="store_true",
+                        help="also record the cost of one capped graph_online solve per checkout")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if not args.workloads and not args.run_slam:
-        parser.error("give --workloads, --run-slam or both")
+    if not (args.workloads or args.run_slam or args.solve_cost):
+        parser.error("give --workloads, --run-slam, --solve-cost or a mix")
     args.checkout = [tuple(c.split("=", 1)) for c in args.checkout]
     if any(len(c) != 2 for c in args.checkout):
         parser.error("--checkout takes LABEL=PATH")
@@ -187,17 +201,44 @@ def summarize_slam(runs: list) -> dict:
     return row
 
 
-def run_slam_row(root: Path, scene: str, strategy: str, optimize_every: int) -> dict:
-    """One run_slam row of a checkout, in its own process."""
+def solve_cost_row() -> dict:
+    """Median ms of a capped solve plus marginals at each SOLVE_COST_POSES
+    graph size, on the graph_online traffic of the working directory's
+    checkout (its perfbench workload and src/), over every dataset of the
+    rounds after the first."""
+    for part in ("src", "perfbench"):
+        sys.path.insert(0, str(Path.cwd() / part))
+    import workloads
+    from objectslam import graph
+
+    inputs = workloads.setup_graph(0, workloads.FULL,
+                                   workloads.Stopwatch(workloads.Reference()))
+    capped = graph.LMConfig(max_iterations=workloads.ONLINE_LM_ITERATIONS)
+    ms = {n: [] for n in SOLVE_COST_POSES}
+    for sim in inputs["sims"] * SOLVE_COST_ROUNDS:
+        g = graph.FactorGraph()
+        for k in range(max(SOLVE_COST_POSES)):
+            workloads._add_keyframe(g, k, sim, inputs["prior_cov"])
+            if k and k % workloads.OPTIMIZE_EVERY == 0:
+                t0 = time.perf_counter()
+                g.optimize(capped)
+                g.joint_marginals(k, sorted(g.landmarks))
+                if k + 1 in ms:
+                    ms[k + 1].append(1e3 * (time.perf_counter() - t0))
+    warm = len(inputs["sims"])
+    return {str(n): statistics.median(values[warm:]) for n, values in ms.items()}
+
+
+def run_internal(root: Path, *args: str) -> dict:
+    """One internal row of this script in its own process from a checkout's
+    root, with one BLAS thread; its last stdout line is the row's JSON."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), SLAM_ROW, scene,
-                           strategy, str(optimize_every)], cwd=root, env=env,
-                          capture_output=True, text=True, check=False)
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), *args], cwd=root,
+                          env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    row = f"{scene} {strategy} optimize_every={optimize_every}"
     if proc.returncode or not lines:
-        raise RuntimeError(f"{root}: run_slam {row} failed:\n{proc.stderr[-2000:]}")
-    print(f"run_slam {root} {row}: {lines[-1]}", flush=True)
+        raise RuntimeError(f"{root}: {' '.join(args)} failed:\n{proc.stderr[-2000:]}")
+    print(f"{root} {' '.join(args)}: {lines[-1]}", flush=True)
     return json.loads(lines[-1])
 
 
@@ -205,6 +246,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == [SLAM_ROW]:
         print(json.dumps(slam_row(argv[1], argv[2], int(argv[3]))))
+        return 0
+    if argv[:1] == [SOLVE_COST_ROW]:
+        print(json.dumps(solve_cost_row()))
         return 0
     args = parse_args(argv)
     raw = {label: {} for label, _ in args.checkout}
@@ -229,9 +273,18 @@ def main(argv=None) -> int:
         runs = {label: [] for label, _ in args.checkout}
         for i in range(args.pairs):
             for label, root in args.checkout if i % 2 == 0 else args.checkout[::-1]:
-                runs[label].append(run_slam_row(Path(root), scene, strategy, every))
+                runs[label].append(run_internal(Path(root), SLAM_ROW, scene, strategy,
+                                                str(every)))
         for label, _ in args.checkout:
             slam[label].append(summarize_slam(runs[label]))
+    solve_cost = {}
+    if args.solve_cost:
+        runs = {label: [] for label, _ in args.checkout}
+        for i in range(args.pairs):
+            for label, root in args.checkout if i % 2 == 0 else args.checkout[::-1]:
+                runs[label].append(run_internal(Path(root), SOLVE_COST_ROW))
+        solve_cost = {label: {f"ms_at_{n}_poses": spread([r[n] for r in rows])
+                              for n in rows[0]} for label, rows in runs.items()}
     first = args.checkout[0][0]
     record = {
         "pr": args.pr,
@@ -247,6 +300,8 @@ def main(argv=None) -> int:
     }
     if slam:
         record["run_slam"] = slam
+    if solve_cost:
+        record["solve_cost"] = solve_cost
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
