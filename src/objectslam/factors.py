@@ -53,7 +53,8 @@ def sqrt_information(sigma: np.ndarray) -> np.ndarray:
 
     Cached by value: measurement and odometry covariances repeat across
     thousands of factors in a run. The cache is looked up first, since only
-    a covariance that passed the checks below was stored.
+    a covariance that passed the checks below was stored. Every factor with
+    that covariance shares the returned matrix, so it is read-only.
     """
     sigma = np.ascontiguousarray(sigma, dtype=float)
     key = sigma.tobytes()
@@ -66,6 +67,7 @@ def sqrt_information(sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance must be SPD") from exc
     out = np.linalg.inv(chol)
+    out.flags.writeable = False
     if len(_SQRT_INFO_CACHE) < 4096:
         _SQRT_INFO_CACHE[key] = out
     return out

@@ -48,17 +48,16 @@ widens the band: storage grows as (6w + 6) * 6N and the factorization as
 (6w + 6)^2 * 6N.
 
 What carries across solves. The graph keeps one current system, the latest
-linearization at the stored estimate, which ``optimize`` ends with and both
-``optimize`` and the marginals start from (``_current_system``). Once rows
-are added, only those get residuals, Jacobians and J^T r, binned onto a
-copy of its buffer with their error added to its own, mixture and weighted
-rows included, and the result is kept in its place. Every row is linearized
-only after ``em_reweight`` set new weights or a relayout (a wider band, a
-doubled landmark capacity). A linearization that gives no row a new
-Jacobian and appends none changes no J^T J entry: it keeps the A, B and C
-arrays of the latest system when that one was binned whole, and bins the
-J^T r entries alone, so a capped solve whose last step moved no variable
-past RELINEARIZE_THRESHOLD ends without rebinning its Hessian.
+linearization (``_BatchedFactors._latest``): ``optimize`` ends with it, at
+the estimate it stores, and both ``optimize`` and the marginals start from
+it (``_current_system``). Once rows are added, only those get residuals,
+Jacobians, J^T J and J^T r, added to its A, B, C, gradient and error,
+mixture and weighted rows included. A linearization that gives no row it
+holds a new Jacobian keeps its A, B and C, so a capped solve whose last
+step moved no variable past RELINEARIZE_THRESHOLD ends without rebinning
+its Hessian. There is no latest system, and every row is linearized, after
+``em_reweight`` set new weights, a relayout (a wider band, a doubled
+landmark capacity) or an ``optimize`` that raised.
 
 The graph also keeps its latest undamped factor, and each factorization
 records the first pose slot among the rows linearized anew since then: the
@@ -91,7 +90,7 @@ differs from the one its stored Jacobian was taken with, after
 components are linearized anew every time, at the estimate, where
 the active component is chosen; a one-component mixture cannot switch and
 is kept like a plain row. ``linearize`` bins each row's kept J^T J entries
-with its J^T r, whose residual r is always taken at the estimate: the
+and its J^T r, whose residual r is always taken at the estimate: the
 residuals the LM acceptance test just computed (``error_only``), so one
 residual pass serves both. The error is therefore exact, and the system is
 exact wherever the points sit at the estimate; a system whose every point
@@ -119,18 +118,17 @@ matrix, ``joint_covariance``, is what the pipeline hands the gate, landmark
 cross-covariances included; ``joint_marginals`` returns its 9x9
 pose-landmark blocks. Both serve the pose in the last slot only.
 
-Scatter layout. ``linearize`` bins the system into a flat buffer laid out
-as C (3K x 3K, K the landmark capacity), the landmark gradient (3K), then
-one record per pose column c: band column c of A (6(w + 1) entries), row c
-of B (3K entries) and the gradient entry. Each row also keeps the position
-of its J^T r entries in a compact gradient, the 3K landmark entries and
-then one per pose column, for a linearization that bins those alone. A
-scatter index therefore depends on the band width and K only, never on N:
-it is recomputed, for
-every stored factor at once, only when K doubles or a between spans more
-pose slots than any before it, and a kept buffer stays a prefix of the next
-one as poses are added. Each entry's index is a constant plus multiples of
-its factor's two slots (``_index_form``).
+Scatter layout. ``linearize`` bins J^T J into a flat buffer laid out as C
+(3K x 3K, K the landmark capacity), then one record per pose column c: band
+column c of A (6(w + 1) entries) and row c of B (3K entries). It bins J^T r
+into a compact gradient: the 3K landmark entries, landmark column c at c,
+then pose column a at 3K + a. Each row keeps both index sets (``index``,
+``grad_index``). They depend on the band width and K only, never on N: they
+are recomputed, for every stored factor at once, only when K doubles or a
+between spans more pose slots than any before it, and a kept buffer or
+gradient stays a prefix of the next one as poses are added. Each entry's
+index is a constant plus multiples of its factor's two slots
+(``_index_form``).
 
 Gauge. ``optimize`` reads the gauge off the factor tables: the between
 slots (i, j) and the observation slots (p, l) are the edges of a graph over
@@ -231,9 +229,6 @@ class FactorGraph:
         self._batch = batch = _BatchedFactors()
         self.poses = _Estimates(batch.pose_slot, batch.poses, _pose_from_row)
         self.landmarks = _Estimates(batch.lm_slot, batch.landmarks, _frozen_copy)
-        # (stamp, system): the latest system at the stored estimate, and the
-        # graph size it was built for; see _current_system
-        self._kept_system = None
         self._factor = None  # the latest undamped factor; see _keep_factor
         # between rows, observation rows, poses and landmarks at the last
         # passing gauge check; see _validate_gauge
@@ -274,9 +269,10 @@ class FactorGraph:
         It first appends the queued factors and checks the gauge (see
         ``_validate_gauge``): NumericalError unless the graph has a prior and
         every variable is linked through factors to a pose that holds one.
-        It starts from the current system (``_current_system``): the kept
+        It starts from the current system (``_current_system``): the latest
         one, with only the rows added since linearized, so after no change it
-        linearizes nothing before its first step. Each accepted step
+        linearizes nothing before its first step. If it raises, it drops the
+        latest system, which may be at a trial estimate it never stored. Each accepted step
         relinearizes only the rows whose variables moved, with its gradient
         taken at the residuals the acceptance test just computed. A rejected
         step makes the system fresh before the next factorization, and a
@@ -314,48 +310,52 @@ class FactorGraph:
         lam = 0.0
         iterations = rejected = 0
         stop = stops(np.inf)
-        while stop is None and iterations < config.max_iterations:
-            stepped = False
-            while lam <= MAX_LAMBDA:
-                factor = self._factorize(system, lam) if lam else self._keep_factor(system)
-                candidate = batch.retract(state, factor.solve(-system.grad))
-                cand = batch.error_only(candidate)
-                if cand.error <= err and np.isfinite(cand.error):
-                    rel = (err - cand.error) / max(err, 1e-300)
-                    state, residuals, err = candidate, cand, cand.error
-                    iterations += 1
-                    stepped = True
-                    lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
-                    system = batch.linearize(state, residuals)
-                    stop = stops(rel)
-                    break
-                rejected += 1
-                if not system.fresh:
-                    system = batch.linearize(state, residuals, fresh=True)
-                lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
-            if not stepped:
-                stop = "no acceptable step"
+        try:
+            while stop is None and iterations < config.max_iterations:
+                stepped = False
+                while lam <= MAX_LAMBDA:
+                    factor = self._factorize(system, lam) if lam else self._keep_factor(system)
+                    candidate = batch.retract(state, factor.solve(-system.grad))
+                    cand = batch.error_only(candidate)
+                    if cand.error <= err and np.isfinite(cand.error):
+                        rel = (err - cand.error) / max(err, 1e-300)
+                        state, residuals, err = candidate, cand, cand.error
+                        iterations += 1
+                        stepped = True
+                        lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
+                        system = batch.linearize(state, residuals)
+                        stop = stops(rel)
+                        break
+                    rejected += 1
+                    if not system.fresh:
+                        system = batch.linearize(state, residuals, fresh=True)
+                    lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
+                if not stepped:
+                    stop = "no acceptable step"
+        except BaseException:
+            batch._latest = None  # it may be at a trial state that is never stored
+            raise
 
-        batch.store(state)
-        self._kept_system = (self._stamp(), system)  # system is linearized at state
+        batch.store(state)  # the latest system, ``system``, is linearized at state
         return OptimizeReport(initial, err, iterations, stop in ("gradient", "relative decrease"),
                               float(np.linalg.norm(system.grad)), stop or "max_iterations",
                               lam, rejected)
 
     def _current_system(self) -> "NormalEquations":
-        """The system at the stored estimate, kept for the next call: the kept
-        one while nothing was added since it and it is still the latest
-        linearization, else the kept one with the rows added since appended
-        (see ``_BatchedFactors.linearize``). Every row is linearized only when
-        there is none or it is not the latest (after ``em_reweight`` or a
-        relayout)."""
+        """The system at the stored estimate: the latest linearization
+        (``_BatchedFactors._latest``) while it holds every row, pose and
+        landmark, else that system with the rows added since appended (see
+        ``_BatchedFactors.linearize``). Every row is linearized only when
+        there is none: after ``em_reweight``, a relayout, or an ``optimize``
+        that raised."""
         batch = self._batched()
-        stamp, system = self._kept_system or (None, None)
-        if system is None or system is not batch._latest:
-            system = batch.linearize(batch.state())
-        elif stamp != self._stamp():
-            system = batch.linearize(batch.state(), base=system)
-        self._kept_system = (self._stamp(), system)
+        system = batch._latest
+        if system is None:
+            return batch.linearize(batch.state())
+        if (system.rows != (len(batch.between), len(batch.observation))
+                or system.band.shape[1] != 6 * batch.num_poses
+                or len(system.landmark) != 3 * batch.num_lms):
+            return batch.linearize(batch.state(), base=system)
         return system
 
     def _keep_factor(self, system: "NormalEquations") -> "SchurFactor":
@@ -469,19 +469,16 @@ class FactorGraph:
         self._batch.sync(self.factors)
         return self._batch
 
-    def _stamp(self) -> tuple:
-        return len(self.factors), len(self.poses), len(self.landmarks)
-
     def _set_weights(self, which: np.ndarray, weights: np.ndarray) -> None:
         """The one writer of observation weights: give the weighted observation
         factors at positions ``which`` of ``_BatchedFactors.weighted`` the
-        ``weights``, write their rows' scale sqrt(w), and drop the kept
+        ``weights``, write their rows' scale sqrt(w), and drop the latest
         system, which was linearized with the old scales, and the kept factor."""
         batch = self._batched()
         for i, w in zip(which.tolist(), weights.tolist()):
             batch._weighted[i]._weight = w  # read-only everywhere else
         batch.observation["s"][batch.weighted["row"][which]] = np.sqrt(weights)
-        self._kept_system = None
+        batch._latest = None
         batch.changed_from = 0
 
     # -- covariance recovery -------------------------------------------------
@@ -558,7 +555,9 @@ class NormalEquations:
     """Gauss-Newton system [[A, B], [B^T, C]] dx = -grad, poses first.
 
     ``band`` holds the lower band of A in LAPACK storage,
-    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band).
+    ``band[r - c, c] = A[r, c]`` for 0 <= r - c < len(band). ``band``,
+    ``border`` and ``landmark`` view ``flat``, which a later system may
+    share, so no system is written to after it is built.
     """
 
     band: np.ndarray      # (6(w + 1), 6N)
@@ -570,7 +569,6 @@ class NormalEquations:
     error: float          # total error at that estimate
     flat: np.ndarray      # the scatter buffer band, border and landmark view
     rows: tuple           # rows of each factor table binned into it
-    whole: bool           # A, B and C binned from every row at once, not onto a base
 
 
 class SchurFactor:
@@ -762,15 +760,16 @@ _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _table(block: _Block, **columns) -> _Table:
-    width = (len(block.kept) + len(block.lm_col),)
-    return _Table(index=(width, np.intp), value=(width, float),
-                  grad_index=((len(block.lm_col),), np.intp), **columns)
+    kept, d = (len(block.kept),), (len(block.lm_col),)
+    return _Table(index=(kept, np.intp), value=(kept, float),
+                  grad_index=(d, np.intp), grad=(d, float), **columns)
 
 
 class _IndexForm(NamedTuple):
-    """Scatter index of a block's entries: ``const`` plus ``first`` and
-    ``second`` times the slots of the factor's two variables, then the
-    correction of the ``cross`` band entries (see ``_scatter_index``)."""
+    """Scatter index of a block's kept J^T J entries, then gradient position
+    of its J^T r entries: ``const`` plus ``first`` and ``second`` times the
+    slots of the factor's two variables, then the correction of the
+    ``cross`` band entries (see ``_scatter_index``)."""
 
     const: np.ndarray
     first: np.ndarray
@@ -810,10 +809,10 @@ class _BatchedFactors:
     scatter ``index`` into the flat system buffer (see the module docstring)
     and its whitened Jacobian ``jac`` at the linearization points of its
     variables, or at the estimate for a row of a mixture of two or more
-    components. ``value`` holds the row's kept J^T J entries, then its J^T r
-    entries: what ``linearize`` bins to the positions in ``index``, the only
-    copy of either; ``grad_index`` places the J^T r entries in a compact
-    gradient. ``sync`` appends the factors queued since the last sync,
+    components. ``value`` holds the row's kept J^T J entries, which
+    ``linearize`` bins to the positions in ``index`` of the flat buffer, and
+    ``grad`` its J^T r entries, binned to the positions in ``grad_index`` of
+    the compact gradient: the only copy of either. ``sync`` appends the factors queued since the last sync,
     and recomputes every scatter index only when the layout changes: when
     the landmark capacity doubles or a between widens the band.
     ``changed_from`` is the first pose slot whose J^T J entries changed
@@ -839,7 +838,7 @@ class _BatchedFactors:
         self._groups: dict = {}         # group_id, or (row,) for none, -> group number
         self._synced = 0                # factors appended so far
         self._linearized = (0, 0)       # between and observation rows with a Jacobian
-        self._latest = None             # the latest system linearize returned, until a relayout
+        self._latest = None             # the latest system linearize returned
         self.changed_from = 0
         self._set_layout(band_rows=6, lm_capacity=0)
 
@@ -935,37 +934,30 @@ class _BatchedFactors:
 
     def _indexes(self, form: "_IndexForm", first: np.ndarray, second: np.ndarray) -> dict:
         """The ``index`` and ``grad_index`` columns of the factors whose
-        variables sit in slots ``first`` and ``second``: the scatter index, and
-        the position of each J^T r entry in a compact gradient of the landmark
-        entries (3K) followed by the pose entries."""
+        variables sit in slots ``first`` and ``second``."""
         index = self._scatter_index(form, first, second)
-        grad = index[:, form.kept:]
-        grad = np.where(grad >= self._records_at,
-                        (grad - self._records_at) // self._stride + 3 * self.lm_capacity,
-                        grad - self._lm_grad_at)
-        return {"index": index, "grad_index": grad}
+        return {"index": index[:, :form.kept], "grad_index": index[:, form.kept:]}
 
     def _set_layout(self, band_rows: int, lm_capacity: int) -> None:
-        """Offsets of the flat buffer: C, the landmark gradient, then per pose
-        column a record of band_rows band entries, 3K border entries and the
-        gradient entry (K = lm_capacity)."""
+        """Offsets of the flat buffer: C, then per pose column a record of
+        band_rows band entries and 3K border entries (K = lm_capacity)."""
         self.band_rows = band_rows
         self.lm_capacity = lm_capacity
         lm_width = 3 * lm_capacity
-        self._lm_grad_at = lm_width * lm_width
-        self._records_at = self._lm_grad_at + lm_width
-        self._stride = band_rows + lm_width + 1
+        self._records_at = lm_width * lm_width
+        self._stride = band_rows + lm_width
         self._forms = tuple(self._index_form(block) for _, block in self._tables())
 
     def _index_form(self, block: _Block) -> "_IndexForm":
         """The closed form of the scatter index of ``block``'s entries in this
         layout. A band entry A[b, a] (a <= b) sits at records + a * stride +
-        b - a, a border entry B[a, c] at records + a * stride + band_rows + c,
-        a C entry C[c, e] at c * 3K + e, and the J^T r entries in the pose
-        records and the landmark gradient. With a and b on the factor's first
-        and second variable, each is a per-entry constant plus per-entry
-        multiples of the two slots, as long as the band entries that couple a
-        between's two poses have a <= b: as if its first pose came first."""
+        b - a, a border entry B[a, c] at records + a * stride + band_rows + c
+        and a C entry C[c, e] at c * 3K + e. The J^T r entry of landmark
+        column c sits at c in the compact gradient, that of pose column a at
+        3K + a. With a and b on the factor's first and second variable, each
+        is a per-entry constant plus per-entry multiples of the two slots, as
+        long as the band entries that couple a between's two poses have
+        a <= b: as if its first pose came first."""
         stride, records = self._stride, self._records_at
         lm_width = 3 * self.lm_capacity
         ra, rb = block.rows % 6, block.cols % 6  # offsets in their variables
@@ -977,23 +969,24 @@ class _BatchedFactors:
             np.select(kinds, [records + ra * (stride - 1) + rb,
                               records + ra * stride + self.band_rows + rb,
                               ra * lm_width + rb]),
-            np.where(block.lm_col, self._lm_grad_at + offset, records + (offset + 1) * stride - 1)])
+            np.where(block.lm_col, offset, lm_width + offset)])
         first = np.concatenate([np.select(kinds, [(6 * stride - 6) * ~sa + 6 * ~sb, 6 * stride, 0]),
-                                np.where(on_second, 0, 6 * stride)])
+                                6 * ~on_second])
         second = np.concatenate([
             np.select(kinds, [(6 * stride - 6) * sa + 6 * sb, 3, 3 * lm_width + 3]),
-            np.where(on_second, np.where(block.lm_col, 3, 6 * stride), 0)])
+            np.where(on_second, np.where(block.lm_col, 3, 6), 0)])
         cross = np.flatnonzero(block.band & ~sa & sb)
         return _IndexForm(const, first, second, cross, (rb - ra)[cross], stride - 2,
                           len(block.kept))
 
     @staticmethod
     def _scatter_index(form: "_IndexForm", first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Flat-buffer index (n, kept + d) of each kept J^T J entry and each J^T r
-        entry of the factors whose variables sit in slots ``first`` and
-        ``second``. A band entry that couples a between's two poses where the
-        first pose's column a is the larger one moves by (stride - 2) * (b - a),
-        from where the form puts it to A[a, b]."""
+        """Flat-buffer index of each kept J^T J entry, then compact-gradient
+        position of each J^T r entry, (n, kept + d), of the factors whose
+        variables sit in slots ``first`` and ``second``. A band entry that
+        couples a between's two poses where the first pose's column a is the
+        larger one moves by (stride - 2) * (b - a), from where the form puts
+        it to A[a, b]."""
         index = form.const + first[:, None] * form.first + second[:, None] * form.second
         flip = np.flatnonzero(first >= second) if len(form.cross) else ()
         if len(flip):
@@ -1106,23 +1099,25 @@ class _BatchedFactors:
         differs from the one their Jacobian was taken with. Such a
         variable's point first moves to its estimate; every Jacobian is taken
         at the points of its row's variables. The rows of a mixture of two or
-        more components get a new Jacobian every time, at ``state``. Each
-        row's ``value`` then takes its J^T r entries, whose whitened
-        residuals r are taken at ``state``: ``residuals`` when given
-        (``error_only``'s result at ``state``), else computed here. Every
-        row's values are added at its ``index`` into a zeroed buffer, in row
-        order, between rows first, as one ``np.bincount`` over both tables
-        would add them.
+        more components get a new Jacobian every time, at ``state``, its J^T J
+        entries going to the row's ``value``. Each row's ``grad`` takes its
+        J^T r entries, whose whitened residuals r are taken at ``state``:
+        ``residuals`` when given (``error_only``'s result at ``state``), else
+        computed here.
 
-        ``base`` is the latest system, at ``state``: then only the rows appended
-        since it are linearized, from their residuals on, and binned onto a copy
-        of its buffer with its gradient; its error is added to theirs.
+        A, B and C start from the latest system's (``_latest``) when no row
+        it holds got a new Jacobian: its flat buffer as it is when nothing
+        was appended and the graph has as many poses, else a copy with the
+        appended rows' ``value`` added at their ``index``. Otherwise every
+        row's ``value`` is added into a zeroed buffer. The gradient is
+        ``base``'s, or zero, plus the ``grad`` of the rows from ``start`` on,
+        added at their ``grad_index``. Rows are added in order, between rows
+        first, as one ``np.bincount`` over both tables would add them.
 
-        Without ``base``, when no row gets a new Jacobian and the graph has the
-        poses and landmarks of the latest system, binned whole, that system's
-        A, B and C are kept as they are, and only the J^T r entries are binned,
-        through ``grad_index``, in the same row order: the same bits as a
-        binning of every entry.
+        ``base`` is the latest system, at ``state``: then only the rows
+        appended since it are linearized, and its error is added to theirs.
+        The system returned becomes ``_latest``; a caller that linearizes at
+        a state it does not store must drop it.
         """
         start = (0, 0) if base is None else base.rows
         if base is not None or residuals is None:
@@ -1134,10 +1129,12 @@ class _BatchedFactors:
                         _relinearize_points(self.landmarks, lms, threshold))
         kernels = ((self._between_residuals, self._between_jacobians),
                    (self._observation_residuals, self._observation_jacobians))
+        latest = self._latest
+        held = (0, 0) if latest is None else latest.rows  # rows the latest system holds
         relinearized, changed_from = 0, self.changed_from
         for (table, block), (residual_kernel, jacobian_kernel), variables, done, first, terms, \
-                rw in zip(self._tables(), kernels, self._row_variables(), self._linearized,
-                          start, residuals.terms, residuals.whitened):
+                rw, n_held in zip(self._tables(), kernels, self._row_variables(), self._linearized,
+                                  start, residuals.terms, residuals.whitened, held):
             variables = [(kind, slots[first:]) for kind, slots in variables]
             redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
             redo[done - first:] = True  # appended since the last linearization
@@ -1150,7 +1147,6 @@ class _BatchedFactors:
                 redo |= current | (residuals.scale != table["jac_s"][first:])
                 table["jac_s"][first:] = residuals.scale
             rows = np.flatnonzero(redo)
-            k, value = len(block.kept), table["value"]
             if len(rows):
                 terms = [a[rows] for a in terms]
                 lagged = ~(current[rows] | np.logical_and.reduce([at[kind][slots[rows]]
@@ -1158,6 +1154,8 @@ class _BatchedFactors:
                 changed_from = min([changed_from] + [int(slots[rows].min())
                                                      for kind, slots in variables if kind == 0])
                 rows += first
+                if rows[0] < n_held:  # a row whose J^T J the latest system holds
+                    latest = None
                 if lagged.any():  # rows with a point away from the estimate
                     for a, b in zip(terms, residual_kernel(
                             self.poses["lin"], self.landmarks["lin"], rows[lagged])):
@@ -1165,50 +1163,40 @@ class _BatchedFactors:
                 if len(rows) == len(table):  # every row: views rather than copies
                     rows = slice(None)
                 table["jac"][rows] = jac = jacobian_kernel(rows, *terms)
-                value[rows, :k] = _kept_products(jac, block)
+                table["value"][rows] = _kept_products(jac, block)
                 relinearized += len(jac)
-            np.einsum("nij,ni->nj", table["jac"][first:], rw, out=value[first:, k:])
+            np.einsum("nij,ni->nj", table["jac"][first:], rw, out=table["grad"][first:])
         self._linearized = tuple(len(table) for table, _ in self._tables())
         self.changed_from = changed_from
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
         lm_width = 3 * self.lm_capacity
-        fresh = bool(at[0].all() and at[1].all())
-        latest, error = self._latest, residuals.error
-        if (base is None and not relinearized and latest is not None and latest.whole
-                and latest.band.shape[1] == n_pose and len(latest.landmark) == n_lm):
-            # no J^T J entry changed since the latest system: keep its A, B and
-            # C, and bin the J^T r entries alone
-            grad = np.zeros(lm_width + n_pose)
-            for table, block in self._tables():
-                np.add.at(grad, table["grad_index"].ravel(),
-                          table["value"][:, len(block.kept):].ravel())
-            self._latest = system = NormalEquations(
-                latest.band, latest.border, latest.landmark,
-                np.concatenate([grad[lm_width:], grad[:n_lm]]), fresh, relinearized, error,
-                latest.flat, self._linearized, whole=True)
-            return system
+        size = self._records_at + n_pose * self._stride
+        if latest is not None and latest.rows == self._linearized and len(latest.flat) == size:
+            flat = latest.flat
+        else:
+            flat = np.zeros(size)
+            if latest is not None:  # a prefix: pose records are appended at its end
+                flat[:len(latest.flat)] = latest.flat
+            for (table, _), first in zip(self._tables(), held if latest is not None else (0, 0)):
+                np.add.at(flat, table["index"][first:].ravel(), table["value"][first:].ravel())
 
-        flat = np.zeros(self._records_at + n_pose * self._stride)
-        records = flat[self._records_at:].reshape(n_pose, self._stride)
-        if base is not None:  # the appended rows only, onto the base's buffer
-            flat[:len(base.flat)] = base.flat
-            # whose gradient entries are older than the base's own gradient
-            # when it kept an older system's A, B and C
+        grad, error = np.zeros(lm_width + n_pose), residuals.error  # landmarks first
+        if base is not None:
             base_pose = base.band.shape[1]
-            records[:base_pose, -1] = base.grad[:base_pose]
-            flat[self._lm_grad_at:self._lm_grad_at + len(base.landmark)] = base.grad[base_pose:]
+            grad[:len(base.landmark)] = base.grad[base_pose:]
+            grad[lm_width:lm_width + base_pose] = base.grad[:base_pose]
             error += base.error
         for (table, _), first in zip(self._tables(), start):
-            np.add.at(flat, table["index"][first:].ravel(), table["value"][first:].ravel())
+            np.add.at(grad, table["grad_index"][first:].ravel(), table["grad"][first:].ravel())
+        records = flat[self._records_at:].reshape(n_pose, self._stride)
         self._latest = system = NormalEquations(
             band=records[:, :self.band_rows].T,
             border=records[:, self.band_rows:self.band_rows + n_lm],
-            landmark=flat[:self._lm_grad_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
-            grad=np.concatenate([records[:, -1],
-                                 flat[self._lm_grad_at:self._lm_grad_at + n_lm]]),
-            fresh=fresh, relinearized=relinearized, error=error, flat=flat,
-            rows=self._linearized, whole=base is None)
+            landmark=flat[:self._records_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
+            grad=np.concatenate([grad[lm_width:], grad[:n_lm]]),
+            fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized, error=error,
+            flat=flat, rows=self._linearized)
         return system
 
     def _row_variables(self):

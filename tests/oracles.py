@@ -151,10 +151,12 @@ def unanchored_groups(graph) -> int:
 
 
 def scatter_index_reference(batch, block, cols):
-    """Flat-buffer index (n, kept + d) of each kept J^T J entry and each J^T r
-    entry of factors with system columns ``cols`` (n, d; landmark columns
-    counted from the first landmark one) in ``batch``'s layout, built part by
-    part with masks over ``block``'s entries."""
+    """Flat-buffer index (n, kept) of each kept J^T J entry and compact-gradient
+    position (n, d) of each J^T r entry of factors with system columns
+    ``cols`` (n, d; landmark columns counted from the first landmark one) in
+    ``batch``'s layout, built part by part with masks over ``block``'s
+    entries. The compact gradient holds the 3K landmark entries, then the
+    pose entries."""
     records, stride = batch._records_at, batch._stride
     a, b = cols[:, block.rows], cols[:, block.cols]
     index = np.empty(a.shape, dtype=np.intp)
@@ -165,8 +167,8 @@ def scatter_index_reference(batch, block, cols):
     index[:, m] = records + a[:, m] * stride + batch.band_rows + b[:, m]
     m = block.landmark
     index[:, m] = a[:, m] * (3 * batch.lm_capacity) + b[:, m]
-    grad = np.where(block.lm_col, batch._lm_grad_at + cols, records + (cols + 1) * stride - 1)
-    return np.concatenate([index, grad], axis=1)
+    grad = np.where(block.lm_col, cols, 3 * batch.lm_capacity + cols)
+    return index, grad
 
 
 def quat_matrix_entries(q):

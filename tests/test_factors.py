@@ -194,6 +194,19 @@ def test_sqrt_information_validates_only_on_a_cache_miss(monkeypatch):
     assert checked == ["covariance"]
 
 
+def test_sqrt_information_is_read_only():
+    # Factors with one covariance share one cached matrix: a write into one
+    # factor's would change every other's.
+    cov = np.diag([0.031, 0.032, 0.033])
+    a = fx.ObservationFactor(0, 0, np.ones(3), cov)
+    want = a.sqrt_info.copy()
+    with pytest.raises(ValueError):
+        a.sqrt_info[0, 0] = 5.0
+    b = fx.ObservationFactor(1, 0, np.ones(3), cov)
+    assert b.sqrt_info is a.sqrt_info
+    assert np.array_equal(b.sqrt_info, want)
+
+
 def test_sqrt_information_whitens():
     rng = np.random.default_rng(6)
     for _ in range(20):

@@ -584,16 +584,20 @@ def test_maintained_storage_matches_scratch_assembly():
 
 
 def check_scatter_index(g):
-    """Every stored scatter index equals the mask-built reference."""
+    """Every stored scatter index and gradient position equals the mask-built
+    reference."""
     batch = g._batched()
     bt, ob = batch.between, batch.observation
     offsets = np.arange(6)
-    cols = np.concatenate([6 * bt["i"][:, None] + offsets, 6 * bt["j"][:, None] + offsets], axis=1)
-    assert np.array_equal(bt["index"], scatter_index_reference(batch, gr._BETWEEN_BLOCK, cols))
-    cols = np.concatenate([6 * ob["p"][:, None] + offsets, 3 * ob["l"][:, None] + offsets[:3]],
-                          axis=1)
-    assert np.array_equal(ob["index"],
-                          scatter_index_reference(batch, gr._OBSERVATION_BLOCK, cols))
+    bt_cols = np.concatenate([6 * bt["i"][:, None] + offsets, 6 * bt["j"][:, None] + offsets],
+                             axis=1)
+    ob_cols = np.concatenate([6 * ob["p"][:, None] + offsets, 3 * ob["l"][:, None] + offsets[:3]],
+                             axis=1)
+    for table, block, cols in ((bt, gr._BETWEEN_BLOCK, bt_cols),
+                               (ob, gr._OBSERVATION_BLOCK, ob_cols)):
+        index, grad_index = scatter_index_reference(batch, block, cols)
+        assert np.array_equal(table["index"], index)
+        assert np.array_equal(table["grad_index"], grad_index)
 
 
 def test_closed_form_scatter_index_matches_mask_reference():
@@ -670,7 +674,7 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
         first, steps = len(calls), len(factored)
         if event == "no change":
             batch = g._batch
-            _, system = g._kept_system
+            system = batch._latest
             state = tuple(a.copy() for a in batch.state())
             lin = (batch.poses["lin"].copy(), batch.landmarks["lin"].copy())
             g.optimize(lm_config)
@@ -704,13 +708,14 @@ def test_optimize_appends_to_the_kept_system(monkeypatch):
 
 
 def test_closing_linearization_keeps_the_latest_hessian():
-    # A linearization that gives no row a new Jacobian and appends none, at
-    # an estimate moved within RELINEARIZE_THRESHOLD, keeps the A, B and C
-    # arrays of the latest system and bins only the gradient: bit-equal to a
-    # binning from scratch. The append that follows starts from that
-    # gradient, not from the older one in the buffer the kept arrays view;
-    # a system built by an append is not kept in turn, since its sums ran in
-    # another order.
+    # A linearization that gives no row a new Jacobian, at an estimate moved
+    # within RELINEARIZE_THRESHOLD, shares the flat buffer of the latest
+    # system, A, B and C, and bins only the gradient: bit-equal to a binning
+    # from scratch. The append that follows copies that buffer and starts
+    # from that gradient. The linearization right after the append keeps
+    # the appended system's A, B and C in turn: their sums ran in another
+    # order, so they match a binning from scratch to rounding, while the
+    # gradient, binned from every row, is bit-equal.
     rng = np.random.default_rng(21)
     poses = chain_poses(rng, 6)
     g = build_chain_graph(poses, perturb=0.05, rng=rng)
@@ -726,26 +731,29 @@ def test_closing_linearization_keeps_the_latest_hessian():
     latest = batch._latest
     batch.store(batch.retract(batch.state(), rng.normal(scale=1e-6, size=6 * 6 + 3 * 2)))
     kept = batch.linearize(batch.state())
-    assert latest.whole and kept.relinearized == 0
-    assert kept.band is latest.band and kept.border is latest.border
-    assert kept.landmark is latest.landmark
+    assert kept.relinearized == 0 and kept.flat is latest.flat
     batch._latest = None  # bin from scratch
     scratch = batch.linearize(batch.state())
-    assert scratch.band is not latest.band and kept.error == scratch.error
+    assert scratch.flat is not latest.flat and kept.error == scratch.error
     assert not np.array_equal(kept.grad, latest.grad)
     for name in ("band", "border", "landmark", "grad"):
         assert np.array_equal(getattr(kept, name), getattr(scratch, name)), name
 
     batch._latest = kept
-    g._kept_system = (g._stamp(), kept)
     g.add_pose(6, retract(poses[5], rng.normal(scale=0.05, size=6)))
     g.add_factor(fx.BetweenFactor(5, 6, Pose3.identity(), np.eye(6) * 1e-2))
     g.add_factor(fx.ObservationFactor(6, 1, rng.normal(size=3), np.eye(3) * 1e-2))
     appended = g._current_system()
-    whole = batch.linearize(batch.state())
-    assert not appended.whole and whole.relinearized == 0 and whole.band is not appended.band
-    assert rel_err(dense_system(appended), dense_system(whole)) < 1e-12
-    assert rel_err(appended.grad, whole.grad) < 1e-12
+    assert appended.flat is not kept.flat and appended.relinearized == 2
+    closing = batch.linearize(batch.state())
+    assert closing.relinearized == 0 and closing.flat is appended.flat
+    batch._latest = None
+    scratch = batch.linearize(batch.state())
+    assert scratch.flat is not appended.flat and closing.error == scratch.error
+    for system in (appended, closing):
+        assert rel_err(dense_system(system), dense_system(scratch)) < 1e-12
+    assert rel_err(appended.grad, scratch.grad) < 1e-12
+    assert np.array_equal(closing.grad, scratch.grad)
 
 
 def check_against_oracle(g, state, lin, err, system, from_scratch):
@@ -786,7 +794,7 @@ def test_fluid_relinearization_matches_lagged_oracle(monkeypatch, threshold):
         report = g.optimize(config)
         state, _, err, system, lin = calls[first]
         check_against_oracle(g, state, lin, err, system, threshold == 0.0)
-        _, system = g._kept_system
+        system = g._batch._latest
         state = g._batch.state()
         lin = (g._batch.poses["lin"], g._batch.landmarks["lin"])
         check_against_oracle(g, state, lin, report.final_error, system,
@@ -853,7 +861,7 @@ def test_kept_factor_matches_a_full_factorization(monkeypatch):
             reused += 1
             assert g._factor is kept
             assert np.array_equal(cov, kept.trailing_covariance())
-            check([(g._kept_system[1], 0.0, None, 0, kept)])
+            check([(g._batch._latest, 0.0, None, 0, kept)])
         else:
             assert len(made) == before + 1
             marginal_prefixes.extend(check(made[before:]))
@@ -914,10 +922,36 @@ def test_mixture_switch_relinearizes_the_switched_rows():
     want = sum(factor_error(f, values_at(batch, *state)) for f in g.factors)
     assert system.error == pytest.approx(want, rel=1e-12)
 
+    batch._latest = None  # the probe's state is not the stored estimate
     report = g.optimize()
-    _, system = g._kept_system
+    system = batch._latest
     state = batch.state()
     check_against_oracle(g, state, lin, report.final_error, system, report.converged)
+
+
+def test_optimize_that_raises_leaves_no_trial_system(monkeypatch):
+    # The second undamped factorization raises, after one accepted step:
+    # the latest linearization is at that step's estimate, which optimize
+    # never stores. The next optimize starts from a system at the stored
+    # estimate, not from that one.
+    g = structured_graph(np.random.default_rng(12))
+    keep_factor = gr.FactorGraph._keep_factor
+    calls = []
+
+    def failing(self, system):
+        calls.append(system)
+        if len(calls) == 2:
+            raise NumericalError("injected")
+        return keep_factor(self, system)
+
+    monkeypatch.setattr(gr.FactorGraph, "_keep_factor", failing)
+    with pytest.raises(NumericalError, match="injected"):
+        g.optimize()
+    assert len(calls) == 2
+    monkeypatch.setattr(gr.FactorGraph, "_keep_factor", keep_factor)
+    batch = g._batch
+    report = g.optimize(gr.LMConfig(max_iterations=0))
+    assert report.initial_error == batch.error_only(batch.state()).error
 
 
 def test_nan_trial_step_on_a_mixture_graph_is_rejected(monkeypatch):
@@ -1179,12 +1213,12 @@ def test_singular_schur_complement_raises_numerical_error():
 def test_add_landmark_rejects_non_finite_point_without_mutation(monkeypatch):
     g = structured_graph(np.random.default_rng(21))
     g.optimize()
-    stamp, stored = g._stamp(), len(g._batch.landmarks)
+    latest, stored = g._batch._latest, len(g._batch.landmarks)
     for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
         with pytest.raises(DataFormatError):
             g.add_landmark(99, np.array(bad))
     assert 99 not in g.landmarks
-    assert (g._stamp(), len(g._batch.landmarks)) == (stamp, stored)
+    assert g._batch._latest is latest and len(g._batch.landmarks) == stored
     calls = count_linearize(monkeypatch)
     assert checked_marginals(g, 11, calls) == (0, 0)  # optimize's system is still current
     g.add_landmark(99, np.zeros(3))
