@@ -48,16 +48,20 @@ widens the band: storage grows as (6w + 6) * 6N and the factorization as
 (6w + 6)^2 * 6N.
 
 What carries across solves. The graph keeps one current system, the latest
-linearization (``_BatchedFactors._latest``): ``optimize`` ends with it, at
-the estimate it stores, and both ``optimize`` and the marginals start from
-it (``_current_system``). Once rows are added, only those get residuals,
-Jacobians, J^T J and J^T r, added to its A, B, C, gradient and error,
-mixture and weighted rows included. A linearization that gives no row it
-holds a new Jacobian keeps its A, B and C, so a capped solve whose last
-step moved no variable past RELINEARIZE_THRESHOLD ends without rebinning
-its Hessian. There is no latest system, and every row is linearized, after
-``em_reweight`` set new weights, a relayout (a wider band, a doubled
-landmark capacity) or an ``optimize`` that raised.
+linearization (``_BatchedFactors._latest``), while it is at the stored
+estimate: ``optimize`` ends with it, at the estimate it stores, and both
+``optimize`` and the marginals start from it (``_current_system``). Each
+system keeps a copy of the estimate it is at, which is compared with the
+stored one, so a linearization at an estimate never stored (a trial step of
+an ``optimize`` that raised, a probe) is not taken for the current system.
+Once rows are added, only those get residuals, Jacobians, J^T J and J^T r,
+added to its A, B, C, gradient and error, mixture and weighted rows
+included. A linearization that gives no row it holds a new Jacobian keeps
+its A, B and C, so a capped solve whose last step moved no variable past
+RELINEARIZE_THRESHOLD ends without rebinning its Hessian. There is no
+current system, and every row is linearized, after ``em_reweight`` set new
+weights, a relayout (a wider band, a doubled landmark capacity) or a
+linearization at an estimate that was not stored.
 
 The graph also keeps its latest undamped factor, and each factorization
 records the first pose slot among the rows linearized anew since then: the
@@ -271,8 +275,7 @@ class FactorGraph:
         every variable is linked through factors to a pose that holds one.
         It starts from the current system (``_current_system``): the latest
         one, with only the rows added since linearized, so after no change it
-        linearizes nothing before its first step. If it raises, it drops the
-        latest system, which may be at a trial estimate it never stored. Each accepted step
+        linearizes nothing before its first step. Each accepted step
         relinearizes only the rows whose variables moved, with its gradient
         taken at the residuals the acceptance test just computed. A rejected
         step makes the system fresh before the next factorization, and a
@@ -310,31 +313,27 @@ class FactorGraph:
         lam = 0.0
         iterations = rejected = 0
         stop = stops(np.inf)
-        try:
-            while stop is None and iterations < config.max_iterations:
-                stepped = False
-                while lam <= MAX_LAMBDA:
-                    factor = self._factorize(system, lam) if lam else self._keep_factor(system)
-                    candidate = batch.retract(state, factor.solve(-system.grad))
-                    cand = batch.error_only(candidate)
-                    if cand.error <= err and np.isfinite(cand.error):
-                        rel = (err - cand.error) / max(err, 1e-300)
-                        state, residuals, err = candidate, cand, cand.error
-                        iterations += 1
-                        stepped = True
-                        lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
-                        system = batch.linearize(state, residuals)
-                        stop = stops(rel)
-                        break
-                    rejected += 1
-                    if not system.fresh:
-                        system = batch.linearize(state, residuals, fresh=True)
-                    lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
-                if not stepped:
-                    stop = "no acceptable step"
-        except BaseException:
-            batch._latest = None  # it may be at a trial state that is never stored
-            raise
+        while stop is None and iterations < config.max_iterations:
+            stepped = False
+            while lam <= MAX_LAMBDA:
+                factor = self._factorize(system, lam) if lam else self._keep_factor(system)
+                candidate = batch.retract(state, factor.solve(-system.grad))
+                cand = batch.error_only(candidate)
+                if cand.error <= err and np.isfinite(cand.error):
+                    rel = (err - cand.error) / max(err, 1e-300)
+                    state, residuals, err = candidate, cand, cand.error
+                    iterations += 1
+                    stepped = True
+                    lam = lam / LAMBDA_SCALE if lam / LAMBDA_SCALE >= INIT_LAMBDA else 0.0
+                    system = batch.linearize(state, residuals)
+                    stop = stops(rel)
+                    break
+                rejected += 1
+                if not system.fresh:
+                    system = batch.linearize(state, residuals, fresh=True)
+                lam = lam * LAMBDA_SCALE if lam else INIT_LAMBDA
+            if not stepped:
+                stop = "no acceptable step"
 
         batch.store(state)  # the latest system, ``system``, is linearized at state
         return OptimizeReport(initial, err, iterations, stop in ("gradient", "relative decrease"),
@@ -345,17 +344,19 @@ class FactorGraph:
         """The system at the stored estimate: the latest linearization
         (``_BatchedFactors._latest``) while it holds every row, pose and
         landmark, else that system with the rows added since appended (see
-        ``_BatchedFactors.linearize``). Every row is linearized only when
-        there is none: after ``em_reweight``, a relayout, or an ``optimize``
-        that raised."""
+        ``_BatchedFactors.linearize``). Every row is linearized when there
+        is none (after ``em_reweight`` or a relayout) or it is at another
+        estimate than the stored one: its variables' stored values differ
+        from the ones it was linearized at."""
         batch = self._batched()
-        system = batch._latest
-        if system is None:
+        system, (x, lms) = batch._latest, batch.state()
+        if system is None or not all(np.array_equal(a[:len(b)], b)
+                                     for a, b in zip((x, lms), system.estimate)):
             return batch.linearize(batch.state())
         if (system.rows != (len(batch.between), len(batch.observation))
-                or system.band.shape[1] != 6 * batch.num_poses
-                or len(system.landmark) != 3 * batch.num_lms):
-            return batch.linearize(batch.state(), base=system)
+                or len(system.estimate[0]) != batch.num_poses
+                or len(system.estimate[1]) != batch.num_lms):
+            return batch.linearize(batch.state(), append=True)
         return system
 
     def _keep_factor(self, system: "NormalEquations") -> "SchurFactor":
@@ -569,6 +570,7 @@ class NormalEquations:
     error: float          # total error at that estimate
     flat: np.ndarray      # the scatter buffer band, border and landmark view
     rows: tuple           # rows of each factor table binned into it
+    estimate: tuple       # copies of the (poses, landmarks) estimate grad and error are at
 
 
 class SchurFactor:
@@ -1089,7 +1091,7 @@ class _BatchedFactors:
         return ob["jac_s"][rows, None, None] * jac
 
     def linearize(self, state, residuals: _Residuals | None = None, fresh: bool = False,
-                  base: "NormalEquations | None" = None) -> "NormalEquations":
+                  append: bool = False) -> "NormalEquations":
         """The Gauss-Newton system at ``state``, with its total error.
 
         Only these rows get a new Jacobian: rows appended since the last
@@ -1109,16 +1111,19 @@ class _BatchedFactors:
         it holds got a new Jacobian: its flat buffer as it is when nothing
         was appended and the graph has as many poses, else a copy with the
         appended rows' ``value`` added at their ``index``. Otherwise every
-        row's ``value`` is added into a zeroed buffer. The gradient is
-        ``base``'s, or zero, plus the ``grad`` of the rows from ``start`` on,
-        added at their ``grad_index``. Rows are added in order, between rows
-        first, as one ``np.bincount`` over both tables would add them.
+        row's ``value`` is added into a zeroed buffer. The gradient is the
+        latest system's when ``append``, else zero, plus the ``grad`` of the
+        rows from ``start`` on, added at their ``grad_index``. Rows are added
+        in order, between rows first, as one ``np.bincount`` over both tables
+        would add them.
 
-        ``base`` is the latest system, at ``state``: then only the rows
-        appended since it are linearized, and its error is added to theirs.
-        The system returned becomes ``_latest``; a caller that linearizes at
-        a state it does not store must drop it.
+        With ``append`` the latest system must be at ``state`` (what
+        ``FactorGraph._current_system`` checks): only the rows appended since
+        it are linearized, and its error is added to theirs. The system
+        returned becomes ``_latest``, with a copy of ``state`` as its
+        ``estimate``.
         """
+        base = self._latest if append else None
         start = (0, 0) if base is None else base.rows
         if base is not None or residuals is None:
             residuals = self._residuals(state, start)
@@ -1196,7 +1201,7 @@ class _BatchedFactors:
             landmark=flat[:self._records_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([grad[lm_width:], grad[:n_lm]]),
             fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized, error=error,
-            flat=flat, rows=self._linearized)
+            flat=flat, rows=self._linearized, estimate=(x.copy(), lms.copy()))
         return system
 
     def _row_variables(self):

@@ -624,8 +624,8 @@ def count_linearize(monkeypatch):
     calls = []
     original = gr._BatchedFactors.linearize
 
-    def counting(self, state, residuals=None, fresh=False, base=None):
-        system = original(self, state, residuals, fresh, base)
+    def counting(self, state, residuals=None, fresh=False, append=False):
+        system = original(self, state, residuals, fresh, append)
         rows = len(self.between) + len(self.observation)
         lin = (self.poses["lin"].copy(), self.landmarks["lin"].copy())
         calls.append((tuple(a.copy() for a in state), system.relinearized == rows,
@@ -922,34 +922,41 @@ def test_mixture_switch_relinearizes_the_switched_rows():
     want = sum(factor_error(f, values_at(batch, *state)) for f in g.factors)
     assert system.error == pytest.approx(want, rel=1e-12)
 
-    batch._latest = None  # the probe's state is not the stored estimate
     report = g.optimize()
     system = batch._latest
     state = batch.state()
     check_against_oracle(g, state, lin, report.final_error, system, report.converged)
 
 
-def test_optimize_that_raises_leaves_no_trial_system(monkeypatch):
-    # The second undamped factorization raises, after one accepted step:
-    # the latest linearization is at that step's estimate, which optimize
-    # never stores. The next optimize starts from a system at the stored
-    # estimate, not from that one.
+@pytest.mark.parametrize("away", ["raised", "probe"])
+def test_optimize_starts_from_the_stored_estimate(monkeypatch, away):
+    # The latest linearization is at an estimate that is never stored:
+    # "raised" makes the second undamped factorization raise, after one
+    # accepted step, so it is at that step's estimate; "probe" linearizes at
+    # a copy of the stored estimate with landmark 3 moved. The next optimize
+    # starts from a system at the stored estimate, not from that one.
     g = structured_graph(np.random.default_rng(12))
-    keep_factor = gr.FactorGraph._keep_factor
-    calls = []
-
-    def failing(self, system):
-        calls.append(system)
-        if len(calls) == 2:
-            raise NumericalError("injected")
-        return keep_factor(self, system)
-
-    monkeypatch.setattr(gr.FactorGraph, "_keep_factor", failing)
-    with pytest.raises(NumericalError, match="injected"):
-        g.optimize()
-    assert len(calls) == 2
-    monkeypatch.setattr(gr.FactorGraph, "_keep_factor", keep_factor)
     batch = g._batch
+    if away == "raised":
+        keep_factor = gr.FactorGraph._keep_factor
+        calls = []
+
+        def failing(self, system):
+            calls.append(system)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return keep_factor(self, system)
+
+        monkeypatch.setattr(gr.FactorGraph, "_keep_factor", failing)
+        with pytest.raises(NumericalError, match="injected"):
+            g.optimize()
+        assert len(calls) == 2
+        monkeypatch.setattr(gr.FactorGraph, "_keep_factor", keep_factor)
+    else:
+        g.optimize()
+        probe = tuple(a.copy() for a in batch.state())
+        probe[1][batch.lm_slot[3], 0] += 1.0
+        assert batch.linearize(probe) is batch._latest
     report = g.optimize(gr.LMConfig(max_iterations=0))
     assert report.initial_error == batch.error_only(batch.state()).error
 
@@ -1050,10 +1057,10 @@ def test_accepted_steps_never_raise_the_error_and_convergence_is_exact(
     accepted = []  # the true error at each linearization an accepted step makes
     original = gr._BatchedFactors.linearize
 
-    def recording(self, state, residuals=None, fresh=False, base=None):
+    def recording(self, state, residuals=None, fresh=False, append=False):
         if residuals is not None and not fresh:
             accepted.append(sum(factor_error(f, values_at(self, *state)) for f in g.factors))
-        return original(self, state, residuals, fresh, base)
+        return original(self, state, residuals, fresh, append)
 
     gr._BatchedFactors.linearize = recording
     try:
