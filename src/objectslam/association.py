@@ -2,12 +2,15 @@
 
 A detection is matched against mapped landmarks in two gates: a class gate on
 embedding cosine similarity, then a chi-square gate on the Mahalanobis
-distance of the point innovation under the innovation covariance
+distance D^2 of the point innovation under the innovation covariance
 C = H Sigma H^T + Gamma, with H the observation Jacobian with respect to
-the pose and the landmark and Sigma their joint marginal.
-Surviving hypotheses are ranked by log marginal likelihood and resolved per
-strategy: max-likelihood, max-mixtures, EM weights, geometric-only, or
-always-new.
+the pose and the landmark and Sigma their joint marginal. The chi-square
+gates are the only geometric gates, at two confidences: beta for
+association, and the looser NEW_LANDMARK_BETA, inside which a detection that
+is not associated lies too close to a landmark to be mapped as a new one.
+Hypotheses inside the beta gate are ranked by log marginal likelihood and
+resolved per strategy: max-likelihood, max-mixtures, EM weights,
+geometric-only, or always-new.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # The point innovation is 3-D (H is 3 x 9): the degrees of freedom of its
 # chi-square gates.
 POINT_DOF = 3
+# Confidence of the looser instantiation gate: a detection failing the
+# association gate but inside this gate of a class-compatible landmark is
+# ambiguous and is dropped instead of spawning a duplicate (a beta-level gate
+# misses 1 - beta of the true associations by construction).
+NEW_LANDMARK_BETA = 0.9999
 
 
 @dataclass
@@ -55,25 +63,19 @@ class Landmark:
 
 @dataclass
 class DAConfig:
+    """Association settings: the class gate, the association gate's
+    confidence and the strategy. beta may not exceed NEW_LANDMARK_BETA, the
+    confidence of the looser instantiation gate."""
+
     alpha: float = 0.8            # cosine class-gate threshold
     beta: float = 0.95            # chi-square confidence
-    gate_radius: float = 5.0      # meters, geometric pre-filter
     strategy: str = "ml"
-    # Looser instantiation gate: a detection failing the association gate but
-    # within this gate of a same-class landmark is ambiguous and is dropped
-    # instead of spawning a duplicate (a beta-level gate misses 1-beta of the
-    # true associations by construction).
-    new_landmark_beta: float = 0.9999
 
     def __post_init__(self):
-        if not -1.0 < self.alpha < 1.0:
+        if not -1.0 < self.alpha < 1.0:  # NaN fails too
             raise ValueError("alpha must be in (-1, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if not self.gate_radius > 0.0:  # NaN fails too
-            raise ValueError("gate_radius must be > 0")
-        if not self.beta <= self.new_landmark_beta < 1.0:
-            raise ValueError("new_landmark_beta must be in [beta, 1)")
+        if not 0.0 < self.beta <= NEW_LANDMARK_BETA:
+            raise ValueError(f"beta must be in (0, {NEW_LANDMARK_BETA}]")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -98,8 +100,8 @@ class AssociationDecision:
     kind: str  # "new" | "single" | "mixture" | "weighted"
     pairs: tuple = ()  # ((landmark_id, weight), ...) non-empty unless "new"
     hypotheses: tuple = ()  # the gated hypotheses backing the decision
-    # a "new" decision whose detection still lies within the looser
-    # new_landmark_beta gate of a class-compatible landmark: instantiating it
+    # a "new" decision whose detection still lies inside the looser
+    # NEW_LANDMARK_BETA gate of a class-compatible landmark: instantiating it
     # would likely duplicate that landmark, so callers drop it instead
     ambiguous: bool = False
 
@@ -187,41 +189,34 @@ def chi_square_quantile(dof: int, beta: float) -> float:
     return float(chi2.ppf(beta, df=dof))
 
 
-def _log_marginal_from_logdet(d_squared: float, logdet: float) -> float:
-    return -0.5 * d_squared - 0.5 * (POINT_DOF * _LOG_2PI + logdet)
+def _hypotheses(detections: list[ObjectDetection], snapshot: StateSnapshot,
+                config: DAConfig) -> list[list[Hypothesis]]:
+    """Per detection, a hypothesis for every landmark passing the class gate
+    (skipped for geometric_only) with D^2 inside the loose NEW_LANDMARK_BETA
+    gate, by log marginal likelihood descending, ties broken by ascending
+    landmark id. The callers cut these lists at ``chi2_threshold``. A pair
+    whose C is not positive definite (a broken marginal) is gated out without
+    touching the others.
 
-
-def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
-                    config: DAConfig) -> list[list[tuple[int, float, float, np.ndarray, float]]]:
-    """Per detection: (landmark id, cosine, D^2, C, log det C) for every
-    landmark passing the radius and class gates; the chi-square cut is applied
-    by the callers. A pair whose C is not positive definite (a broken
-    marginal) is gated out without touching the others.
-
-    Evaluates the whole detection x landmark grid in one batch; the
-    landmark-side covariance projection comes cached from the snapshot.
+    D^2, log det C and the log marginal come from one batch over the
+    class-gated pairs; the landmark-side covariance projection comes cached
+    from the snapshot.
     """
-    nd = len(detections)
-    nl = len(snapshot.landmarks)
-    if nd == 0 or nl == 0:
-        return [[] for _ in range(nd)]
+    out: list[list[Hypothesis]] = [[] for _ in detections]
+    if not detections or not snapshot.landmarks:
+        return out
     predicted, hsh, embeddings, emb_norms = snapshot._arrays
 
-    points = np.array([d.point for d in detections])
     det_embs = np.array([d.embedding for d in detections])
     det_norms = np.linalg.norm(det_embs, axis=1)
     if np.any(det_norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm embedding")
-
-    innovations = predicted[None, :, :] - points[:, None, :]          # (nd, nl, 3)
-    keep = np.einsum("dlk,dlk->dl", innovations, innovations) <= config.gate_radius ** 2
     cosines = np.clip((det_embs @ embeddings.T)
                       / np.outer(det_norms, emb_norms), -1.0, 1.0)    # (nd, nl)
-    if config.strategy != "geometric_only":
-        keep &= cosines > config.alpha
+    keep = (np.full(cosines.shape, True) if config.strategy == "geometric_only"
+            else cosines > config.alpha)
 
     d_idx, l_idx = np.nonzero(keep)
-    out: list[list[tuple[int, float, float, np.ndarray, float]]] = [[] for _ in range(nd)]
     if d_idx.size == 0:
         return out
     gammas = np.array([d.point_covariance for d in detections])
@@ -237,14 +232,19 @@ def _evaluate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
         if d_idx.size == 0:
             return out
         chol = np.linalg.cholesky(c)
-    y = np.linalg.solve(chol, innovations[d_idx, l_idx][..., None])[..., 0]
+    points = np.array([d.point for d in detections])
+    innovations = predicted[l_idx] - points[d_idx]
+    y = np.linalg.solve(chol, innovations[..., None])[..., 0]
     d2 = np.einsum("mk,mk->m", y, y)
     logdet = 2.0 * np.log(np.einsum("mkk->mk", chol)).sum(axis=1)
+    log_marginal = -0.5 * d2 - 0.5 * (POINT_DOF * _LOG_2PI + logdet)
     landmarks = snapshot.landmarks
-    for m in range(d_idx.size):
+    for m in np.flatnonzero(d2 < chi_square_quantile(POINT_DOF, NEW_LANDMARK_BETA)).tolist():
         d, l = int(d_idx[m]), int(l_idx[m])
-        out[d].append((landmarks[l].id, float(cosines[d, l]), float(d2[m]), c[m],
-                       float(logdet[m])))
+        out[d].append(Hypothesis(landmarks[l].id, float(d2[m]), float(cosines[d, l]),
+                                 float(log_marginal[m]), c[m]))
+    for hypotheses in out:
+        hypotheses.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
     return out
 
 
@@ -260,27 +260,18 @@ def generate_hypotheses(detection: ObjectDetection, snapshot: StateSnapshot,
                         config: DAConfig) -> list[Hypothesis]:
     """Gated, ranked association hypotheses for one detection.
 
-    Gates: predicted distance <= gate_radius, cosine > alpha (skipped for
-    geometric_only), D^2 < chi-square threshold. Sorted by log marginal
-    likelihood descending, ties broken by ascending landmark id.
+    Gates: cosine > alpha (skipped for geometric_only), D^2 < chi-square
+    threshold. Sorted by log marginal likelihood descending, ties broken by
+    ascending landmark id.
     """
-    return _ranked(_evaluate_frame([detection], snapshot, config)[0], config.chi2_threshold)
-
-
-def _ranked(evaluated, threshold: float) -> list[Hypothesis]:
-    """The hypotheses among one detection's ``_evaluate_frame`` pairs with
-    D^2 < threshold, by log marginal likelihood descending, ties broken by
-    ascending landmark id."""
-    hypotheses = [Hypothesis(lm_id, d2, cos, _log_marginal_from_logdet(d2, logdet), c)
-                  for lm_id, cos, d2, c, logdet in evaluated if d2 < threshold]
-    hypotheses.sort(key=lambda h: (-h.log_marginal, h.landmark_id))
-    return hypotheses
+    threshold = config.chi2_threshold
+    return [h for h in _hypotheses([detection], snapshot, config)[0] if h.d_squared < threshold]
 
 
 def blocks_new_landmark(decision: AssociationDecision) -> bool:
     """True when instantiating the detection behind a new-landmark decision
     would likely duplicate a landmark: ``associate_frame`` found a same-class
-    landmark within the looser new_landmark_beta gate, so the measurement is
+    landmark inside the looser NEW_LANDMARK_BETA gate, so the measurement is
     ambiguous and is discarded rather than mapped."""
     return decision.ambiguous
 
@@ -310,15 +301,13 @@ def associate_frame(detections: list[ObjectDetection], snapshot: StateSnapshot,
     Detections are processed in order of their best hypothesis likelihood; a
     landmark claimed by one detection (single match or max-weight component)
     is removed from the later detections' hypothesis lists. A detection that
-    ends up new is marked ambiguous when any gated landmark, claimed or not,
-    lies within the new_landmark_beta gate; both cuts come from one pass.
+    ends up new is marked ambiguous when any landmark past the class gate,
+    claimed or not, lies inside the NEW_LANDMARK_BETA gate; both cuts come
+    from one list per detection.
     """
     threshold = config.chi2_threshold
-    loose = chi_square_quantile(POINT_DOF, config.new_landmark_beta)
-    all_hyps, near = [], []
-    for evaluated in _evaluate_frame(detections, snapshot, config):
-        all_hyps.append(_ranked(evaluated, threshold))
-        near.append(any(d2 < loose for _, _, d2, _, _ in evaluated))
+    near = _hypotheses(detections, snapshot, config)
+    all_hyps = [[h for h in hyps if h.d_squared < threshold] for hyps in near]
     order = sorted(
         range(len(detections)),
         key=lambda i: (-all_hyps[i][0].log_marginal if all_hyps[i] else math.inf, i),

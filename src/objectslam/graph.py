@@ -353,7 +353,7 @@ class FactorGraph:
         if system is None or not all(np.array_equal(a[:len(b)], b)
                                      for a, b in zip((x, lms), system.estimate)):
             return batch.linearize(batch.state())
-        if (system.rows != (len(batch.between), len(batch.observation))
+        if (batch._linearized != (len(batch.between), len(batch.observation))
                 or len(system.estimate[0]) != batch.num_poses
                 or len(system.estimate[1]) != batch.num_lms):
             return batch.linearize(batch.state(), append=True)
@@ -569,7 +569,6 @@ class NormalEquations:
     relinearized: int     # between and observation rows linearized anew for it
     error: float          # total error at that estimate
     flat: np.ndarray      # the scatter buffer band, border and landmark view
-    rows: tuple           # rows of each factor table binned into it
     estimate: tuple       # copies of the (poses, landmarks) estimate grad and error are at
 
 
@@ -839,7 +838,7 @@ class _BatchedFactors:
         self._weighted: list = []       # the weighted observation factors, as in ``weighted``
         self._groups: dict = {}         # group_id, or (row,) for none, -> group number
         self._synced = 0                # factors appended so far
-        self._linearized = (0, 0)       # between and observation rows with a Jacobian
+        self._linearized = (0, 0)       # between and observation rows with a Jacobian, in _latest
         self._latest = None             # the latest system linearize returned
         self.changed_from = 0
         self._set_layout(band_rows=6, lm_capacity=0)
@@ -1124,7 +1123,7 @@ class _BatchedFactors:
         ``estimate``.
         """
         base = self._latest if append else None
-        start = (0, 0) if base is None else base.rows
+        start = (0, 0) if base is None else self._linearized
         if base is not None or residuals is None:
             residuals = self._residuals(state, start)
         x, lms = state
@@ -1135,11 +1134,10 @@ class _BatchedFactors:
         kernels = ((self._between_residuals, self._between_jacobians),
                    (self._observation_residuals, self._observation_jacobians))
         latest = self._latest
-        held = (0, 0) if latest is None else latest.rows  # rows the latest system holds
         relinearized, changed_from = 0, self.changed_from
         for (table, block), (residual_kernel, jacobian_kernel), variables, done, first, terms, \
-                rw, n_held in zip(self._tables(), kernels, self._row_variables(), self._linearized,
-                                  start, residuals.terms, residuals.whitened, held):
+                rw in zip(self._tables(), kernels, self._row_variables(), self._linearized, start,
+                          residuals.terms, residuals.whitened):
             variables = [(kind, slots[first:]) for kind, slots in variables]
             redo = np.logical_or.reduce([moved[kind][slots] for kind, slots in variables])
             redo[done - first:] = True  # appended since the last linearization
@@ -1159,7 +1157,7 @@ class _BatchedFactors:
                 changed_from = min([changed_from] + [int(slots[rows].min())
                                                      for kind, slots in variables if kind == 0])
                 rows += first
-                if rows[0] < n_held:  # a row whose J^T J the latest system holds
+                if rows[0] < done:  # a row whose J^T J the latest system holds
                     latest = None
                 if lagged.any():  # rows with a point away from the estimate
                     for a, b in zip(terms, residual_kernel(
@@ -1171,19 +1169,20 @@ class _BatchedFactors:
                 table["value"][rows] = _kept_products(jac, block)
                 relinearized += len(jac)
             np.einsum("nij,ni->nj", table["jac"][first:], rw, out=table["grad"][first:])
-        self._linearized = tuple(len(table) for table, _ in self._tables())
         self.changed_from = changed_from
 
         n_pose, n_lm = 6 * self.num_poses, 3 * self.num_lms
         lm_width = 3 * self.lm_capacity
         size = self._records_at + n_pose * self._stride
-        if latest is not None and latest.rows == self._linearized and len(latest.flat) == size:
+        held = self._linearized if latest is not None else (0, 0)  # rows the latest system holds
+        self._linearized = tuple(len(table) for table, _ in self._tables())
+        if latest is not None and held == self._linearized and len(latest.flat) == size:
             flat = latest.flat
         else:
             flat = np.zeros(size)
             if latest is not None:  # a prefix: pose records are appended at its end
                 flat[:len(latest.flat)] = latest.flat
-            for (table, _), first in zip(self._tables(), held if latest is not None else (0, 0)):
+            for (table, _), first in zip(self._tables(), held):
                 np.add.at(flat, table["index"][first:].ravel(), table["value"][first:].ravel())
 
         grad, error = np.zeros(lm_width + n_pose), residuals.error  # landmarks first
@@ -1201,7 +1200,7 @@ class _BatchedFactors:
             landmark=flat[:self._records_at].reshape(lm_width, lm_width)[:n_lm, :n_lm],
             grad=np.concatenate([grad[lm_width:], grad[:n_lm]]),
             fresh=bool(at[0].all() and at[1].all()), relinearized=relinearized, error=error,
-            flat=flat, rows=self._linearized, estimate=(x.copy(), lms.copy()))
+            flat=flat, estimate=(x.copy(), lms.copy()))
         return system
 
     def _row_variables(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericalError
 
 FGRD_MAGIC = b"FGRD"
 
@@ -164,7 +164,8 @@ def cluster_features(grid: FeatureGrid, k: int, max_iters: int = 50, seed: int =
     bit-identical to that per-cluster loop. k above the number of distinct
     feature vectors raises ``ValueError``; k-means++ seeding detects it when it
     runs out of rows away from the chosen centroids, so valid grids never pay
-    for a distinct-row sort. The returned ``wcss_history`` has one entry per
+    for a distinct-row sort. Features whose squared distances overflow raise
+    ``NumericalError`` there too. The returned ``wcss_history`` has one entry per
     assignment (iterations + 1), each read off the distances that assignment
     computed (see ``ClusterMap``).
 
@@ -212,11 +213,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         total = d2.sum()
         # D^2 sampling never picks a row at zero distance, so the i rows
         # chosen so far are distinct and k > distinct rows first shows here;
-        # an overflowed total would otherwise fail in rng.choice on NaN odds
+        # an overflowed total, which rng.choice would fail on as NaN odds,
+        # raises NumericalError
         if total <= 0 or total == math.inf:
             distinct = np.unique(points, axis=0).shape[0]
             if k > distinct:
                 raise ValueError(f"k={k} exceeds {distinct} distinct feature vectors")
+            if total == math.inf:
+                raise NumericalError("k-means++ seeding: squared feature distances overflow")
         if total <= 0:
             # all remaining points coincide with a centroid; pick any distinct row
             centroids[i] = points[rng.integers(n)]

@@ -151,9 +151,10 @@ def sample_prototypes(count: int, dim: int, min_angle: float, rng,
 
 def generate_world(config: WorldConfig, seed) -> World:
     rng = _rng(seed)
-    prototypes = sample_prototypes(config.class_count, config.embedding_dim,
-                                   config.min_prototype_angle, rng)
-    background = _sample_background(prototypes, config.min_prototype_angle, rng)
+    # one prototype per class, then the background's
+    drawn = sample_prototypes(config.class_count + 1, config.embedding_dim,
+                              config.min_prototype_angle, rng)
+    prototypes, background = drawn[:-1], drawn[-1]
     class_ids = np.array([i % config.class_count for i in range(config.object_count)])
     rng.shuffle(class_ids)
     center = config.loop_center
@@ -164,16 +165,6 @@ def generate_world(config: WorldConfig, seed) -> World:
         objects.append(WorldObject(i, np.array([center[0] + xy[0], center[1] + xy[1], 0.0]),
                                    int(class_ids[i])))
     return World(config, objects, prototypes, background)
-
-
-def _sample_background(prototypes: np.ndarray, min_angle: float, rng) -> np.ndarray:
-    cos_limit = math.cos(min_angle)
-    for _ in range(2000):
-        v = rng.normal(size=prototypes.shape[1])
-        v /= np.linalg.norm(v)
-        if prototypes.shape[0] == 0 or np.max(prototypes @ v) <= cos_limit:
-            return v
-    raise NumericalError("could not place a background prototype")
 
 
 def generate_trajectory(loops: int, waypoints_per_loop: int, path_length: float = 21.7,

@@ -130,15 +130,21 @@ def test_generate_hypotheses_simple_cases():
     assert hyps[0].cosine == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("radius", [-5.0, 0.0, math.nan, -math.inf])
-def test_daconfig_rejects_bad_gate_radius(radius):
-    # the radius is squared, so -5 would gate like 5, and NaN would gate out everything
+@pytest.mark.parametrize("field, value", [
+    ("alpha", -1.0), ("alpha", 1.0), ("alpha", math.nan),
+    ("beta", 0.0), ("beta", -0.5), ("beta", math.nan), ("beta", 1.0),
+    ("beta", 0.5 * (da.NEW_LANDMARK_BETA + 1.0)),  # outside the loose gate's confidence
+])
+def test_daconfig_rejects_bad_alpha_and_beta(field, value):
     with pytest.raises(ValueError):
-        da.DAConfig(gate_radius=radius)
+        da.DAConfig(**{field: value})
+    # the limits that are allowed
+    da.DAConfig(alpha=-0.999, beta=da.NEW_LANDMARK_BETA)
+    da.DAConfig(alpha=0.999, beta=1e-6)
 
 
 def test_generate_hypotheses_gates():
-    cfg = da.DAConfig(alpha=0.8, beta=0.95, gate_radius=5.0)
+    cfg = da.DAConfig(alpha=0.8, beta=0.95)
     pose = Pose3.identity()
     det = make_detection([1.0, 0.0, 2.0], [1.0, 0.0, 0.0])
 
@@ -149,7 +155,7 @@ def test_generate_hypotheses_gates():
     cfg_geo = da.DAConfig(strategy="geometric_only")
     assert len(da.generate_hypotheses(det, snap, cfg_geo)) == 1
 
-    # out of gate radius
+    # far out: rejected by the chi-square gate, whatever the distance
     snap = snapshot_one_landmark(pose, [20.0, 0.0, 2.0], [1.0, 0.0, 0.0])
     assert da.generate_hypotheses(det, snap, cfg) == []
 
@@ -164,8 +170,6 @@ def brute_force_hypotheses(det, snap, cfg):
     for i, lm in enumerate(snap.landmarks):
         pred = measurement_model_h(snap.pose, lm.position)
         r = pred - det.point
-        if np.linalg.norm(r) > cfg.gate_radius:
-            continue
         cos = da.cosine_similarity(det.embedding, lm.embedding)
         if cfg.strategy != "geometric_only" and not cos > cfg.alpha:
             continue
@@ -201,7 +205,7 @@ def random_instance(rng, n_landmarks):
 
 def test_hypotheses_match_enumeration_oracle():
     rng = np.random.default_rng(3)
-    cfg = da.DAConfig(alpha=0.0, gate_radius=8.0)
+    cfg = da.DAConfig(alpha=0.0)
     checked = 0
     for _ in range(300):
         det, snap = random_instance(rng, rng.integers(1, 6))
@@ -217,7 +221,7 @@ def test_hypotheses_match_enumeration_oracle():
 
 def test_gating_soundness():
     rng = np.random.default_rng(4)
-    cfg = da.DAConfig(alpha=0.0, gate_radius=8.0)
+    cfg = da.DAConfig(alpha=0.0)
     threshold = chi2_quantile(da.POINT_DOF, cfg.beta)
     for _ in range(100):
         det, snap = random_instance(rng, 4)
@@ -228,29 +232,33 @@ def test_gating_soundness():
 
 def test_indefinite_innovation_covariance_drops_only_its_pairs():
     rng = np.random.default_rng(11)
-    cfg = da.DAConfig(alpha=0.0, gate_radius=8.0)
+    cfg = da.DAConfig(alpha=0.0)
     pose = random_pose(rng, max_angle=1.0, max_trans=1.0)
     landmarks = [da.Landmark(i, rng.uniform(-3, 3, size=3), rng.normal(size=4)) for i in range(6)]
     joint = random_spd(rng, 6 + 3 * len(landmarks), 0.01)
-    dets = [ObjectDetection(rng.normal(size=4),
-                            measurement_model_h(pose, lm.position) + rng.normal(scale=0.3, size=3),
+    # each detection shares its landmark's embedding and lies near its
+    # prediction, so every landmark, the broken one too, has pairs inside
+    # both the class gate and the loose gate
+    dets = [ObjectDetection(lm.embedding.copy(),
+                            measurement_model_h(pose, lm.position) + rng.normal(scale=0.1, size=3),
                             random_spd(rng, 3, 0.05)) for lm in landmarks]
-    clean = da._evaluate_frame(dets, da.StateSnapshot(pose, landmarks, joint), cfg)
+    clean = da._hypotheses(dets, da.StateSnapshot(pose, landmarks, joint), cfg)
     broken = 2
     # a landmark block of -100 I swamps the rest of H Sigma H^T, so C is
     # negative definite for every detection paired with the broken landmark
     faulty_joint = joint.copy()
     faulty_joint[6 + 3 * broken:9 + 3 * broken, 6 + 3 * broken:9 + 3 * broken] = -100 * np.eye(3)
     faulty_snap = da.StateSnapshot(pose, landmarks, faulty_joint)
-    faulty = da._evaluate_frame(dets, faulty_snap, cfg)
+    faulty = da._hypotheses(dets, faulty_snap, cfg)
     dropped = 0
     for want, got in zip(clean, faulty, strict=True):
-        kept = [pair for pair in want if pair[0] != broken]
+        kept = [h for h in want if h.landmark_id != broken]
         dropped += len(want) - len(kept)
         assert len(got) == len(kept)
-        for (lm0, cos0, d0, c0, logdet0), (lm1, cos1, d1, c1, logdet1) in zip(kept, got):
-            assert (lm0, cos0, d0, logdet0) == (lm1, cos1, d1, logdet1)
-            assert np.array_equal(c0, c1)
+        for h0, h1 in zip(kept, got):
+            assert ((h0.landmark_id, h0.cosine, h0.d_squared, h0.log_marginal)
+                    == (h1.landmark_id, h1.cosine, h1.d_squared, h1.log_marginal))
+            assert np.array_equal(h0.innovation_cov, h1.innovation_cov)
     assert dropped > 0 and sum(map(len, faulty)) > 0
     assert len(da.associate_frame(dets, faulty_snap, cfg)) == len(dets)
     # a frame whose every pair is broken gates everything out
@@ -326,7 +334,7 @@ def test_associate_frame_marks_new_detections_inside_the_loose_gate(strategy):
     lm = da.Landmark(0, [1.0, 0.0, 2.0], emb)
     snap = da.StateSnapshot(Pose3.identity(), [lm])
     tight = chi2_quantile(3, cfg.beta)
-    loose = chi2_quantile(3, cfg.new_landmark_beta)
+    loose = chi2_quantile(3, da.NEW_LANDMARK_BETA)
     radius = [0.05 * np.sqrt(d2) for d2 in (0.25 * tight, 0.5 * (tight + loose), 2 * loose)]
     dets = [make_detection([1.0 + r, 0.0, 2.0], emb) for r in radius]
     dets.append(make_detection([1.0, 0.0, 2.0], -emb))  # fails the class gate

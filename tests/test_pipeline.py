@@ -6,7 +6,7 @@ import pytest
 from objectslam import factors as fx
 from objectslam import pipeline as pl
 from objectslam import simworld as sw
-from objectslam.association import DAConfig, Landmark, chi_square_quantile
+from objectslam.association import NEW_LANDMARK_BETA, DAConfig, Landmark, chi_square_quantile
 from objectslam.errors import DataFormatError
 from objectslam.evaluation import ape
 from objectslam.geometry import Pose3, compose, inverse, local
@@ -159,12 +159,12 @@ def test_object_detection_rejects_a_non_1d_embedding():
 
 def test_ambiguous_detection_is_dropped_counted_and_reported():
     # Keyframe 0 maps a landmark; keyframe 1 sees a same-class detection whose
-    # D^2 lies between the beta and new_landmark_beta gates, so it is neither
+    # D^2 lies between the beta and NEW_LANDMARK_BETA gates, so it is neither
     # associated nor mapped. Pose uncertainty is negligible against the
     # detections' sigma^2 I, so the innovation covariance is 2 sigma^2 I.
     cfg = slam_config()
     sigma, emb = 0.05, np.array([1.0, 0.0])
-    d2 = 0.5 * (cfg.da.chi2_threshold + chi_square_quantile(3, cfg.da.new_landmark_beta))
+    d2 = 0.5 * (cfg.da.chi2_threshold + chi_square_quantile(3, NEW_LANDMARK_BETA))
     rel = Pose3(np.array([1, 0, 0, 0.0]), np.array([0.1, 0.0, 0.0]))
     seen = np.array([1.5, 0.3, 0.0])
     offset = np.array([np.sqrt(2.0 * sigma ** 2 * d2), 0.0, 0.0])

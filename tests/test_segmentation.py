@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from objectslam import segmentation as seg
 from objectslam import simworld as sw
-from objectslam.errors import DataFormatError
+from objectslam.errors import DataFormatError, NumericalError
 from objectslam.geometry import Pose3
 from oracles import (flood_fill_components, kmeans_reference, nearest_prototype_labels,
                      vote_saliency_reference)
@@ -69,6 +69,15 @@ def test_cluster_rejects_k_above_distinct():
     grid = make_grid(features)
     with pytest.raises(ValueError):
         seg.cluster_features(grid, k=2)
+
+
+# the overflow this test provokes also warns; the error is what is checked
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_detect_raises_numerical_error_when_squared_distances_overflow():
+    rng = np.random.default_rng(0)
+    grid = make_grid(rng.normal(size=(8, 8, 4)) * 1e160)  # finite, but its squares are not
+    with pytest.raises(NumericalError, match="overflow"):
+        seg.detect(grid, seg.SegmentationConfig())
 
 
 def test_cluster_deterministic():

@@ -4,14 +4,17 @@
     python3 tools/decision_diff.py --checkout parent=../parent --checkout change=.
 
 Each checkout runs ``run_slam`` with the decision log on, in its own process
-from the checkout's root, on the default ``WorldConfig`` cut to ``LOOPS`` x
-``KEYFRAMES_PER_LOOP`` keyframes, odometry noise multiplier ``NOISE``, seed
-``SEED``: the ``ml``, ``mm`` and ``em`` strategies at ``optimize_every`` 1
-and 10. Per row the script checks that every decision's kind and landmark ids
-match, that every D^2 and log-marginal and the APE RMSE agree within
-``REL_TOL`` relative, and that the landmark count and map precision/recall
-are identical. It prints the largest relative differences
-of each row and exits non-zero when any row differs.
+from the checkout's root, with odometry noise multiplier ``NOISE`` and seed
+``SEED`` on each row of ``ROWS``: the ``ml``, ``mm`` and ``em`` strategies at
+``optimize_every`` 1 and 10 on the desk scene (the default ``WorldConfig``
+cut to 2 x 100 keyframes), and ``ml`` at ``optimize_every`` 10 on
+``bench_record``'s many-object scene (300 objects, 3 x 200 keyframes), where
+a detection has the most landmarks around it. Per row the script checks that
+every decision's kind and landmark ids match, that every D^2 and
+log-marginal and the APE RMSE agree within ``REL_TOL`` relative, and that
+the landmark count and map precision/recall are identical. It prints the
+largest relative differences of each row and exits non-zero when any row
+differs.
 
     python3 tools/decision_diff.py --detect --checkout parent=../parent --checkout change=.
 
@@ -40,10 +43,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+from bench_record import SLAM_SCENES
 
-ROWS = tuple((s, every) for s in ("ml", "mm", "em") for every in (1, 10))
-LOOPS = 2
-KEYFRAMES_PER_LOOP = 100
+# scene name -> WorldConfig fields that differ from the default
+SCENES = {"desk": {"loops": 2, "keyframes_per_loop": 100},
+          "many_objects": SLAM_SCENES["many_objects"]}
+ROWS = tuple(("desk", s, every) for s in ("ml", "mm", "em") for every in (1, 10)) \
+    + (("many_objects", "ml", 10),)  # (scene, strategy, optimize_every)
 NOISE = 3.0
 SEED = 0
 REL_TOL = 1e-12
@@ -52,13 +58,13 @@ ROW = "--row"  # internal: run one row in this process and print its JSON
 DETECT_ROW = "--detect-row"  # internal: run detect over the frames in this process
 
 
-def run_row(strategy: str, optimize_every: int) -> dict:
+def run_row(scene: str, strategy: str, optimize_every: int) -> dict:
     sys.path.insert(0, str(Path.cwd() / "src"))
     from objectslam import evaluation, pipeline, simworld
     from objectslam.association import DAConfig
 
     world, trajectory, dataset = simworld.simulate(
-        simworld.WorldConfig(loops=LOOPS, keyframes_per_loop=KEYFRAMES_PER_LOOP),
+        simworld.WorldConfig(**SCENES[scene]),
         simworld.NoiseModel(multiplier=NOISE), SEED)
     result = pipeline.run_slam(dataset, pipeline.SlamConfig(
         da=DAConfig(strategy=strategy), optimize_every=optimize_every, log_decisions=True))
@@ -144,8 +150,8 @@ def compare(base: dict, other: dict) -> tuple[list, dict]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == [ROW]:
-        strategy, every = argv[1:]
-        print(json.dumps(run_row(strategy, int(every))))
+        scene, strategy, every = argv[1:]
+        print(json.dumps(run_row(scene, strategy, int(every))))
         return 0
     if argv[:1] == [DETECT_ROW]:
         print(json.dumps(run_detect(int(argv[1]))))
@@ -162,18 +168,18 @@ def main(argv=None) -> int:
     if args.detect:
         return diff_detect(checkouts)
     failed = False
-    for strategy, every in ROWS:
+    for scene, strategy, every in ROWS:
         rows = []
         for _, root in checkouts:
             proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), ROW, strategy, str(every)],
+                [sys.executable, str(Path(__file__).resolve()), ROW, scene, strategy, str(every)],
                 cwd=root, capture_output=True, text=True, check=True)
             rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         bad, worst = compare(*rows)
         bad += [f"{name} differs by {value:.2g} relative"
                 for name, value in worst.items() if value > REL_TOL]
         failed |= bool(bad)
-        print(f"{strategy} optimize_every={every}: landmarks {rows[1]['landmarks']}, "
+        print(f"{scene} {strategy} optimize_every={every}: landmarks {rows[1]['landmarks']}, "
               f"P/R {rows[1]['precision']:.3f}/{rows[1]['recall']:.3f}, largest rel diff "
               + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
               + ("" if not bad else "\n  " + "\n  ".join(bad[:5])), flush=True)
