@@ -155,7 +155,7 @@ def test_generate_hypotheses_gates():
     cfg_geo = da.DAConfig(strategy="geometric_only")
     assert len(da.generate_hypotheses(det, snap, cfg_geo)) == 1
 
-    # far out: rejected by the chi-square gate, whatever the distance
+    # far out: rejected by the chi-square gate
     snap = snapshot_one_landmark(pose, [20.0, 0.0, 2.0], [1.0, 0.0, 0.0])
     assert da.generate_hypotheses(det, snap, cfg) == []
 
